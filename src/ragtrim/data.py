@@ -148,12 +148,6 @@ class JoinedDataset:
     def __iter__(self) -> Iterator[tuple[QAExample, RetrievalSet]]:
         return iter(self.pairs)
 
-    def get(self, example_id: str) -> tuple[QAExample, RetrievalSet]:
-        for example, retrieval in self.pairs:
-            if example.id == example_id:
-                return example, retrieval
-        raise KeyError(example_id)
-
     def index(self) -> dict[str, tuple[QAExample, RetrievalSet]]:
         return {example.id: (example, retrieval) for example, retrieval in self.pairs}
 

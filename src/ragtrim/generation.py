@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -228,7 +229,7 @@ class HttpGeneratorConfig:
     """Connection settings for a plain JSON-over-POST generation endpoint.
 
     Request shape: {"model", "prompt", "temperature", "max_tokens"} -> {"text"}.
-    Responses are cached under cache_dir keyed by hash(model, prompt text).
+    Responses are cached under cache_dir keyed by hash(endpoint, request payload).
     """
 
     endpoint_url: str
@@ -279,43 +280,40 @@ class HttpGeneratorClient:
         self.calls = 0
         self.cache_hits = 0
         self._in_flight = threading.Semaphore(config.max_in_flight)
-        self._cache_lock = threading.Lock()
+        self._counter_lock = threading.Lock()
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    def _cache_path(self, prompt: Prompt) -> Path | None:
+    def _cache_path(self, payload: dict) -> Path | None:
+        """Cache entry for a request: keyed on the endpoint and every payload field."""
         if not self.config.cache_dir:
             return None
-        key = hashlib.sha256(
-            f"{self.config.model_name}\x00{prompt.text}".encode("utf-8")
-        ).hexdigest()
+        request = json.dumps([self.config.endpoint_url, payload], sort_keys=True)
+        key = hashlib.sha256(request.encode("utf-8")).hexdigest()
         return Path(self.config.cache_dir) / f"{key}.json"
 
     def generate(self, prompt: Prompt) -> str:
-        # Counters share the cache lock; contention is negligible.
-        with self._cache_lock:
+        with self._counter_lock:
             self.calls += 1
-        cache_path = self._cache_path(prompt)
-        if cache_path is not None and cache_path.exists():
-            with self._cache_lock:
+        payload = self.request_builder(self.config, prompt)
+        cache_path = self._cache_path(payload)
+        cached = _read_cache_entry(cache_path) if cache_path is not None else None
+        if cached is not None:
+            with self._counter_lock:
                 self.cache_hits += 1
-            return json.loads(cache_path.read_text(encoding="utf-8"))["text"]
+            return cached
 
-        text = self._fetch(prompt)
+        text = self._fetch(payload)
         if cache_path is not None:
-            with self._cache_lock:
-                tmp = cache_path.with_suffix(".tmp")
-                tmp.write_text(json.dumps({"text": text}, ensure_ascii=False), encoding="utf-8")
-                tmp.replace(cache_path)
+            _write_cache_entry(cache_path, text)
         return text
 
-    def _fetch(self, prompt: Prompt) -> str:
+    def _fetch(self, payload: dict) -> str:
         headers = {"Content-Type": "application/json"}
         if self.config.api_key_env_var:
             key = os.environ.get(self.config.api_key_env_var)
             if key:
                 headers["Authorization"] = f"Bearer {key}"
-        payload = self.request_builder(self.config, prompt)
         timeout_s = self.config.timeout_ms / 1000.0
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
@@ -356,4 +354,31 @@ class HttpGeneratorClient:
         )
 
     def fingerprint(self) -> str:
-        return f"http:{self.config.model_name}@{self.config.endpoint_url}"
+        c = self.config
+        return (
+            f"http:{c.model_name}@{c.endpoint_url}"
+            f"|temperature={c.temperature}|max_tokens={c.max_tokens}"
+        )
+
+
+def _read_cache_entry(path: Path) -> str | None:
+    """The cached text, or None when the entry is missing or unreadable (a miss)."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))["text"]
+    except FileNotFoundError:
+        return None
+    except (ValueError, KeyError, TypeError) as exc:
+        logger.warning("unreadable cache entry %s (%s); refetching", path, exc)
+        return None
+
+
+def _write_cache_entry(path: Path, text: str) -> None:
+    """Write through a temp file unique to this writer, then rename it into place."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump({"text": text}, fh, ensure_ascii=False)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise

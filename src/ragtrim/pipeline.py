@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .compress import (
     FALLBACK_TO_N,
@@ -241,6 +241,11 @@ class MethodResult:
     cache_hits: int
     fingerprint: str
     contexts: list[CompressedContext] = field(default_factory=list)
+    reused: int = 0  # rows served from an earlier identical prompt of the same example
+
+
+# Per-row generation counters; the manifest records each per method and as a total.
+_RUN_COUNTERS = ("generator_calls", "cache_hits", "reused")
 
 
 @dataclass
@@ -252,61 +257,68 @@ class RunResult:
         return {m.name: m for m in self.methods}
 
 
-def _client_counters(client: GeneratorClient) -> tuple[int, int]:
-    return getattr(client, "calls", 0), getattr(client, "cache_hits", 0)
+def _load(config: PipelineConfig):
+    """Validate, load and join the configured dataset; returns (dataset, retrievals)."""
+    validate_paths(config)
+    examples = load_examples(config.examples_path, config.example_format)
+    retrievals = load_retrievals(config.retrievals_path)
+    return join_dataset(examples, retrievals), retrievals
 
 
-def _run_method(
-    name: str,
+def _evaluate(
+    rows: Sequence[tuple[str, Callable | None, str]],
     dataset: JoinedDataset,
     client: GeneratorClient,
     config: PipelineConfig,
-    labeler,
-    splits: dict[str, str] | None,
-    label_fingerprint: str,
-) -> MethodResult:
-    calls_before, hits_before = _client_counters(client)
-    results: list[ExampleResult] = []
-    contexts: list[CompressedContext] = []
+    splits: dict[str, str] | None = None,
+) -> list[MethodResult]:
+    """Generate and score every (row_name, labeler, fingerprint) row, example-major.
+
+    Within one example, a prompt goes to the client only the first time a row
+    produces it; later rows with the same prompt text reuse that output. Each
+    labeler still runs once per example in dataset order (seeded draws keep
+    their sequence) and each row's results keep dataset order. A labeler of
+    None selects the only_doc context; a label of None skips the example.
+    """
+    methods = [
+        MethodResult(name, report=None, results=[], generator_calls=0, cache_hits=0,
+                     fingerprint=fingerprint)  # report: aggregated once every example is scored
+        for name, _, fingerprint in rows
+    ]
     for example, retrieval in dataset:
-        if name == METHOD_ONLY_DOC:
-            ctx = only_doc_select(example, retrieval, config.template_id)
-        else:
-            label = labeler(example, retrieval)
-            if label is None:
-                continue
-            ctx = compress(example, retrieval, label, config.fallback, config.template_id)
-        output = client.generate(ctx.prompt)
-        results.append(
-            score_output(
-                example.id,
-                output,
-                example.gold_answers,
-                ctx.token_count,
-                ctx.k,
-                split=splits.get(example.id) if splits else None,
+        outputs: dict[str, str] = {}  # prompt text -> output, for this example only
+        split = splits.get(example.id) if splits else None
+        for (_, labeler, _), m in zip(rows, methods):
+            if labeler is None:
+                ctx = only_doc_select(example, retrieval, config.template_id)
+            else:
+                label = labeler(example, retrieval)
+                if label is None:
+                    continue
+                ctx = compress(example, retrieval, label, config.fallback, config.template_id)
+            output = outputs.get(ctx.prompt.text)
+            if output is None:
+                hits_before = getattr(client, "cache_hits", 0)
+                output = outputs[ctx.prompt.text] = client.generate(ctx.prompt)
+                m.generator_calls += 1
+                m.cache_hits += getattr(client, "cache_hits", 0) - hits_before
+            else:
+                m.reused += 1
+            m.results.append(
+                score_output(
+                    example.id, output, example.gold_answers, ctx.token_count, ctx.k, split=split
+                )
             )
-        )
-        if config.export_contexts:
-            contexts.append(ctx)
-    calls_after, hits_after = _client_counters(client)
-    return MethodResult(
-        name=name,
-        report=aggregate(results),
-        results=results,
-        generator_calls=calls_after - calls_before,
-        cache_hits=hits_after - hits_before,
-        fingerprint=label_fingerprint,
-        contexts=contexts,
-    )
+            if config.export_contexts:
+                m.contexts.append(ctx)
+    for m in methods:
+        m.report = aggregate(m.results)
+    return methods
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Run every configured method over the dataset and aggregate one table."""
-    validate_paths(config)
-    examples = load_examples(config.examples_path, config.example_format)
-    retrievals = load_retrievals(config.retrievals_path)
-    dataset = join_dataset(examples, retrievals)
+    dataset, retrievals = _load(config)
     client = build_generator(config, dataset)
     JudgeMode.parse(config.judge)  # validate early; tables report EM/F1 directly
 
@@ -325,16 +337,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             splits[example.id] = specificity_split(scores)
 
     min_n = min(retrieval.n for _, retrieval in dataset)
-
-    method_results: list[MethodResult] = []
-    for method in config.methods:
-        rows = _method_rows(method, config, oracle_labels, min_n)
-        for row_name, labeler, fingerprint in rows:
-            method_results.append(
-                _run_method(row_name, dataset, client, config, labeler, splits, fingerprint)
-            )
-
-    calls_total, hits_total = _client_counters(client)
+    rows = [row for m in config.methods for row in _method_rows(m, config, oracle_labels, min_n)]
+    method_results = _evaluate(rows, dataset, client, config, splits)
     manifest = {
         "config_sha256": config.config_hash(),
         "seed": config.seed,
@@ -342,11 +346,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "generator_fingerprint": client.fingerprint(),
         "methods": [m.name for m in method_results],
         "method_fingerprints": {m.name: m.fingerprint for m in method_results},
-        "generator_calls": calls_total,
-        "cache_hits": hits_total,
+        **{key: sum(getattr(m, key) for m in method_results) for key in _RUN_COUNTERS},
         "per_method": {
-            m.name: {"generator_calls": m.generator_calls, "cache_hits": m.cache_hits}
-            for m in method_results
+            m.name: {key: getattr(m, key) for key in _RUN_COUNTERS} for m in method_results
         },
         "n_examples": len(dataset),
         "dropped_example_ids": dataset.dropped_ids,
@@ -359,14 +361,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
 def _method_rows(method: str, config: PipelineConfig, oracle_labels, min_n: int):
     """Expand one method name into (row_name, labeler, fingerprint) rows."""
-    if method == METHOD_NO_RETRIEVAL:
-        def closed_book_labeler(example, retrieval):
-            return CompressionLabel.keep(0)
-
-        return [(method, closed_book_labeler, "fixed:0")]
     top_k = _TOP_K_RE.match(method)
-    if top_k:
-        predictor = FixedKPredictor(int(top_k.group(1)))
+    if top_k or method == METHOD_NO_RETRIEVAL:
+        predictor = FixedKPredictor(int(top_k.group(1)) if top_k else 0)
         return [(method, predictor.predict_label, predictor.fingerprint())]
     if method == METHOD_TOP_RANDOM:
         predictor = RandomKPredictor(config.seed, k_range=range(1, min_n + 1))
@@ -405,25 +402,19 @@ def format_table_csv(methods: Sequence[MethodResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_outputs(run: RunResult, config: PipelineConfig) -> dict[str, Path]:
+def write_run_outputs(run: RunResult, config: PipelineConfig) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "table": out / "table.csv",
-        "reports": out / "reports.json",
-        "manifest": out / "manifest.json",
-    }
-    paths["table"].write_text(format_table_csv(run.methods), encoding="utf-8")
-    reports = {m.name: m.report.to_dict() for m in run.methods}
-    paths["reports"].write_text(json.dumps(reports, indent=2, sort_keys=True), encoding="utf-8")
-    paths["manifest"].write_text(
-        json.dumps(run.manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    (out / "table.csv").write_text(format_table_csv(run.methods), encoding="utf-8")
+    for name, payload in (
+        ("reports.json", {m.name: m.report.to_dict() for m in run.methods}),
+        ("manifest.json", run.manifest),
+    ):
+        (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
     if config.export_contexts:
         for m in run.methods:
             if m.contexts:
                 save_contexts(out / f"contexts_{m.name}.jsonl", m.contexts)
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -442,48 +433,32 @@ class SweepPoint:
 
 def sweep_document_count(config: PipelineConfig) -> list[SweepPoint]:
     """Evaluate every fixed prefix size k = 0..N; k=0 is the closed-book rate."""
-    validate_paths(config)
-    examples = load_examples(config.examples_path, config.example_format)
-    retrievals = load_retrievals(config.retrievals_path)
-    dataset = join_dataset(examples, retrievals)
+    dataset, _ = _load(config)
     client = build_generator(config, dataset)
     max_k = min(retrieval.n for _, retrieval in dataset)
-
-    points: list[SweepPoint] = []
-    for k in range(0, max_k + 1):
-        results = []
-        for example, retrieval in dataset:
-            ctx = compress(
-                example, retrieval, CompressionLabel.keep(k), config.fallback, config.template_id
-            )
-            output = client.generate(ctx.prompt)
-            results.append(
-                score_output(example.id, output, example.gold_answers, ctx.token_count, ctx.k)
-            )
-        report = aggregate(results)
-        points.append(
-            SweepPoint(k=k, em=report.em, f1=report.f1, mean_tokens=report.mean_tokens, n=report.n)
-        )
+    points = []
+    for k in range(max_k + 1):
+        # One row per pass: sweep prompts never repeat across k, and only one
+        # row's per-example results are held at a time.
+        rows = _method_rows(f"top_{k}", config, {}, max_k)
+        r = _evaluate(rows, dataset, client, config)[0].report
+        points.append(SweepPoint(k=k, em=r.em, f1=r.f1, mean_tokens=r.mean_tokens, n=r.n))
 
     if config.output_dir:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_lines = ["k,n,mean_tokens,em,f1"]
-        csv_lines += [
-            f"{p.k},{p.n},{p.mean_tokens:.2f},{p.em:.4f},{p.f1:.4f}" for p in points
-        ]
-        (out / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-        (out / "sweep.json").write_text(
-            json.dumps(
-                [
-                    {"k": p.k, "n": p.n, "mean_tokens": p.mean_tokens, "em": p.em, "f1": p.f1}
-                    for p in points
-                ],
-                indent=2,
-            ),
-            encoding="utf-8",
-        )
+        _write_sweep_outputs(points, Path(config.output_dir))
     return points
+
+
+_SWEEP_COLUMNS = ("k", "n", "mean_tokens", "em", "f1")
+
+
+def _write_sweep_outputs(points: Sequence[SweepPoint], out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(_SWEEP_COLUMNS)]
+    lines += [f"{p.k},{p.n},{p.mean_tokens:.2f},{p.em:.4f},{p.f1:.4f}" for p in points]
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [{column: getattr(p, column) for column in _SWEEP_COLUMNS} for p in points]
+    (out / "sweep.json").write_text(json.dumps(rows, indent=2), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

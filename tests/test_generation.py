@@ -146,9 +146,9 @@ class TestHttpClient:
             assert (first, second) == ("cached value", "cached value")
             assert len(server.requests) == 1
             assert client.cache_hits == 1
-        # Warm cache works with the server gone entirely.
+        # Warm cache works with the server gone entirely (the key names the endpoint).
         offline = HttpGeneratorClient(
-            http_config("http://127.0.0.1:1/", cache_dir=str(tmp_path))
+            http_config(server.url, cache_dir=str(tmp_path), max_retries=0)
         )
         assert offline.generate(prompt) == "cached value"
 
@@ -188,7 +188,93 @@ class TestHttpClient:
 
     def test_fingerprint_identifies_endpoint_and_model(self):
         client = HttpGeneratorClient(http_config("http://host/gen"))
-        assert client.fingerprint() == "http:test-model@http://host/gen"
+        assert client.fingerprint() == (
+            "http:test-model@http://host/gen|temperature=0.0|max_tokens=256"
+        )
+
+    def test_sampling_settings_key_cache_and_fingerprint(self, tmp_path):
+        prompt = make_prompt()
+        with ScriptedServer([(200, {"text": "greedy"}), (200, {"text": "sampled"})]) as server:
+            greedy = HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path)))
+            sampled = HttpGeneratorClient(
+                http_config(server.url, cache_dir=str(tmp_path), temperature=1.0, max_tokens=5)
+            )
+            assert greedy.generate(prompt) == "greedy"
+            assert sampled.generate(prompt) == "sampled"
+            assert greedy.generate(prompt) == "greedy"
+            assert len(server.requests) == 2
+            assert (greedy.cache_hits, sampled.cache_hits) == (1, 0)
+        assert greedy.fingerprint() != sampled.fingerprint()
+
+    def test_corrupt_cache_entry_is_a_counted_miss(self, tmp_path, caplog):
+        prompt = make_prompt()
+        with ScriptedServer([(200, {"text": "first"}), (200, {"text": "refetched"})]) as server:
+            HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path))).generate(prompt)
+            [entry] = tmp_path.glob("*.json")
+            entry.write_text('{"text": "fir', encoding="utf-8")  # truncated write
+            client = HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path)))
+            with caplog.at_level("WARNING", logger="ragtrim.generation"):
+                assert client.generate(prompt) == "refetched"
+            assert (client.calls, client.cache_hits) == (1, 0)
+            assert len(server.requests) == 2
+            assert entry.name in caplog.text
+            assert client.generate(prompt) == "refetched"  # entry was overwritten
+            assert client.cache_hits == 1
+
+    def test_two_clients_write_one_key_concurrently(self, tmp_path):
+        import sys
+        import threading
+
+        rounds, writers = 30, 4
+        barrier = threading.Barrier(writers, timeout=10)
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return {"text": "ok"}
+
+        class InLockstepSession:
+            """Every writer's request returns at once, so all of them write the same entry."""
+
+            def post(self, *args, **kwargs):
+                barrier.wait()
+                return Response()
+
+        clients = [
+            HttpGeneratorClient(
+                http_config("http://host/gen", cache_dir=str(tmp_path)),
+                session=InLockstepSession(),
+            )
+            for _ in range(2)
+        ]
+        errors: list[BaseException] = []
+
+        def write(client, prompt):
+            try:
+                assert client.generate(prompt) == "ok"
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(rounds):
+                prompt = make_prompt(query=f"question {i}")
+                threads = [
+                    threading.Thread(target=write, args=(clients[j % 2], prompt))
+                    for j in range(writers)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(list(tmp_path.glob("*.json"))) == rounds
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_concurrent_generation_is_safe(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor

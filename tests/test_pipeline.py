@@ -8,18 +8,21 @@ import pytest
 
 from ragtrim.annotate import annotate_dataset
 from ragtrim.cli import main as cli_main
-from ragtrim.data import join_dataset, save_triplets
+from ragtrim.data import join_dataset, load_examples, load_retrievals, save_triplets
+from ragtrim.generation import MockOracleClient
 from ragtrim.pipeline import (
     ConfigError,
     PipelineConfig,
+    RunResult,
     format_table_csv,
     load_pipeline_config,
     render_confusion,
     report_confusion,
     run_pipeline,
     sweep_document_count,
+    write_run_outputs,
 )
-from ragtrim.predictor import PredictorReport, TrainConfig, save_model, train
+from ragtrim.predictor import PredictorReport, RandomKPredictor, TrainConfig, save_model, train
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
 
 WEIGHTS = {"0": 0.10, "1": 0.30, "2": 0.20, "3": 0.15, "4": 0.10, "5": 0.05, "none": 0.10}
@@ -120,11 +123,14 @@ class TestRunPipeline:
 
     def test_generator_call_budget_accounting(self, prepared):
         run = run_pipeline(base_config(prepared))
-        per_method = sum(m.generator_calls for m in run.methods)
-        assert run.manifest["generator_calls"] == per_method
-        # One generation per example per method row.
+        manifest = run.manifest
+        for key in ("generator_calls", "cache_hits", "reused"):
+            assert manifest[key] == sum(entry[key] for entry in manifest["per_method"].values())
+        # Every scored row either sent its prompt or reused an earlier identical one.
         for m in run.methods:
-            assert m.generator_calls == m.report.n
+            assert m.generator_calls + m.reused == m.report.n
+            assert manifest["per_method"][m.name]["reused"] == m.reused
+        assert manifest["reused"] > 0  # top_k prefixes repeat across rows
 
     def test_outputs_written_and_deterministic(self, prepared):
         out_a = prepared["root"] / "out_a"
@@ -169,6 +175,93 @@ class TestRunPipeline:
             for line in (out / "contexts_top_1.jsonl").read_text().splitlines()
         ]
         assert all(row["k"] == 1 for row in rows)
+
+
+class CountingClient:
+    """Generator client wrapper recording every prompt it is asked to generate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen: list[tuple[str, str]] = []
+
+    def generate(self, prompt):
+        self.seen.append((prompt.query_id, prompt.text))
+        return self.inner.generate(prompt)
+
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
+
+@pytest.fixture
+def built_clients(monkeypatch):
+    """Every client ragtrim.pipeline.build_generator returns, wrapped in a CountingClient."""
+    import ragtrim.pipeline
+
+    build = ragtrim.pipeline.build_generator
+    built: list[CountingClient] = []
+
+    def counting_build(config, dataset):
+        built.append(CountingClient(build(config, dataset)))
+        return built[-1]
+
+    monkeypatch.setattr(ragtrim.pipeline, "build_generator", counting_build)
+    return built
+
+
+class TestPromptDedup:
+    def test_each_distinct_prompt_generated_once(self, prepared, built_clients):
+        config = base_config(prepared)
+        config.export_contexts = True
+        run = run_pipeline(config)
+        [client] = built_clients
+        assert len(client.seen) == len(set(client.seen)) == run.manifest["generator_calls"]
+        produced = {
+            (ctx.prompt.query_id, ctx.prompt.text) for m in run.methods for ctx in m.contexts
+        }
+        assert set(client.seen) == produced
+        assert sum(m.report.n for m in run.methods) > len(produced)
+
+    def test_outputs_match_each_method_run_alone(self, prepared):
+        together = prepared["root"] / "out_together"
+        run_pipeline(base_config(prepared, out_dir=together))
+        alone = [run_pipeline(base_config(prepared, methods=[m])).methods[0] for m in ALL_METHODS]
+        expected = prepared["root"] / "out_alone"
+        write_run_outputs(RunResult(alone, manifest={}), base_config(prepared, out_dir=expected))
+        for name in ("table.csv", "reports.json"):
+            assert (together / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_top_random_keeps_its_seeded_draws(self, prepared):
+        run = run_pipeline(base_config(prepared))
+        dataset = join_dataset(
+            load_examples(prepared["examples"]), load_retrievals(prepared["retrievals"])
+        )
+        min_n = min(retrieval.n for _, retrieval in dataset)
+        predictor = RandomKPredictor(5, k_range=range(1, min_n + 1))
+        draws = [predictor.predict_label(ex, retrieval).k for ex, retrieval in dataset]
+        assert [r.k for r in run.by_name()["top_random"].results] == draws
+
+
+class TestGeneratorSeam:
+    def test_run_and_sweep_generate_only_through_build_generator(
+        self, prepared, built_clients, monkeypatch
+    ):
+        mock_generations = []
+        mock_generate = MockOracleClient.generate
+
+        def counted_generate(self, prompt):
+            mock_generations.append(prompt.text)
+            return mock_generate(self, prompt)
+
+        monkeypatch.setattr(MockOracleClient, "generate", counted_generate)
+        run = run_pipeline(base_config(prepared))
+        assert len(built_clients) == 1
+        assert len(built_clients[0].seen) == len(mock_generations)
+        assert len(mock_generations) == run.manifest["generator_calls"]
+
+        points = sweep_document_count(base_config(prepared))
+        assert len(built_clients) == 2
+        assert len(built_clients[1].seen) == len(mock_generations) - run.manifest["generator_calls"]
+        assert len(built_clients[1].seen) == sum(p.n for p in points)
 
 
 class TestSweep:
