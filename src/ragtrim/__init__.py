@@ -56,12 +56,9 @@ from .predictor import (
     PredictorReport,
     TrainConfig,
     TrainReport,
-    baseline_fixed_k,
-    baseline_random_k,
     evaluate_predictor,
     load_model,
     predict_k,
-    remote_predict,
     save_model,
     softmax_predict,
     train,

@@ -8,17 +8,14 @@ one generator call. Only rank prefixes are ever evaluated.
 from __future__ import annotations
 
 import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .compress import assemble_prompt, select_top_k
 from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
 from .generation import (
     GeneratorClient,
     JudgeMode,
-    Prompt,
     ProtocolError,
     TransportError,
     judge_correct,
@@ -94,18 +91,16 @@ def find_optimal_k(
     judge_mode: JudgeMode = JudgeMode(),
     include_k0: bool = True,
     template_id: str = "qa_default",
-    generate: Callable[[Prompt], str] | None = None,
 ) -> CompressionLabel:
     """Smallest k whose rank-prefix yields a judged-correct answer.
 
     Probes k=0 (closed book) first when enabled, then k=1..N ascending with
     early exit. Returns the unanswerable label when no prefix works.
     """
-    generate = generate or client.generate
     ks = range(0 if include_k0 else 1, retrieval.n + 1)
     for k in ks:
         prompt = assemble_prompt(example, select_top_k(retrieval, k), template_id)
-        output = generate(prompt)
+        output = client.generate(prompt)
         if judge_correct(output, example.gold_answers, judge_mode):
             return CompressionLabel.keep(k)
     return CompressionLabel.unanswerable()
@@ -119,34 +114,24 @@ def annotate_dataset(
     dataset: JoinedDataset,
     client: GeneratorClient,
     options: AnnotationOptions = AnnotationOptions(),
-    memo: dict[tuple[str, str, str], str] | None = None,
 ) -> tuple[list[AnnotatedTriplet], AnnotationStats]:
     """Annotate every example in the dataset; returns triplets sorted by example id.
 
     Generator failures skip the example and are logged. When failures exceed
     ``failure_limit`` of the dataset, the run aborts with partial results
-    attached to the exception. Generations are memoized by (fingerprint,
-    query, prompt); pass the same ``memo`` dict to re-annotate under a new
-    judge mode without re-generating.
+    attached to the exception. ``cache_hits`` is how far the client's own
+    ``cache_hits`` counter rose, and ``generator_calls`` is the rise in its
+    ``calls`` less those hits: the requests that reached the backend. A
+    counter the client does not have reads as 0.
     """
     fingerprint = client.fingerprint()
     stats = AnnotationStats(total_examples=len(dataset))
-    memo = {} if memo is None else memo
-    memo_lock = threading.Lock()
+    calls_before = getattr(client, "calls", 0)
+    hits_before = getattr(client, "cache_hits", 0)
 
-    def memoized_generate(prompt: Prompt) -> str:
-        key = (fingerprint, prompt.query_id, prompt.text)
-        with memo_lock:
-            if key in memo:
-                stats.cache_hits += 1
-                return memo[key]
-        output = client.generate(prompt)
-        with memo_lock:
-            stats.generator_calls += 1
-            memo[key] = output
-        return output
-
-    def annotate_one(pair: tuple[QAExample, RetrievalSet]) -> tuple[str, CompressionLabel]:
+    def annotate_one(
+        pair: tuple[QAExample, RetrievalSet],
+    ) -> tuple[str, CompressionLabel] | AnnotationError:
         example, retrieval = pair
         try:
             label = find_optimal_k(
@@ -156,68 +141,38 @@ def annotate_dataset(
                 judge_mode=options.judge_mode,
                 include_k0=options.include_k0,
                 template_id=options.template_id,
-                generate=memoized_generate,
             )
         except (TransportError, ProtocolError) as exc:
-            raise AnnotationError(f"generator failed for example {example.id}: {exc}") from exc
+            return AnnotationError(f"generator failed for example {example.id}: {exc}")
         return example.id, label
 
     triplets: list[AnnotatedTriplet] = []
-
-    def record(example_id: str, label: CompressionLabel) -> None:
-        stats.annotated += 1
-        key = _histogram_key(label)
-        stats.label_histogram[key] = stats.label_histogram.get(key, 0) + 1
-        if label.is_unanswerable:
-            stats.unanswerable_count += 1
-        triplets.append(
-            AnnotatedTriplet(
-                example_id=example_id,
-                query_id=example_id,
-                label=label,
-                generator_fingerprint=fingerprint,
-            )
-        )
-
-    def check_abort() -> None:
-        if stats.failed / stats.total_examples > options.failure_limit:
-            triplets.sort(key=lambda t: t.example_id)
-            raise AnnotationAborted(
-                f"aborting: {stats.failed}/{stats.total_examples} examples failed "
-                f"(limit {options.failure_limit:.0%})",
-                triplets,
-                stats,
-            )
-
-    if options.workers <= 1:
-        for pair in dataset:
-            try:
-                example_id, label = annotate_one(pair)
-            except AnnotationError as exc:
-                stats.failed += 1
-                logger.warning("%s", exc)
-                check_abort()
-                continue
-            record(example_id, label)
-    else:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            for outcome in pool.map(_safe(annotate_one), dataset.pairs):
+    try:
+        # An executor starts threads only on submit, so workers=1 runs in this thread.
+        with ThreadPoolExecutor(max_workers=max(1, options.workers)) as pool:
+            outcomes = (pool.map if options.workers > 1 else map)(annotate_one, dataset.pairs)
+            for outcome in outcomes:
                 if isinstance(outcome, AnnotationError):
                     stats.failed += 1
                     logger.warning("%s", outcome)
-                    check_abort()
-                else:
-                    record(*outcome)
-
-    triplets.sort(key=lambda t: t.example_id)
+                    if stats.failed / stats.total_examples > options.failure_limit:
+                        raise AnnotationAborted(
+                            f"aborting: {stats.failed}/{stats.total_examples} examples failed "
+                            f"(limit {options.failure_limit:.0%})",
+                            triplets,
+                            stats,
+                        )
+                    continue
+                example_id, label = outcome
+                stats.annotated += 1
+                key = _histogram_key(label)
+                stats.label_histogram[key] = stats.label_histogram.get(key, 0) + 1
+                if label.is_unanswerable:
+                    stats.unanswerable_count += 1
+                triplets.append(AnnotatedTriplet(example_id, example_id, label, fingerprint))
+    finally:
+        # Also on abort: the exception carries these same objects.
+        triplets.sort(key=lambda t: t.example_id)
+        stats.cache_hits = getattr(client, "cache_hits", 0) - hits_before
+        stats.generator_calls = getattr(client, "calls", 0) - calls_before - stats.cache_hits
     return triplets, stats
-
-
-def _safe(fn):
-    def wrapped(arg):
-        try:
-            return fn(arg)
-        except AnnotationError as exc:
-            return exc
-
-    return wrapped

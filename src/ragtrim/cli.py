@@ -8,8 +8,10 @@ import logging
 import sys
 from pathlib import Path
 
+from . import pipeline
 from .annotate import AnnotationAborted, AnnotationOptions, annotate_dataset
 from .data import (
+    DataError,
     join_dataset,
     load_examples,
     load_retrievals,
@@ -17,8 +19,10 @@ from .data import (
     save_triplets,
 )
 from .features import FeatureSpec
-from .generation import HttpGeneratorClient, HttpGeneratorConfig, JudgeMode, MockOracleClient, MockOracleConfig
+from .generation import JudgeMode
 from .pipeline import (
+    ConfigError,
+    PipelineConfig,
     confusion_csv,
     load_pipeline_config,
     render_confusion,
@@ -34,7 +38,7 @@ from .predictor import (
     save_model,
     train,
 )
-from .synth import CorpusSpec, load_plan, make_synthetic_corpus
+from .synth import CorpusSpec, make_synthetic_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -62,34 +66,20 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_annotation_client(args: argparse.Namespace, dataset) -> object:
-    if args.generator == "mock":
-        closed_book: list[str] = []
-        if args.mock_plan:
-            closed_book = [e.example_id for e in load_plan(args.mock_plan) if e.closed_book]
-        config = MockOracleConfig(
-            confusion_threshold=args.confusion_threshold,
-            noise_rate=args.noise_rate,
-            seed=args.mock_seed,
-        )
-        golds = {ex.id: ex.gold_answers for ex, _ in dataset}
-        return MockOracleClient(config, golds_by_id=golds, closed_book_ids=closed_book)
-    config = HttpGeneratorConfig(
-        endpoint_url=args.endpoint_url,
-        model_name=args.model_name,
-        cache_dir=args.cache_dir,
-        timeout_ms=args.timeout_ms,
-        max_retries=args.max_retries,
-        api_key_env_var=args.api_key_env_var,
-    )
-    return HttpGeneratorClient(config)
-
-
 def _cmd_annotate(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples, args.format)
     retrievals = load_retrievals(args.retrievals)
     dataset = join_dataset(examples, retrievals)
-    client = _build_annotation_client(args, dataset)
+    if args.generator == "mock":
+        generator = {"type": "mock", "closed_book_plan": args.mock_plan, "seed": args.mock_seed,
+                     "confusion_threshold": args.confusion_threshold, "noise_rate": args.noise_rate}
+    else:
+        generator = {"type": "http", "endpoint_url": args.endpoint_url,
+                     "model_name": args.model_name, "cache_dir": args.cache_dir,
+                     "timeout_ms": args.timeout_ms, "max_retries": args.max_retries,
+                     "api_key_env_var": args.api_key_env_var}
+    config = PipelineConfig(args.examples, args.retrievals, methods=[], generator=generator)
+    client = pipeline.build_generator(config, dataset)
     options = AnnotationOptions(
         judge_mode=JudgeMode.parse(args.judge),
         include_k0=args.k0 == "on",
@@ -273,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, DataError) as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

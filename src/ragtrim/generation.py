@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import requests
 
@@ -244,7 +244,7 @@ class HttpGeneratorConfig:
     backoff_base_s: float = 0.25
 
 
-def _default_request(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
+def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
     return {
         "model": config.model_name,
         "prompt": prompt.text,
@@ -253,29 +253,17 @@ def _default_request(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
     }
 
 
-def _default_parse(payload: dict) -> str:
+def _response_text(payload: dict) -> str:
     if "text" not in payload:
         raise ProtocolError(f"response missing 'text' field: {str(payload)[:200]}")
     return str(payload["text"])
 
 
 class HttpGeneratorClient:
-    """GeneratorClient speaking plain JSON over HTTP POST, with retries and a disk cache.
+    """GeneratorClient speaking plain JSON over HTTP POST, with retries and a disk cache."""
 
-    ``request_builder`` / ``response_parser`` are the adapter point for
-    chat-message-shaped endpoints.
-    """
-
-    def __init__(
-        self,
-        config: HttpGeneratorConfig,
-        request_builder: Callable[[HttpGeneratorConfig, Prompt], dict] = _default_request,
-        response_parser: Callable[[dict], str] = _default_parse,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, config: HttpGeneratorConfig, session: requests.Session | None = None):
         self.config = config
-        self.request_builder = request_builder
-        self.response_parser = response_parser
         self.session = session or requests.Session()
         self.calls = 0
         self.cache_hits = 0
@@ -295,7 +283,7 @@ class HttpGeneratorClient:
     def generate(self, prompt: Prompt) -> str:
         with self._counter_lock:
             self.calls += 1
-        payload = self.request_builder(self.config, prompt)
+        payload = _request_payload(self.config, prompt)
         cache_path = self._cache_path(payload)
         cached = _read_cache_entry(cache_path) if cache_path is not None else None
         if cached is not None:
@@ -336,7 +324,7 @@ class HttpGeneratorClient:
                     body = resp.json()
                 except ValueError as exc:
                     raise ProtocolError(f"non-JSON response: {resp.text[:200]}") from exc
-                return self.response_parser(body)
+                return _response_text(body)
             if 500 <= resp.status_code < 600:
                 last_error = ProtocolError(f"status {resp.status_code}: {resp.text[:200]}")
                 logger.warning(

@@ -202,6 +202,8 @@ def build_generator(config: PipelineConfig, dataset: JoinedDataset) -> Generator
             closed_book = [e.example_id for e in plan if e.closed_book]
         return MockOracleClient(mock_config, golds_by_id=golds, closed_book_ids=closed_book)
     if gen_type == "http":
+        if not gen.get("endpoint_url"):
+            raise ConfigError("http generator requires endpoint_url")
         http_config = HttpGeneratorConfig(
             endpoint_url=gen["endpoint_url"],
             model_name=gen.get("model_name", "default"),

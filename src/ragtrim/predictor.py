@@ -404,14 +404,6 @@ class RandomKPredictor:
         return f"random:{self.seed}:{self.k_range}"
 
 
-def baseline_fixed_k(k: int) -> FixedKPredictor:
-    return FixedKPredictor(k)
-
-
-def baseline_random_k(seed: int, k_range: Sequence[int] = range(1, 6)) -> RandomKPredictor:
-    return RandomKPredictor(seed, k_range)
-
-
 @dataclass(frozen=True)
 class RemotePredictorConfig:
     """Settings for an externally served compression-rate predictor.
@@ -473,12 +465,6 @@ class RemotePredictorClient:
 
     def fingerprint(self) -> str:
         return f"remote:{self.config.endpoint_url}"
-
-
-def remote_predict(
-    config: RemotePredictorConfig, example: QAExample, retrieval: RetrievalSet
-) -> CompressionLabel:
-    return RemotePredictorClient(config).predict_label(example, retrieval)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from ragtrim.annotate import (
 from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
+    HttpGeneratorClient,
+    HttpGeneratorConfig,
     JudgeMode,
     MockOracleClient,
     MockOracleConfig,
@@ -141,7 +143,9 @@ class TestAnnotateDataset:
 
     def test_histogram_and_call_budget(self):
         corpus, dataset = self.make_corpus()
-        triplets, stats = annotate_dataset(dataset, mock_client_for(corpus))
+        client = mock_client_for(corpus)
+        triplets, stats = annotate_dataset(dataset, client)
+        assert (stats.generator_calls, stats.cache_hits) == (client.calls, 0)
         histogram_total = sum(stats.label_histogram.values())
         assert histogram_total == len(triplets)
         assert stats.unanswerable_count == stats.label_histogram.get("unanswerable", 0)
@@ -183,6 +187,7 @@ class TestAnnotateDataset:
         with pytest.raises(AnnotationAborted) as excinfo:
             annotate_dataset(dataset, client, AnnotationOptions(failure_limit=0.10))
         assert excinfo.value.stats.failed >= 3  # 3/20 is the first point past 10%
+        assert excinfo.value.stats.generator_calls == client.calls > 0
         assert all(t.example_id not in failing for t in excinfo.value.triplets)
 
     def test_only_rank_prefixes_are_evaluated(self):
@@ -196,20 +201,52 @@ class TestAnnotateDataset:
             size = len(prompt.context_docs)
             assert list(prompt.context_docs) == all_texts[:size]
 
-    def test_shared_memo_reuses_generations_for_reannotation(self):
+    def test_reannotation_under_new_judge_is_served_by_the_disk_cache(self, tmp_path):
         corpus, dataset = self.make_corpus(size=10)
-        client = mock_client_for(corpus)
-        memo: dict = {}
-        annotate_dataset(
-            dataset, client, AnnotationOptions(judge_mode=JudgeMode(kind="em")), memo=memo
+        mock = mock_client_for(corpus)
+        answers = {}  # prompt text -> the mock's answer, so the endpoint behaves like the mock
+        for example, retrieval in dataset:
+            for k in range(retrieval.n + 1):
+                prompt = assemble_prompt(example, retrieval.docs[:k])
+                answers[prompt.text] = mock.generate(prompt)
+        posts = []
+
+        class Response:
+            status_code = 200
+
+            def __init__(self, text):
+                self.text = text
+
+            def json(self):
+                return {"text": self.text}
+
+        class CountingSession:
+            def post(self, url, json, **kwargs):
+                posts.append(json["prompt"])
+                return Response(answers[json["prompt"]])
+
+        def annotate(judge):
+            config = HttpGeneratorConfig(
+                endpoint_url="http://generator.test/", model_name="m", cache_dir=str(tmp_path)
+            )
+            client = HttpGeneratorClient(config, session=CountingSession())
+            options = AnnotationOptions(judge_mode=JudgeMode.parse(judge))
+            return annotate_dataset(dataset, client, options)
+
+        first, first_stats = annotate("em")
+        assert first_stats.generator_calls == len(posts) > 0
+        assert first_stats.cache_hits == 0
+        second, stats = annotate("f1:0.6")
+        index = dataset.index()
+        lookups = sum(
+            index[t.example_id][1].n + 1 if t.label.is_unanswerable else t.label.k + 1
+            for t in second
         )
-        calls_after_first = client.calls
-        triplets, stats = annotate_dataset(
-            dataset,
-            client,
-            AnnotationOptions(judge_mode=JudgeMode(kind="f1", threshold=0.6)),
-            memo=memo,
-        )
-        assert client.calls == calls_after_first  # every generation replayed from the memo
+        assert len(posts) == first_stats.generator_calls  # nothing sent on the second pass
         assert stats.generator_calls == 0
+        assert stats.cache_hits == lookups == first_stats.generator_calls
+        assert stats.cache_hit_rate == 1.0
         assert stats.annotated == 10
+        assert [t.label for t in second] == [t.label for t in first]
+        intended = corpus.intended_labels()
+        assert all(t.label == intended[t.example_id] for t in second)

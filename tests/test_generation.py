@@ -152,6 +152,34 @@ class TestHttpClient:
         )
         assert offline.generate(prompt) == "cached value"
 
+    def test_payload_and_cache_key_are_stable(self, tmp_path):
+        """Existing cache directories keep hitting: the request and its key do not drift."""
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return {"text": "ok"}
+
+        class RecordingSession:
+            def post(self, url, json, **kwargs):
+                self.payload = json
+                return Response()
+
+        session = RecordingSession()
+        config = HttpGeneratorConfig(
+            endpoint_url="http://generator.test/gen", model_name="m", cache_dir=str(tmp_path)
+        )
+        HttpGeneratorClient(config, session=session).generate(make_prompt())
+        assert session.payload == {
+            "model": "m",
+            "prompt": "\nQuestion: who wrote Hamlet\nAnswer:",
+            "temperature": 0.0,
+            "max_tokens": 256,
+        }
+        [entry] = tmp_path.glob("*.json")
+        assert entry.name == "67da8eee340a01919de88f53d6576e5e2a8ee0d4ea8c4423e519084b14b98c61.json"
+
     def test_retry_on_500_then_success(self):
         with ScriptedServer([(500, {"error": "boom"}), (200, {"text": "ok"})]) as server:
             client = HttpGeneratorClient(http_config(server.url))

@@ -14,6 +14,7 @@ from ragtrim.pipeline import (
     ConfigError,
     PipelineConfig,
     RunResult,
+    build_generator,
     format_table_csv,
     load_pipeline_config,
     render_confusion,
@@ -100,6 +101,24 @@ class TestConfigValidation:
         config = base_config(prepared, methods=["top_none"])
         with pytest.raises(ConfigError, match="unknown method"):
             run_pipeline(config)
+
+    def test_http_generator_without_endpoint_fails_before_generation(
+        self, prepared, tmp_path, capsys
+    ):
+        config = base_config(prepared, generator={"type": "http"})
+        with pytest.raises(ConfigError, match="endpoint_url"):
+            run_pipeline(config)
+        with pytest.raises(ConfigError, match="endpoint_url"):
+            sweep_document_count(config)
+        raw = {
+            "datasets": {"examples": prepared["examples"], "retrievals": prepared["retrievals"]},
+            "generator": {"type": "http"},
+            "methods": ["top_1"],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR: http generator requires endpoint_url")
 
     def test_config_file_loading_resolves_paths(self, prepared, tmp_path):
         raw = {
@@ -438,3 +457,78 @@ class TestCli:
         )
         assert rc == 1
         assert (tmp_path / "triplets.jsonl.partial").exists()
+
+    def annotate_args(self, corpus_dir, out, *extra):
+        return [
+            "annotate",
+            "--examples", str(corpus_dir / "examples.jsonl"),
+            "--retrievals", str(corpus_dir / "retrievals.jsonl"),
+            "--out", str(out),
+            *extra,
+        ]
+
+    def test_annotate_http_without_endpoint_is_a_config_error(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "5", "--seed", "1"])
+        out = tmp_path / "triplets.jsonl"
+        assert cli_main(self.annotate_args(corpus_dir, out, "--generator", "http")) == 2
+        assert capsys.readouterr().err.startswith("ERROR: http generator requires endpoint_url")
+        assert not out.exists()
+        assert not (tmp_path / "triplets.jsonl.partial").exists()
+
+    def test_malformed_input_is_a_data_error(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "5", "--seed", "1"])
+        with (corpus_dir / "examples.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        assert cli_main(self.annotate_args(corpus_dir, tmp_path / "triplets.jsonl")) == 2
+        assert capsys.readouterr().err.startswith("ERROR: malformed JSON at line 6")
+
+    def test_annotate_goes_through_build_generator(self, tmp_path, built_clients, monkeypatch):
+        mock_generations = []
+        mock_generate = MockOracleClient.generate
+
+        def counted_generate(self, prompt):
+            mock_generations.append(prompt.text)
+            return mock_generate(self, prompt)
+
+        monkeypatch.setattr(MockOracleClient, "generate", counted_generate)
+        corpus_dir = tmp_path / "corpus"
+        cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "20", "--seed", "3"])
+        args = self.annotate_args(
+            corpus_dir, tmp_path / "triplets.jsonl", "--mock-plan", str(corpus_dir / "plan.jsonl")
+        )
+        assert cli_main(args) == 0
+        assert len(built_clients) == 1
+        assert len(built_clients[0].seen) == len(mock_generations) > 0
+
+    def test_annotate_mock_flags_match_across_workers_and_library(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "60", "--seed", "4"])
+        plan = str(corpus_dir / "plan.jsonl")
+        flags = ["--confusion-threshold", "3", "--noise-rate", "0.1", "--mock-seed", "5"]
+        outputs = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"triplets_{workers}.jsonl"
+            args = self.annotate_args(corpus_dir, out, "--mock-plan", plan, "--workers", workers)
+            assert cli_main(args + flags) == 0
+            outputs.append(out.read_bytes())
+
+        generator = {"type": "mock", "closed_book_plan": plan, "seed": 5,
+                     "confusion_threshold": 3, "noise_rate": 0.1}
+        config = PipelineConfig(
+            examples_path=str(corpus_dir / "examples.jsonl"),
+            retrievals_path=str(corpus_dir / "retrievals.jsonl"),
+            methods=[],
+            generator=generator,
+        )
+        dataset = join_dataset(load_examples(config.examples_path),
+                               load_retrievals(config.retrievals_path))
+        triplets, _ = annotate_dataset(dataset, build_generator(config, dataset))
+        save_triplets(tmp_path / "library.jsonl", triplets)
+        outputs.append((tmp_path / "library.jsonl").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        # The flags reached the mock: its fingerprint differs from the default mock's.
+        default = dict(generator, seed=0, confusion_threshold=None, noise_rate=0.0)
+        default_client = build_generator(PipelineConfig("", "", [], generator=default), dataset)
+        assert triplets[0].generator_fingerprint != default_client.fingerprint()

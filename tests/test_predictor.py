@@ -23,12 +23,12 @@ from ragtrim.features import FeatureSpec, extract_features
 from ragtrim.generation import ProtocolError, TransportError
 from ragtrim.predictor import (
     FeatureSpecMismatch,
+    FixedKPredictor,
     PredictorModel,
+    RandomKPredictor,
     RemotePredictorClient,
     RemotePredictorConfig,
     TrainConfig,
-    baseline_fixed_k,
-    baseline_random_k,
     build_class_list,
     evaluate_predictor,
     load_model,
@@ -324,21 +324,21 @@ class TestEvaluate:
 
 class TestBaselines:
     def test_fixed_k_constant(self):
-        predictor = baseline_fixed_k(5)
+        predictor = FixedKPredictor(5)
         retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
         assert predictor.predict_label(make_example(), retrieval) == CompressionLabel.keep(5)
 
     def test_fixed_k_out_of_range(self):
         with pytest.raises(ValueError):
-            baseline_fixed_k(-1)
-        predictor = baseline_fixed_k(6)
+            FixedKPredictor(-1)
+        predictor = FixedKPredictor(6)
         with pytest.raises(ValueError, match="out of range"):
             predictor.predict_label(make_example(), make_retrieval(texts=["a"] * 5))
 
     def test_random_k_same_seed_same_sequence(self):
         retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-        a = baseline_random_k(seed=7, k_range=range(1, 6))
-        b = baseline_random_k(seed=7, k_range=range(1, 6))
+        a = RandomKPredictor(seed=7, k_range=range(1, 6))
+        b = RandomKPredictor(seed=7, k_range=range(1, 6))
         seq_a = [a.predict_label(make_example(), retrieval).k for _ in range(50)]
         seq_b = [b.predict_label(make_example(), retrieval).k for _ in range(50)]
         assert seq_a == seq_b
@@ -346,8 +346,8 @@ class TestBaselines:
 
     def test_random_k_range_validated(self):
         with pytest.raises(ValueError):
-            baseline_random_k(seed=1, k_range=[])
-        predictor = baseline_random_k(seed=1, k_range=range(1, 7))
+            RandomKPredictor(seed=1, k_range=[])
+        predictor = RandomKPredictor(seed=1, k_range=range(1, 7))
         with pytest.raises(ValueError, match="exceeds N"):
             predictor.predict_label(make_example(), make_retrieval(texts=["a"] * 5))
 
