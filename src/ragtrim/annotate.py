@@ -8,8 +8,10 @@ one generator call. Only rank prefixes are ever evaluated.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from .compress import assemble_prompt, select_top_k
 from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
@@ -110,6 +112,22 @@ def _histogram_key(label: CompressionLabel) -> str:
     return "unanswerable" if label.is_unanswerable else str(label.k)
 
 
+def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: Iterable, window: int) -> Iterator:
+    """``pool.map`` with at most ``window`` tasks submitted and not yet consumed.
+
+    ``pool.map`` submits every item up front, so a consumer that stops early
+    (an abort) would still wait for all of them when the pool shuts down; here
+    it waits for at most ``window - 1``.
+    """
+    pending: deque[Future] = deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def annotate_dataset(
     dataset: JoinedDataset,
     client: GeneratorClient,
@@ -150,7 +168,10 @@ def annotate_dataset(
     try:
         # An executor starts threads only on submit, so workers=1 runs in this thread.
         with ThreadPoolExecutor(max_workers=max(1, options.workers)) as pool:
-            outcomes = (pool.map if options.workers > 1 else map)(annotate_one, dataset.pairs)
+            if options.workers > 1:
+                outcomes = _in_order(pool, annotate_one, dataset.pairs, options.workers)
+            else:
+                outcomes = map(annotate_one, dataset.pairs)
             for outcome in outcomes:
                 if isinstance(outcome, AnnotationError):
                     stats.failed += 1

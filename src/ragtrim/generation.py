@@ -9,6 +9,7 @@ so corpus-scale behavior is fully deterministic and replayable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -133,7 +134,10 @@ def _stable_unit(seed: int, key: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def _doc_has_evidence(doc_text: str, norm_golds: Sequence[str]) -> bool:
+@functools.lru_cache(maxsize=256)
+def _doc_has_evidence(doc_text: str, norm_golds: tuple[str, ...]) -> bool:
+    # Bounded memo: the prompts of one example repeat its documents, and
+    # examples are evaluated one after another, so recent documents recur.
     norm_doc = normalize_answer(doc_text)
     return any(g and g in norm_doc for g in norm_golds)
 
@@ -153,7 +157,7 @@ def mock_generate(
     """
     if not golds:
         raise ValueError("mock_generate requires at least one gold answer")
-    norm_golds = [normalize_answer(g) for g in golds]
+    norm_golds = tuple(normalize_answer(g) for g in golds)
 
     if prompt.context_docs:
         evidence = [_doc_has_evidence(doc, norm_golds) for doc in prompt.context_docs]
@@ -253,8 +257,8 @@ def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
     }
 
 
-def _response_text(payload: dict) -> str:
-    if "text" not in payload:
+def _response_text(payload: object) -> str:
+    if not isinstance(payload, dict) or "text" not in payload:
         raise ProtocolError(f"response missing 'text' field: {str(payload)[:200]}")
     return str(payload["text"])
 

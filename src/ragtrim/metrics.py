@@ -62,11 +62,13 @@ def token_f1(pred: str, golds: Sequence[str]) -> float:
     pred_tokens = Counter(tokenize(pred))
     best = 0.0
     for gold in golds:
-        gold_tokens = Counter(tokenize(gold))
-        overlap = sum((pred_tokens & gold_tokens).values())
-        score = _f1_from_counts(overlap, sum(pred_tokens.values()), sum(gold_tokens.values()))
-        best = max(best, score)
+        best = max(best, _counts_f1(pred_tokens, Counter(tokenize(gold))))
     return best
+
+
+def _counts_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
+    overlap = sum((pred_tokens & gold_tokens).values())
+    return _f1_from_counts(overlap, sum(pred_tokens.values()), sum(gold_tokens.values()))
 
 
 class RougeScore(NamedTuple):
@@ -83,13 +85,19 @@ def rouge_n(pred: str, ref: str, n: int) -> RougeScore:
     """N-gram multiset overlap between prediction and reference."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    pred_grams = _ngrams(tokenize(pred), n)
-    ref_grams = _ngrams(tokenize(ref), n)
+    return _ngram_rouge(_ngrams(tokenize(pred), n), _ngrams(tokenize(ref), n))
+
+
+def _ngram_rouge(pred_grams: Counter, ref_grams: Counter) -> RougeScore:
     n_pred = sum(pred_grams.values())
     n_ref = sum(ref_grams.values())
     if n_pred == 0 or n_ref == 0:
         return RougeScore(0.0, 0.0, 0.0)
-    overlap = sum((pred_grams & ref_grams).values())
+    return _rouge_score(sum((pred_grams & ref_grams).values()), n_pred, n_ref)
+
+
+def _rouge_score(overlap: int, n_pred: int, n_ref: int) -> RougeScore:
+    """Precision, recall and F from an overlap count and two non-zero lengths."""
     precision = overlap / n_pred
     recall = overlap / n_ref
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -114,15 +122,13 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 def rouge_l(pred: str, ref: str) -> RougeScore:
     """Longest-common-subsequence overlap between prediction and reference."""
-    pred_tokens = tokenize(pred)
-    ref_tokens = tokenize(ref)
+    return _lcs_rouge(tokenize(pred), tokenize(ref))
+
+
+def _lcs_rouge(pred_tokens: Sequence[str], ref_tokens: Sequence[str]) -> RougeScore:
     if not pred_tokens or not ref_tokens:
         return RougeScore(0.0, 0.0, 0.0)
-    lcs = _lcs_length(pred_tokens, ref_tokens)
-    precision = lcs / len(pred_tokens)
-    recall = lcs / len(ref_tokens)
-    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return RougeScore(precision, recall, f)
+    return _rouge_score(_lcs_length(pred_tokens, ref_tokens), len(pred_tokens), len(ref_tokens))
 
 
 def rouge_n_best(pred: str, golds: Sequence[str], n: int) -> RougeScore:
@@ -159,7 +165,7 @@ def answer_relevance_scores(doc_texts: Sequence[str], golds: Sequence[str]) -> l
     return [token_f1(text, golds) for text in doc_texts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleResult:
     """Judged outcome for one example under one method."""
 
@@ -212,18 +218,27 @@ def score_output(
     k: int,
     split: str | None = None,
 ) -> ExampleResult:
-    """Score one generated answer against its gold answers."""
-    return ExampleResult(
-        example_id=example_id,
-        em=exact_match(output, golds),
-        f1=token_f1(output, golds),
-        rouge_1=rouge_n_best(output, golds, 1).f,
-        rouge_2=rouge_n_best(output, golds, 2).f,
-        rouge_l=rouge_l_best(output, golds).f,
-        token_count=token_count,
-        k=k,
-        split=split,
-    )
+    """Score one generated answer against its gold answers.
+
+    The output and each gold are normalized and tokenized once, and every
+    metric is derived from those; each field equals what exact_match,
+    token_f1, rouge_n_best(.., 1/2).f and rouge_l_best(..).f return, bit for bit.
+    """
+    if not golds:
+        raise ValueError("score_output requires at least one gold answer")
+    norm = normalize_answer(output)
+    tokens = tokenize(output)
+    unigrams, bigrams = _ngrams(tokens, 1), _ngrams(tokens, 2)
+    em, f1, rouge_1, rouge_2, rouge_l = 0, 0.0, 0.0, 0.0, 0.0
+    for gold in golds:
+        gold_tokens = tokenize(gold)
+        gold_unigrams = _ngrams(gold_tokens, 1)
+        em = em or int(norm == normalize_answer(gold))
+        f1 = max(f1, _counts_f1(unigrams, gold_unigrams))
+        rouge_1 = max(rouge_1, _ngram_rouge(unigrams, gold_unigrams).f)
+        rouge_2 = max(rouge_2, _ngram_rouge(bigrams, _ngrams(gold_tokens, 2)).f)
+        rouge_l = max(rouge_l, _lcs_rouge(tokens, gold_tokens).f)
+    return ExampleResult(example_id, em, f1, rouge_1, rouge_2, rouge_l, token_count, k, split)
 
 
 def aggregate(results: Iterable[ExampleResult]) -> EvalReport:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -277,10 +277,13 @@ def _evaluate(
     """Generate and score every (row_name, labeler, fingerprint) row, example-major.
 
     Within one example, a prompt goes to the client only the first time a row
-    produces it; later rows with the same prompt text reuse that output. Each
-    labeler still runs once per example in dataset order (seeded draws keep
-    their sequence) and each row's results keep dataset order. A labeler of
-    None selects the only_doc context; a label of None skips the example.
+    produces it; later rows with the same prompt text reuse that output. An
+    output is scored only the first time a row of the example returns it: the
+    example's gold answers fix every metric, so later rows copy the metrics
+    and keep their own token_count and k. Each labeler still runs once per
+    example in dataset order (seeded draws keep their sequence) and each
+    row's results keep dataset order. A labeler of None selects the only_doc
+    context; a label of None skips the example.
     """
     methods = [
         MethodResult(name, report=None, results=[], generator_calls=0, cache_hits=0,
@@ -289,6 +292,7 @@ def _evaluate(
     ]
     for example, retrieval in dataset:
         outputs: dict[str, str] = {}  # prompt text -> output, for this example only
+        scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
         split = splits.get(example.id) if splits else None
         for (_, labeler, _), m in zip(rows, methods):
             if labeler is None:
@@ -306,11 +310,14 @@ def _evaluate(
                 m.cache_hits += getattr(client, "cache_hits", 0) - hits_before
             else:
                 m.reused += 1
-            m.results.append(
-                score_output(
+            result = scored.get(output)
+            if result is None:
+                result = scored[output] = score_output(
                     example.id, output, example.gold_answers, ctx.token_count, ctx.k, split=split
                 )
-            )
+            else:
+                result = replace(result, token_count=ctx.token_count, k=ctx.k)
+            m.results.append(result)
             if config.export_contexts:
                 m.contexts.append(ctx)
     for m in methods:
@@ -438,13 +445,11 @@ def sweep_document_count(config: PipelineConfig) -> list[SweepPoint]:
     dataset, _ = _load(config)
     client = build_generator(config, dataset)
     max_k = min(retrieval.n for _, retrieval in dataset)
-    points = []
-    for k in range(max_k + 1):
-        # One row per pass: sweep prompts never repeat across k, and only one
-        # row's per-example results are held at a time.
-        rows = _method_rows(f"top_{k}", config, {}, max_k)
-        r = _evaluate(rows, dataset, client, config)[0].report
-        points.append(SweepPoint(k=k, em=r.em, f1=r.f1, mean_tokens=r.mean_tokens, n=r.n))
+    rows = [row for k in range(max_k + 1) for row in _method_rows(f"top_{k}", config, {}, max_k)]
+    points = [
+        SweepPoint(k=k, em=r.em, f1=r.f1, mean_tokens=r.mean_tokens, n=r.n)
+        for k, r in enumerate(m.report for m in _evaluate(rows, dataset, client, config))
+    ]
 
     if config.output_dir:
         _write_sweep_outputs(points, Path(config.output_dir))

@@ -88,9 +88,9 @@ class PredictorModel:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stabilized softmax over the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def softmax_predict(model: PredictorModel, x: FeatureVector) -> PredictionDistribution:
@@ -132,10 +132,18 @@ def loss_and_grad(
     with np.errstate(divide="ignore"):  # log(0) -> -inf surfaces as a non-finite loss
         nll = -np.mean(np.log(probs[np.arange(batch), y_idx]))
     loss = nll + l2_penalty * float(np.sum(weights**2))
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(batch), y_idx] = 1.0
-    grad = (probs - one_hot).T @ x / batch + 2.0 * l2_penalty * weights
-    return float(loss), grad
+    return float(loss), gradient(weights, x, y_idx, l2_penalty)
+
+
+def gradient(
+    weights: np.ndarray, x: np.ndarray, y_idx: np.ndarray, l2_penalty: float = 0.0
+) -> np.ndarray:
+    """The gradient of loss_and_grad's loss, without computing the loss (one SGD step)."""
+    probs = softmax(x @ weights.T)
+    batch = x.shape[0]
+    # probs - one_hot(y_idx) in place: subtracting the zeros is exact, so it is skipped.
+    probs[np.arange(batch), y_idx] -= 1.0
+    return probs.T @ x / batch + 2.0 * l2_penalty * weights
 
 
 @dataclass
@@ -234,7 +242,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grad = loss_and_grad(weights, x[batch], y[batch], config.l2_penalty)
+            grad = gradient(weights, x[batch], y[batch], config.l2_penalty)
             lr = config.learning_rate * min(1.0, (step + 1) / warmup_steps)
             weights -= lr * grad
             step += 1
@@ -449,8 +457,11 @@ class RemotePredictorClient:
                 raise ProtocolError(
                     f"predictor endpoint status {resp.status_code}: {resp.text[:200]}"
                 )
-            body = resp.json()
-            k = body.get("k")
+            try:
+                body = resp.json()
+            except ValueError as exc:
+                raise ProtocolError(f"predictor returned non-JSON: {resp.text[:200]}") from exc
+            k = body.get("k") if isinstance(body, dict) else None
             if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= retrieval.n:
                 raise ProtocolError(f"predictor returned k={k!r}, valid range 0..{retrieval.n}")
             return CompressionLabel.keep(k)

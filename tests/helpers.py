@@ -59,6 +59,36 @@ class FailingClient:
         return "failing:test"
 
 
+# 200 response bodies that are not a JSON object: JSON array, number, null and
+# string, and a body that is not JSON at all.
+MALFORMED_BODIES = {
+    "array": b"[]",
+    "text-array": b'["text"]',
+    "number": b"5",
+    "null": b"null",
+    "string": b'"x"',
+    "not-json": b"x",
+}
+
+
+class BodySession:
+    """Stands in for a requests session; every POST gets a 200 with the given body."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        import requests
+
+        self.posts += 1
+        response = requests.Response()
+        response.status_code = 200
+        response._content = self.body
+        response.encoding = "utf-8"
+        return response
+
+
 def free_port() -> int:
     s = socket.socket()
     s.bind(("127.0.0.1", 0))

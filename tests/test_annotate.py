@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from ragtrim.annotate import (
@@ -117,6 +119,23 @@ class SometimesFailingClient:
         return self.inner.fingerprint()
 
 
+class LockedCountingClient:
+    """Counts generate calls from any number of threads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, prompt):
+        with self._lock:
+            self.calls += 1
+        return self.inner.generate(prompt)
+
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
+
 class TestAnnotateDataset:
     def make_corpus(self, size=40, seed=17):
         corpus = make_synthetic_corpus(CorpusSpec(size=size), seed=seed)
@@ -189,6 +208,19 @@ class TestAnnotateDataset:
         assert excinfo.value.stats.failed >= 3  # 3/20 is the first point past 10%
         assert excinfo.value.stats.generator_calls == client.calls > 0
         assert all(t.example_id not in failing for t in excinfo.value.triplets)
+
+    def test_workers_stop_soon_after_an_abort(self):
+        corpus, dataset = self.make_corpus(size=200)
+        failing = [e.id for e, _ in dataset.pairs[:30]]
+        max_n = max(retrieval.n for _, retrieval in dataset)
+        calls = {}
+        for workers in (1, 4):
+            client = LockedCountingClient(SometimesFailingClient(mock_client_for(corpus), failing))
+            with pytest.raises(AnnotationAborted):
+                annotate_dataset(dataset, client, AnnotationOptions(workers=workers))
+            calls[workers] = client.calls
+        # Each task still running at the abort makes at most one call per prefix (k=0..N).
+        assert calls[4] <= calls[1] + (4 - 1) * (max_n + 1)
 
     def test_only_rank_prefixes_are_evaluated(self):
         example = make_example(id="p1", query="what is it", answers=("zz",))

@@ -19,7 +19,7 @@ from ragtrim.generation import (
     judge_correct,
     mock_generate,
 )
-from helpers import ScriptedServer, free_port
+from helpers import MALFORMED_BODIES, BodySession, ScriptedServer, free_port
 
 
 def make_prompt(query_id="q1", docs=(), query="who wrote Hamlet"):
@@ -83,6 +83,42 @@ class TestMockOracle:
         other = MockOracleClient(config, {"q1": ("London",)}, closed_book_ids=["q1"])
         assert client.fingerprint() == same.fingerprint()
         assert client.fingerprint() != other.fingerprint()
+
+    def test_document_memo_agrees_with_fresh_matching_across_threads(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from ragtrim.metrics import normalize_answer
+
+        # Each document recurs under every gold list, and there are more distinct
+        # (document, golds) pairs than the memo holds, so entries are evicted.
+        golds = [("Paris",), ("Rome", "the Eternal City"), ("Lyon",)]
+        docs = [[f"doc {j}: {word}" for word in ("Paris", "Rome", "x")] for j in range(50)]
+        prompts = [
+            (make_prompt(query_id=f"q{i}", docs=docs[i % 50]), golds[i % 3]) for i in range(400)
+        ]
+
+        def fresh(prompt, answers):
+            docs = [normalize_answer(d) for d in prompt.context_docs]
+            hit = any(normalize_answer(g) in d for g in answers for d in docs)
+            return answers[0] if hit else UNKNOWN_ANSWER
+
+        expected = [fresh(prompt, answers) for prompt, answers in prompts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                rounds = [
+                    pool.submit(
+                        lambda: [mock_generate(MockOracleConfig(), p, a) for p, a in prompts]
+                    )
+                    for _ in range(8)
+                ]
+                outputs = [r.result(timeout=60) for r in rounds]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs == [expected] * 8
+        assert set(expected) == {"Paris", "Rome", UNKNOWN_ANSWER}
 
     def test_unknown_query_id_raises(self):
         client = MockOracleClient(MockOracleConfig(), {"q1": ("x",)})
@@ -204,6 +240,14 @@ class TestHttpClient:
             client = HttpGeneratorClient(http_config(server.url))
             with pytest.raises(ProtocolError, match="text"):
                 client.generate(make_prompt())
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
+    def test_body_that_is_not_an_object_is_protocol_error(self, body):
+        session = BodySession(body)
+        client = HttpGeneratorClient(http_config("http://127.0.0.1:9/"), session=session)
+        with pytest.raises(ProtocolError):
+            client.generate(make_prompt())
+        assert session.posts == 1  # a malformed answer is not retried
 
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("TEST_GEN_KEY", "sekret")

@@ -12,7 +12,10 @@ from ragtrim.metrics import (
     exact_match,
     normalize_answer,
     rouge_l,
+    rouge_l_best,
     rouge_n,
+    rouge_n_best,
+    score_output,
     specificity_split,
     token_f1,
     tokenize,
@@ -195,6 +198,38 @@ class TestBruteForceAgreement:
     @given(phrases, phrases)
     def test_rouge_l_matches_oracle(self, pred, ref):
         assert tuple(rouge_l(pred, ref)) == brute_rouge_l(pred, ref)
+
+
+# Outputs and golds with punctuation, case and underscores, which normalization
+# and tokenization treat differently.
+messy_phrases = st.lists(
+    st.sampled_from(ALL_WORDS + ["Paris!", "THE", "x_y", "a-b", "cat.", "42,"]), max_size=8
+).map(" ".join)
+gold_lists = st.lists(messy_phrases, min_size=1, max_size=4)
+
+
+class TestScoreOutput:
+    @settings(max_examples=300)
+    @given(st.one_of(messy_phrases, st.text(max_size=30)), gold_lists)
+    def test_fields_equal_the_standalone_metrics_bit_for_bit(self, output, golds):
+        result = score_output("q1", output, golds, token_count=7, k=2, split="specific")
+        expected = (
+            token_f1(output, golds),
+            rouge_n_best(output, golds, 1).f,
+            rouge_n_best(output, golds, 2).f,
+            rouge_l_best(output, golds).f,
+        )
+        assert result.em == exact_match(output, golds)
+        assert [f.hex() for f in (result.f1, result.rouge_1, result.rouge_2, result.rouge_l)] == [
+            f.hex() for f in expected
+        ]
+        assert (result.example_id, result.token_count, result.k, result.split) == (
+            "q1", 7, 2, "specific"
+        )
+
+    def test_empty_golds_rejected(self):
+        with pytest.raises(ValueError):
+            score_output("q1", "paris", [], token_count=1, k=1)
 
 
 class TestSpecificitySplit:

@@ -260,6 +260,44 @@ class TestPromptDedup:
         assert [r.k for r in run.by_name()["top_random"].results] == draws
 
 
+class TestScoreMemo:
+    def test_each_distinct_output_of_an_example_scored_once(self, prepared, monkeypatch):
+        import ragtrim.pipeline
+
+        score = ragtrim.pipeline.score_output
+        scored: list[tuple[str, str]] = []
+
+        def counting_score(example_id, output, *args, **kwargs):
+            scored.append((example_id, output))
+            return score(example_id, output, *args, **kwargs)
+
+        monkeypatch.setattr(ragtrim.pipeline, "score_output", counting_score)
+        config = base_config(prepared)
+        config.split_by_answer_relevance = True
+        config.export_contexts = True
+        run = run_pipeline(config)
+
+        dataset = join_dataset(
+            load_examples(prepared["examples"]), load_retrievals(prepared["retrievals"])
+        )
+        golds = {example.id: example.gold_answers for example, _ in dataset}
+        client = build_generator(config, dataset)
+        row_outputs = set()
+        for m in run.methods:
+            assert len(m.contexts) == len(m.results)
+            for ctx, result in zip(m.contexts, m.results):
+                output = client.generate(ctx.prompt)
+                row_outputs.add((result.example_id, output))
+                # A reused score equals scoring the row afresh, with the row's own cost fields.
+                assert result == score(
+                    result.example_id, output, golds[result.example_id],
+                    ctx.token_count, ctx.k, split=result.split,
+                )
+        assert len(scored) == len(set(scored))
+        assert set(scored) == row_outputs
+        assert sum(m.report.n for m in run.methods) > len(scored)
+
+
 class TestGeneratorSeam:
     def test_run_and_sweep_generate_only_through_build_generator(
         self, prepared, built_clients, monkeypatch
@@ -313,6 +351,18 @@ class TestSweep:
         points = sweep_document_count(config)
         closed_rate = len(corpus.closed_book_ids()) / len(corpus.examples)
         assert points[0].em == pytest.approx(closed_rate)
+
+    def test_points_equal_run_over_every_top_k(self, prepared):
+        generator = {
+            "type": "mock", "closed_book_plan": prepared["plan"], "confusion_threshold": 3
+        }
+        points = sweep_document_count(base_config(prepared, generator=generator))
+        methods = [f"top_{k}" for k in range(len(points))]
+        run = run_pipeline(base_config(prepared, methods=methods, generator=generator))
+        assert [(p.k, p.n, p.em, p.f1, p.mean_tokens) for p in points] == [
+            (k, m.report.n, m.report.em, m.report.f1, m.report.mean_tokens)
+            for k, m in enumerate(run.methods)
+        ]
 
     def test_sweep_outputs_written(self, tmp_path):
         corpus = make_synthetic_corpus(CorpusSpec(size=20), seed=3)

@@ -39,7 +39,14 @@ from ragtrim.predictor import (
     softmax_predict,
     train,
 )
-from helpers import ScriptedServer, free_port, make_example, make_retrieval
+from helpers import (
+    MALFORMED_BODIES,
+    BodySession,
+    ScriptedServer,
+    free_port,
+    make_example,
+    make_retrieval,
+)
 
 SPEC5 = FeatureSpec(max_docs=5)
 
@@ -366,6 +373,13 @@ class TestRemotePredictor:
             retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
             with pytest.raises(ProtocolError, match="k=9"):
                 client.predict_label(make_example(), retrieval)
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
+    def test_body_that_is_not_an_object_is_protocol_error(self, body):
+        config = RemotePredictorConfig(endpoint_url="http://127.0.0.1:9/")
+        client = RemotePredictorClient(config, session=BodySession(body))
+        with pytest.raises(ProtocolError):
+            client.predict_label(make_example(), make_retrieval())
 
     def test_transport_failure_with_fallback_keeps_everything(self):
         url = f"http://127.0.0.1:{free_port()}/"
