@@ -174,6 +174,14 @@ def _require(obj: dict, key: str, line_no: int) -> object:
     return obj[key]
 
 
+def _require_label(obj: dict, line_no: int) -> CompressionLabel:
+    value = _require(obj, "label", line_no)
+    try:
+        return CompressionLabel.from_json(value)
+    except DataError as exc:
+        raise DataError(f"{exc} at line {line_no}") from exc
+
+
 def load_examples(path: str | Path, format: str = "qa") -> list[QAExample]:
     """Load QA examples from JSONL, validating ids, queries, and answer lists.
 
@@ -304,10 +312,7 @@ def load_triplets(
     for line_no, obj in _iter_jsonl(path):
         example_id = str(_require(obj, "example_id", line_no))
         query_id = str(_require(obj, "query_id", line_no))
-        try:
-            label = CompressionLabel.from_json(_require(obj, "label", line_no))
-        except DataError as exc:
-            raise DataError(f"{exc} at line {line_no}") from exc
+        label = _require_label(obj, line_no)
         if retrievals is not None and not label.is_unanswerable:
             retrieval = retrievals.get(query_id)
             if retrieval is not None and label.k > retrieval.n:

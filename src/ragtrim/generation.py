@@ -9,6 +9,7 @@ so corpus-scale behavior is fully deterministic and replayable.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -19,11 +20,14 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, ContextManager, Mapping, Protocol, Sequence
 
 import requests
 
 from .metrics import exact_match, normalize_answer, token_f1
+
+if TYPE_CHECKING:
+    from .predictor import RemotePredictorConfig
 
 logger = logging.getLogger(__name__)
 
@@ -116,14 +120,11 @@ class MockOracleConfig:
         derived per-prompt from the seed, hence order-independent.
     """
 
-    match_mode: str = "normalized-substring"
     confusion_threshold: int | None = None
     noise_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.match_mode != "normalized-substring":
-            raise ValueError(f"unsupported match_mode {self.match_mode!r}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
 
@@ -215,8 +216,9 @@ class MockOracleClient:
         for qid in sorted(self.golds_by_id):
             closed = qid in self.closed_book_ids
             corpus.update(f"{qid}|{self.golds_by_id[qid]}|{closed}\n".encode("utf-8"))
+        # The matching rule is part of the fingerprint, so it names it.
         cfg = (
-            f"{self.config.match_mode}|{self.config.confusion_threshold}"
+            f"normalized-substring|{self.config.confusion_threshold}"
             f"|{self.config.noise_rate}|{self.config.seed}"
         )
         corpus.update(cfg.encode("utf-8"))
@@ -257,10 +259,51 @@ def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
     }
 
 
-def _response_text(payload: object) -> str:
-    if not isinstance(payload, dict) or "text" not in payload:
-        raise ProtocolError(f"response missing 'text' field: {str(payload)[:200]}")
-    return str(payload["text"])
+def post_json(
+    session: requests.Session,
+    config: HttpGeneratorConfig | RemotePredictorConfig,
+    payload: dict,
+    headers: Mapping[str, str] | None = None,
+    gate: ContextManager = contextlib.nullcontext(),
+) -> dict:
+    """POST ``payload`` as JSON and return the JSON object the endpoint answers.
+
+    The one failure policy of both HTTP clients. Timeouts, dropped connections
+    and 5xx are retried ``max_retries`` times with exponential backoff, then
+    raise TransportError; a 4xx, or a 2xx body that is not a JSON object,
+    raises ProtocolError at once. ``gate`` is held around each POST only.
+    """
+    attempts = config.max_retries + 1
+    error: Exception | None = None
+    for attempt in range(attempts):
+        if attempt > 0:
+            time.sleep(config.backoff_base_s * 2 ** (attempt - 1))
+        try:
+            with gate:
+                resp = session.post(config.endpoint_url, json=payload, headers=headers,
+                                    timeout=config.timeout_ms / 1000.0)
+        except (requests.Timeout, requests.ConnectionError) as exc:
+            error = exc
+        else:
+            if not 500 <= resp.status_code < 600:
+                break  # an answer to judge below; only transport errors and 5xx are retried
+            error = ProtocolError(f"status {resp.status_code}: {resp.text[:200]}")
+        logger.warning("attempt %d/%d to %s failed: %s", attempt + 1, attempts,
+                       config.endpoint_url, error)
+    else:
+        raise TransportError(
+            f"endpoint {config.endpoint_url} failed after {attempts} attempts: {error}"
+        )
+    if not 200 <= resp.status_code < 300:
+        reason = "unauthorized" if resp.status_code == 401 else "request rejected"
+        raise ProtocolError(f"{reason}: status {resp.status_code}: {resp.text[:200]}")
+    try:
+        body = resp.json()
+    except ValueError as exc:
+        raise ProtocolError(f"non-JSON response: {resp.text[:200]}") from exc
+    if not isinstance(body, dict):
+        raise ProtocolError(f"response is not a JSON object: {str(body)[:200]}")
+    return body
 
 
 class HttpGeneratorClient:
@@ -306,44 +349,10 @@ class HttpGeneratorClient:
             key = os.environ.get(self.config.api_key_env_var)
             if key:
                 headers["Authorization"] = f"Bearer {key}"
-        timeout_s = self.config.timeout_ms / 1000.0
-        attempts = self.config.max_retries + 1
-        last_error: Exception | None = None
-        for attempt in range(attempts):
-            if attempt > 0:
-                time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
-            try:
-                with self._in_flight:
-                    resp = self.session.post(
-                        self.config.endpoint_url, json=payload, headers=headers, timeout=timeout_s
-                    )
-            except (requests.Timeout, requests.ConnectionError) as exc:
-                last_error = exc
-                logger.warning("generation attempt %d/%d failed: %s", attempt + 1, attempts, exc)
-                continue
-            if 200 <= resp.status_code < 300:
-                if attempt > 0:
-                    logger.info("generation succeeded on attempt %d/%d", attempt + 1, attempts)
-                try:
-                    body = resp.json()
-                except ValueError as exc:
-                    raise ProtocolError(f"non-JSON response: {resp.text[:200]}") from exc
-                return _response_text(body)
-            if 500 <= resp.status_code < 600:
-                last_error = ProtocolError(f"status {resp.status_code}: {resp.text[:200]}")
-                logger.warning(
-                    "generation attempt %d/%d got status %d",
-                    attempt + 1,
-                    attempts,
-                    resp.status_code,
-                )
-                continue
-            # 4xx is not retryable: the request itself is wrong.
-            reason = "unauthorized" if resp.status_code == 401 else "request rejected"
-            raise ProtocolError(f"{reason}: status {resp.status_code}: {resp.text[:200]}")
-        raise TransportError(
-            f"endpoint {self.config.endpoint_url} failed after {attempts} attempts: {last_error}"
-        )
+        body = post_json(self.session, self.config, payload, headers, gate=self._in_flight)
+        if "text" not in body:
+            raise ProtocolError(f"response missing 'text' field: {str(body)[:200]}")
+        return str(body["text"])
 
     def fingerprint(self) -> str:
         c = self.config

@@ -276,7 +276,8 @@ def _evaluate(
 ) -> list[MethodResult]:
     """Generate and score every (row_name, labeler, fingerprint) row, example-major.
 
-    Within one example, a prompt goes to the client only the first time a row
+    Within one example, a label is compressed only the first time a row
+    returns it, and a prompt goes to the client only the first time a row
     produces it; later rows with the same prompt text reuse that output. An
     output is scored only the first time a row of the example returns it: the
     example's gold answers fix every metric, so later rows copy the metrics
@@ -291,6 +292,7 @@ def _evaluate(
         for name, _, fingerprint in rows
     ]
     for example, retrieval in dataset:
+        contexts: dict[CompressionLabel, CompressedContext] = {}  # for this example only
         outputs: dict[str, str] = {}  # prompt text -> output, for this example only
         scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
         split = splits.get(example.id) if splits else None
@@ -301,7 +303,11 @@ def _evaluate(
                 label = labeler(example, retrieval)
                 if label is None:
                     continue
-                ctx = compress(example, retrieval, label, config.fallback, config.template_id)
+                if label not in contexts:
+                    contexts[label] = compress(
+                        example, retrieval, label, config.fallback, config.template_id
+                    )
+                ctx = contexts[label]
             output = outputs.get(ctx.prompt.text)
             if output is None:
                 hits_before = getattr(client, "cache_hits", 0)

@@ -12,7 +12,6 @@ import hashlib
 import json
 import logging
 import random
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +21,7 @@ import requests
 
 from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
 from .features import FeatureSpec, FeatureVector, extract_features
-from .generation import ProtocolError, TransportError
+from .generation import ProtocolError, TransportError, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -417,7 +416,8 @@ class RemotePredictorConfig:
     """Settings for an externally served compression-rate predictor.
 
     Protocol: POST {"query", "docs": [{doc_id, text, score, rank}], "N"}
-    -> {"k": int in 0..N}.
+    -> {"k": int in 0..N}. With fallback_to_full, every endpoint error
+    (TransportError or ProtocolError) yields k=N instead of raising.
     """
 
     endpoint_url: str
@@ -441,38 +441,17 @@ class RemotePredictorClient:
             ],
             "N": retrieval.n,
         }
-        attempts = self.config.max_retries + 1
-        last_error: Exception | None = None
-        for attempt in range(attempts):
-            if attempt > 0:
-                time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
-            try:
-                resp = self.session.post(
-                    self.config.endpoint_url, json=payload, timeout=self.config.timeout_ms / 1000.0
-                )
-            except (requests.Timeout, requests.ConnectionError) as exc:
-                last_error = exc
-                continue
-            if not 200 <= resp.status_code < 300:
-                raise ProtocolError(
-                    f"predictor endpoint status {resp.status_code}: {resp.text[:200]}"
-                )
-            try:
-                body = resp.json()
-            except ValueError as exc:
-                raise ProtocolError(f"predictor returned non-JSON: {resp.text[:200]}") from exc
-            k = body.get("k") if isinstance(body, dict) else None
+        try:
+            body = post_json(self.session, self.config, payload)
+            k = body.get("k")
             if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= retrieval.n:
                 raise ProtocolError(f"predictor returned k={k!r}, valid range 0..{retrieval.n}")
-            return CompressionLabel.keep(k)
-        if self.config.fallback_to_full:
-            logger.warning(
-                "remote predictor unreachable (%s); falling back to full context k=%d",
-                last_error,
-                retrieval.n,
-            )
-            return CompressionLabel.keep(retrieval.n)
-        raise TransportError(f"predictor endpoint failed after {attempts} attempts: {last_error}")
+        except (TransportError, ProtocolError) as exc:
+            if not self.config.fallback_to_full:
+                raise
+            logger.warning("remote predictor failed (%s); keeping all %d documents", exc, retrieval.n)
+            k = retrieval.n
+        return CompressionLabel.keep(k)
 
     def fingerprint(self) -> str:
         return f"remote:{self.config.endpoint_url}"

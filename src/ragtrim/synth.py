@@ -22,6 +22,9 @@ from .data import (
     QAExample,
     RankedDocument,
     RetrievalSet,
+    _iter_jsonl,
+    _require,
+    _require_label,
     save_examples,
     save_retrievals,
 )
@@ -127,20 +130,15 @@ def save_plan(path: str | Path, plan: Sequence[PlanEntry]) -> None:
 
 def load_plan(path: str | Path) -> list[PlanEntry]:
     plan: list[PlanEntry] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            plan.append(
-                PlanEntry(
-                    example_id=row["example_id"],
-                    intended_label=CompressionLabel.from_json(row["label"]),
-                    evidence_rank=row.get("evidence_rank"),
-                    closed_book=bool(row.get("closed_book", False)),
-                )
+    for line_no, row in _iter_jsonl(path):
+        plan.append(
+            PlanEntry(
+                example_id=str(_require(row, "example_id", line_no)),
+                intended_label=_require_label(row, line_no),
+                evidence_rank=row.get("evidence_rank"),
+                closed_book=bool(row.get("closed_book", False)),
             )
+        )
     return plan
 
 

@@ -71,6 +71,17 @@ MALFORMED_BODIES = {
 }
 
 
+def http_response(status: int, body: bytes):
+    """A requests.Response with the given status and raw body, as a session returns it."""
+    import requests
+
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    response.encoding = "utf-8"
+    return response
+
+
 class BodySession:
     """Stands in for a requests session; every POST gets a 200 with the given body."""
 
@@ -79,14 +90,8 @@ class BodySession:
         self.posts = 0
 
     def post(self, *args, **kwargs):
-        import requests
-
         self.posts += 1
-        response = requests.Response()
-        response.status_code = 200
-        response._content = self.body
-        response.encoding = "utf-8"
-        return response
+        return http_response(200, self.body)
 
 
 def free_port() -> int:

@@ -1,0 +1,157 @@
+"""Fault injection for the HTTP generator and the remote predictor: one failure policy.
+
+Both clients post through ``generation.post_json``. A timeout, a dropped
+connection or a 5xx is retried; a 4xx or a malformed 200 ends the call on
+that attempt; retries that run out raise TransportError.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+import requests
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ragtrim.annotate import annotate_dataset
+from ragtrim.compress import assemble_prompt
+from ragtrim.data import CompressionLabel, join_dataset
+from ragtrim.generation import (
+    HttpGeneratorClient,
+    HttpGeneratorConfig,
+    Prompt,
+    ProtocolError,
+    TransportError,
+)
+from ragtrim.predictor import RemotePredictorClient, RemotePredictorConfig
+from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
+from helpers import http_response, make_example, make_retrieval
+
+RETRIED = ("timeout", "dropped", 500, 503)
+ENDS_THE_CALL = (400, 401, "not-json", "not-object")
+OUTCOMES = (*RETRIED, *ENDS_THE_CALL, "valid")
+
+
+class FaultSession:
+    """Stands in for a requests session; the n-th POST gets the n-th scripted outcome."""
+
+    def __init__(self, outcomes, valid_body: bytes):
+        self.outcomes = outcomes
+        self.valid_body = valid_body
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        outcome = self.outcomes[self.posts]
+        self.posts += 1
+        if outcome == "timeout":
+            raise requests.Timeout("injected timeout")
+        if outcome == "dropped":
+            raise requests.ConnectionError("injected dropped connection")
+        bodies = {"not-json": b"x", "not-object": b"[]", "valid": self.valid_body}
+        if outcome in bodies:
+            return http_response(200, bodies[outcome])
+        return http_response(outcome, b'{"error": "injected"}')
+
+
+def prescribed(outcomes) -> tuple[int, str]:
+    """(POSTs, "valid" | "protocol" | "transport") that the failure policy prescribes."""
+    for attempt, outcome in enumerate(outcomes, 1):
+        if outcome == "valid":
+            return attempt, "valid"
+        if outcome in ENDS_THE_CALL:
+            return attempt, "protocol"
+    return len(outcomes), "transport"
+
+
+# One list of outcomes per call: max_retries + 1 of them, max_retries in 0..3.
+attempt_outcomes = st.integers(0, 3).flatmap(
+    lambda retries: st.lists(st.sampled_from(OUTCOMES), min_size=retries + 1, max_size=retries + 1)
+)
+
+PROMPT = Prompt(query_id="q1", query="q", context_docs=(), template_id="qa_default", text="q")
+
+
+@given(attempt_outcomes)
+def test_generator_follows_the_failure_policy(outcomes):
+    session = FaultSession(outcomes, b'{"text": "the answer"}')
+    config = HttpGeneratorConfig(
+        endpoint_url="http://generator.test/", model_name="m",
+        max_retries=len(outcomes) - 1, backoff_base_s=0,
+    )
+    posts, expected = prescribed(outcomes)
+    client = HttpGeneratorClient(config, session=session)
+    if expected == "valid":
+        assert client.generate(PROMPT) == "the answer"
+    else:
+        error = TransportError if expected == "transport" else ProtocolError
+        with pytest.raises(error):
+            client.generate(PROMPT)
+    assert session.posts == posts <= config.max_retries + 1
+
+
+@given(attempt_outcomes, st.booleans())
+def test_predictor_follows_the_failure_policy(outcomes, fallback_to_full):
+    session = FaultSession(outcomes, b'{"k": 2}')
+    config = RemotePredictorConfig(
+        endpoint_url="http://predictor.test/", max_retries=len(outcomes) - 1,
+        fallback_to_full=fallback_to_full, backoff_base_s=0,
+    )
+    retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
+    posts, expected = prescribed(outcomes)
+    client = RemotePredictorClient(config, session=session)
+    if expected == "valid":
+        assert client.predict_label(make_example(), retrieval) == CompressionLabel.keep(2)
+    elif fallback_to_full:
+        assert client.predict_label(make_example(), retrieval) == CompressionLabel.keep(5)
+    else:
+        error = TransportError if expected == "transport" else ProtocolError
+        with pytest.raises(error):
+            client.predict_label(make_example(), retrieval)
+    assert session.posts == posts <= config.max_retries + 1
+
+
+def test_annotation_through_a_flaky_endpoint_matches_the_plan():
+    """The flaky HTTP workload in miniature: 1% of prompts fail their first attempt."""
+    seed, fault_rate = 42, 0.01
+    corpus = make_synthetic_corpus(CorpusSpec(size=400), seed=seed)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    mock = mock_client_for(corpus)
+    answers = {}  # prompt text -> the mock's answer, so the endpoint behaves like the mock
+    for example, retrieval in dataset:
+        for k in range(retrieval.n + 1):
+            prompt = assemble_prompt(example, retrieval.docs[:k])
+            answers[prompt.text] = mock.generate(prompt)
+
+    class FlakySession:
+        def __init__(self):
+            self.posts = 0
+            self.faults = 0
+            self.seen: set[str] = set()
+
+        def post(self, url, **kwargs):
+            self.posts += 1
+            text = kwargs["json"]["prompt"]
+            digest = hashlib.sha256(f"{seed}|{text}".encode("utf-8")).digest()
+            first = text not in self.seen
+            self.seen.add(text)
+            if first and int.from_bytes(digest[:8], "big") / 2**64 < fault_rate:
+                self.faults += 1
+                if digest[8] % 2:
+                    return http_response(503, b'{"error": "injected fault"}')
+                raise requests.ConnectionError("injected dropped connection")
+            return http_response(200, json.dumps({"text": answers[text]}).encode("utf-8"))
+
+    session = FlakySession()
+    config = HttpGeneratorConfig(
+        endpoint_url="http://generator.test/", model_name="m", backoff_base_s=0
+    )
+    client = HttpGeneratorClient(config, session=session)
+    triplets, stats = annotate_dataset(dataset, client)
+    intended = corpus.intended_labels()
+    assert [t.label for t in triplets] == [intended[ex.id] for ex, _ in dataset]
+    assert stats.failed == 0
+    assert session.faults > 0
+    assert session.posts == stats.generator_calls + session.faults
+    assert stats.generator_calls == client.calls > 0

@@ -298,6 +298,34 @@ class TestScoreMemo:
         assert sum(m.report.n for m in run.methods) > len(scored)
 
 
+class TestCompressMemo:
+    def test_each_label_of_an_example_compressed_once(self, prepared, monkeypatch):
+        import ragtrim.pipeline
+
+        compress = ragtrim.pipeline.compress
+        compressed: dict[tuple, object] = {}  # (example id, label) -> the context returned
+        calls = 0
+
+        def counting_compress(example, retrieval, label, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            ctx = compressed[(example.id, label)] = compress(
+                example, retrieval, label, *args, **kwargs
+            )
+            return ctx
+
+        monkeypatch.setattr(ragtrim.pipeline, "compress", counting_compress)
+        config = base_config(prepared)
+        config.export_contexts = True
+        run = run_pipeline(config)
+
+        assert calls == len(compressed)
+        served = {id(ctx) for ctx in compressed.values()}
+        rows = [ctx for m in run.methods if m.name != "only_doc" for ctx in m.contexts]
+        assert all(id(ctx) in served for ctx in rows)  # every row got a memoized context
+        assert len(rows) > calls
+
+
 class TestGeneratorSeam:
     def test_run_and_sweep_generate_only_through_build_generator(
         self, prepared, built_clients, monkeypatch
@@ -533,6 +561,43 @@ class TestCli:
             fh.write("{not json\n")
         assert cli_main(self.annotate_args(corpus_dir, tmp_path / "triplets.jsonl")) == 2
         assert capsys.readouterr().err.startswith("ERROR: malformed JSON at line 6")
+
+    @pytest.mark.parametrize("verb", ["run", "annotate"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "malformed JSON at line 6"),
+            ('{"label": 1}', "missing required field 'example_id' at line 6"),
+            ('{"example_id": "q9", "label": "two"}', "unknown label token 'two' at line 6"),
+        ],
+        ids=["not-json", "no-example-id", "bad-label"],
+    )
+    def test_malformed_plan_is_a_data_error(self, tmp_path, capsys, verb, line, message):
+        corpus_dir = tmp_path / "corpus"
+        cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "5", "--seed", "1"])
+        plan = corpus_dir / "plan.jsonl"
+        with plan.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        if verb == "annotate":
+            args = self.annotate_args(
+                corpus_dir, tmp_path / "triplets.jsonl", "--mock-plan", str(plan)
+            )
+        else:
+            config = {
+                "datasets": {
+                    "examples": str(corpus_dir / "examples.jsonl"),
+                    "retrievals": str(corpus_dir / "retrievals.jsonl"),
+                },
+                "generator": {"type": "mock", "closed_book_plan": str(plan)},
+                "methods": ["top_1"],
+                "output_dir": str(tmp_path / "out"),
+            }
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            args = ["run", "--config", str(config_path)]
+        capsys.readouterr()
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith(f"ERROR: {message}")
 
     def test_annotate_goes_through_build_generator(self, tmp_path, built_clients, monkeypatch):
         mock_generations = []

@@ -374,6 +374,25 @@ class TestRemotePredictor:
             with pytest.raises(ProtocolError, match="k=9"):
                 client.predict_label(make_example(), retrieval)
 
+    def test_503_is_retried(self):
+        with ScriptedServer([(503, {"error": "busy"}), (200, {"k": 3})]) as server:
+            config = RemotePredictorConfig(endpoint_url=server.url, backoff_base_s=0.01)
+            retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
+            label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
+            assert label == CompressionLabel.keep(3)
+            assert len(server.requests) == 2
+
+    @pytest.mark.parametrize(
+        "reply", [(200, {"k": 9}), (400, {"error": "bad request"})], ids=["k-out-of-range", "400"]
+    )
+    def test_fallback_covers_protocol_errors(self, reply):
+        with ScriptedServer([reply]) as server:
+            config = RemotePredictorConfig(endpoint_url=server.url, fallback_to_full=True)
+            retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
+            label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
+            assert label == CompressionLabel.keep(5)
+            assert len(server.requests) == 1
+
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
     def test_body_that_is_not_an_object_is_protocol_error(self, body):
         config = RemotePredictorConfig(endpoint_url="http://127.0.0.1:9/")
