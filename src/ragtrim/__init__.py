@@ -50,7 +50,7 @@ from .compress import (
     only_doc_select,
     save_contexts,
 )
-from .features import FeatureSpec, FeatureVector, extract_features
+from .features import FeatureSpec, extract_features
 from .predictor import (
     PredictorModel,
     PredictorReport,
@@ -60,7 +60,6 @@ from .predictor import (
     load_model,
     predict_k,
     save_model,
-    softmax_predict,
     train,
 )
 from .metrics import (

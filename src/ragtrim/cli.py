@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -25,12 +26,15 @@ from .pipeline import (
     PipelineConfig,
     confusion_csv,
     load_pipeline_config,
+    parse_config,
     render_confusion,
     report_confusion,
     run_pipeline,
     sweep_document_count,
 )
 from .predictor import (
+    POLICY_DROP,
+    UNANSWERABLE_POLICIES,
     PredictorReport,
     TrainConfig,
     evaluate_predictor,
@@ -44,15 +48,8 @@ logger = logging.getLogger(__name__)
 
 
 def _cmd_make_corpus(args: argparse.Namespace) -> int:
-    if args.spec:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = CorpusSpec(
-            size=int(raw.get("size", args.size)),
-            n_docs=int(raw.get("n_docs", 5)),
-            depth_weights=raw.get("depth_weights") or CorpusSpec(size=1).depth_weights,
-        )
-    else:
-        spec = CorpusSpec(size=args.size)
+    raw = json.loads(Path(args.spec).read_text(encoding="utf-8")) if args.spec else {}
+    spec = parse_config(CorpusSpec, {"size": args.size, **raw}, "spec")
     corpus = make_synthetic_corpus(spec, seed=args.seed)
     paths = corpus.write(args.out_dir)
     histogram: dict[str, int] = {}
@@ -78,12 +75,13 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
                      "model_name": args.model_name, "cache_dir": args.cache_dir,
                      "timeout_ms": args.timeout_ms, "max_retries": args.max_retries,
                      "api_key_env_var": args.api_key_env_var}
-    config = PipelineConfig(args.examples, args.retrievals, methods=[], generator=generator)
+    config = PipelineConfig(args.examples, args.retrievals, methods=[], generator=generator,
+                            judge=args.judge, template_id=args.template)
     client = pipeline.build_generator(config, dataset)
     options = AnnotationOptions(
-        judge_mode=JudgeMode.parse(args.judge),
+        judge_mode=JudgeMode.parse(config.judge),
         include_k0=args.k0 == "on",
-        template_id=args.template,
+        template_id=config.template_id,
         failure_limit=args.failure_limit,
         workers=args.workers,
     )
@@ -109,16 +107,17 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_predictor(args: argparse.Namespace) -> int:
+    raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    policy = raw.pop("unanswerable_policy", POLICY_DROP)
+    if policy not in UNANSWERABLE_POLICIES:
+        raise ConfigError(f"config.unanswerable_policy must be one of {UNANSWERABLE_POLICIES}")
+    spec_keys = {f.name for f in dataclasses.fields(FeatureSpec)}
+    feature_spec = parse_config(FeatureSpec, {k: raw[k] for k in raw.keys() & spec_keys}, "config")
+    config = parse_config(TrainConfig, {k: raw[k] for k in raw.keys() - spec_keys}, "config")
     examples = load_examples(args.examples, args.format)
     retrievals = load_retrievals(args.retrievals)
     dataset = join_dataset(examples, retrievals)
     triplets = load_triplets(args.triplets, retrievals)
-    raw = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    feature_spec = FeatureSpec(max_docs=int(raw.pop("max_docs", 5)))
-    policy = raw.pop("unanswerable_policy", "drop")
-    config = TrainConfig(**raw)
     model, report = train(
         triplets, dataset, config, feature_spec=feature_spec, unanswerable_policy=policy
     )
@@ -229,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--retrievals", required=True)
-    p.add_argument("--config", help="JSON TrainConfig overrides (plus max_docs, unanswerable_policy)")
+    p.add_argument(
+        "--config",
+        help="JSON object with any of the keys "
+        + ", ".join(f.name for cls in (TrainConfig, FeatureSpec) for f in dataclasses.fields(cls))
+        + f" and unanswerable_policy ({', '.join(UNANSWERABLE_POLICIES)})",
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["qa", "conversational"], default="qa")
     p.set_defaults(func=_cmd_train_predictor)

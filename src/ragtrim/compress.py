@@ -60,10 +60,6 @@ TEMPLATES: dict[str, TemplateFn] = {
 }
 
 
-def register_template(template_id: str, fn: TemplateFn) -> None:
-    TEMPLATES[template_id] = fn
-
-
 def assemble_prompt(
     example: QAExample,
     kept_docs: Sequence[RankedDocument],

@@ -34,7 +34,7 @@ FEATURE_LAYOUT_VERSION = 1
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Pins the feature layout; models refuse vectors built under a different spec."""
+    """Pins the feature layout; a model file saved under another layout is refused on load."""
 
     max_docs: int = 5
 
@@ -52,12 +52,6 @@ class FeatureSpec:
             {"version": FEATURE_LAYOUT_VERSION, "max_docs": self.max_docs}, sort_keys=True
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    spec_hash: str
 
 
 def full_query_text(example: QAExample) -> str:
@@ -81,7 +75,7 @@ def _wh_one_hot(query: str) -> list[float]:
 
 def extract_features(
     example: QAExample, retrieval: RetrievalSet, spec: FeatureSpec = FeatureSpec()
-) -> FeatureVector:
+) -> np.ndarray:
     """Deterministic feature vector for one (example, retrieval) pair."""
     if retrieval.n > spec.max_docs:
         raise ValueError(
@@ -108,7 +102,7 @@ def extract_features(
     overlaps += [0.0] * (m - len(overlaps))
     lengths += [0.0] * (m - len(lengths))
 
-    values = np.array(
+    return np.array(
         [float(len(query_tokens))]
         + _wh_one_hot(example.query)
         + [float(retrieval.n)]
@@ -120,4 +114,3 @@ def extract_features(
         + [1.0],
         dtype=np.float64,
     )
-    return FeatureVector(values=values, spec_hash=spec.spec_hash())

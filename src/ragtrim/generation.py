@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNKNOWN_ANSWER = "UNKNOWN"
+# POSTs one HttpGeneratorClient has in flight at once (annotate --workers runs threads).
+MAX_IN_FLIGHT = 4
 
 
 class TransportError(RuntimeError):
@@ -239,15 +241,24 @@ class HttpGeneratorConfig:
     """
 
     endpoint_url: str
-    model_name: str
+    model_name: str = "default"
     temperature: float = 0.0
     max_tokens: int = 256
     timeout_ms: int = 30000
     max_retries: int = 3
     api_key_env_var: str | None = None
     cache_dir: str | None = None
-    max_in_flight: int = 4
     backoff_base_s: float = 0.25
+
+    def __post_init__(self) -> None:
+        check_endpoint_settings(self)
+
+
+def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig) -> None:
+    """Range checks on the settings post_json reads, shared by both endpoint configs."""
+    for name, least in (("max_retries", 0), ("timeout_ms", 1), ("backoff_base_s", 0)):
+        if getattr(config, name) < least:
+            raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)}")
 
 
 def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
@@ -314,7 +325,7 @@ class HttpGeneratorClient:
         self.session = session or requests.Session()
         self.calls = 0
         self.cache_hits = 0
-        self._in_flight = threading.Semaphore(config.max_in_flight)
+        self._in_flight = threading.Semaphore(MAX_IN_FLIGHT)
         self._counter_lock = threading.Lock()
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)

@@ -12,12 +12,16 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .compress import (
     FALLBACK_TO_N,
+    FALLBACK_TO_ZERO,
+    TEMPLATES,
     CompressedContext,
     compress,
     only_doc_select,
@@ -72,6 +76,65 @@ class ConfigError(ValueError):
     """Bad or incomplete run configuration, raised before any generation call."""
 
 
+def parse_config(cls, raw, where: str, keys: Mapping[str, str] | None = None):
+    """Build the config dataclass ``cls`` from the JSON object ``raw`` at key path ``where``.
+
+    An unknown or missing key, a wrong JSON type or a failed ``__post_init__``
+    check is a ConfigError naming the key path (``generator.max_retries``). An
+    int for a float field becomes that float, so hashes and cache keys stay put.
+    ``keys`` names the JSON key of each field whose key is not its name.
+    """
+    keys = keys or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    prefix = f"{where}." if where else ""
+    values = {}
+    for key, value in raw.items():
+        if key not in hints:
+            raise ConfigError(f"unknown key {prefix}{key}")
+        values[key] = _typed(value, hints[key], prefix + keys.get(key, key))
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {prefix}{keys.get(f.name, f.name)}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where or 'config'}: {exc}") from exc
+
+
+def _typed(value, hint, path: str):
+    """``value`` checked against the field type ``hint``, with ints widened to float."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        for arm in typing.get_args(hint):
+            try:
+                return _typed(value, arm, path)
+            except ConfigError:
+                pass
+    else:
+        base = typing.get_origin(hint) or hint
+        args = typing.get_args(hint)
+        if base is float and type(value) is int:
+            return float(value)
+        if isinstance(value, base) and (base is bool or not isinstance(value, bool)):
+            if base is list and args:
+                return [_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
+            if args:  # a mapping
+                return {k: _typed(v, args[1], f"{path}.{k}") for k, v in value.items()}
+            return value
+    raise ConfigError(f"{path} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
+
+
+# The run-config JSON key of each PipelineConfig field that has another name.
+_JSON_KEYS = {
+    "examples_path": "datasets.examples",
+    "retrievals_path": "datasets.retrievals",
+    "triplets_path": "datasets.triplets",
+    "example_format": "datasets.format",
+    "template_id": "template",
+}
+
+
 @dataclass
 class PipelineConfig:
     examples_path: str
@@ -89,31 +152,32 @@ class PipelineConfig:
     split_by_answer_relevance: bool = False
     export_contexts: bool = False
 
+    def __post_init__(self) -> None:
+        try:
+            JudgeMode.parse(self.judge)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.fallback not in (FALLBACK_TO_N, FALLBACK_TO_ZERO):
+            raise ConfigError(f"unknown fallback policy {self.fallback!r}")
+        if self.template_id not in TEMPLATES:
+            raise ConfigError(f"unknown template {self.template_id!r}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        datasets = raw.get("datasets", {})
-        for key in ("examples", "retrievals"):
-            if key not in datasets:
-                raise ConfigError(f"config missing datasets.{key}")
-        methods = raw.get("methods")
-        if not methods:
+        """The run config from its JSON form (keys in the README's "Run config")."""
+        if not isinstance(raw, dict) or not isinstance(raw.get("datasets", {}), dict):
+            raise ConfigError("the config and its datasets section must be JSON objects")
+        flat = {f"datasets.{key}": value for key, value in raw.get("datasets", {}).items()}
+        flat.update((key, value) for key, value in raw.items() if key != "datasets")
+        if not flat.get("methods"):
             raise ConfigError("config must list at least one method")
-        return cls(
-            examples_path=datasets["examples"],
-            retrievals_path=datasets["retrievals"],
-            triplets_path=datasets.get("triplets"),
-            example_format=datasets.get("format", "qa"),
-            generator=raw.get("generator", {"type": "mock"}),
-            predictors=raw.get("predictors", []),
-            methods=list(methods),
-            judge=raw.get("judge", "em"),
-            template_id=raw.get("template", "qa_default"),
-            fallback=raw.get("fallback", FALLBACK_TO_N),
-            seed=int(raw.get("seed", 0)),
-            output_dir=raw.get("output_dir"),
-            split_by_answer_relevance=bool(raw.get("split_by_answer_relevance", False)),
-            export_contexts=bool(raw.get("export_contexts", False)),
-        )
+        names = {key: name for name, key in _JSON_KEYS.items()}
+        values = {}
+        for key, value in flat.items():
+            if key in _JSON_KEYS:
+                raise ConfigError(f"unknown key {key}")
+            values[names.get(key, key)] = value
+        return parse_config(cls, values, "", _JSON_KEYS)
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -141,28 +205,28 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     config = PipelineConfig.from_dict(raw)
     base = Path(path).parent
-    config.examples_path = str(_resolve(base, config.examples_path))
-    config.retrievals_path = str(_resolve(base, config.retrievals_path))
+    config.examples_path = _resolve(base, config.examples_path, "datasets.examples")
+    config.retrievals_path = _resolve(base, config.retrievals_path, "datasets.retrievals")
     if config.triplets_path:
-        config.triplets_path = str(_resolve(base, config.triplets_path))
+        config.triplets_path = _resolve(base, config.triplets_path, "datasets.triplets")
     if config.generator.get("closed_book_plan"):
         config.generator = dict(config.generator)
-        config.generator["closed_book_plan"] = str(
-            _resolve(base, config.generator["closed_book_plan"])
+        config.generator["closed_book_plan"] = _resolve(
+            base, config.generator["closed_book_plan"], "generator.closed_book_plan"
         )
-    for entry in config.predictors:
-        if entry.get("path"):
-            entry["path"] = str(_resolve(base, entry["path"]))
+    for i, entry in enumerate(config.predictors):
+        if entry.get("type", "model") == "model" and entry.get("path"):
+            entry["path"] = _resolve(base, entry["path"], f"predictors[{i}].path")
     if config.output_dir:
         out = Path(config.output_dir)
         config.output_dir = str(out if out.is_absolute() else base / out)
-    validate_paths(config)
     return config
 
 
-def _resolve(base: Path, p: str) -> Path:
-    path = Path(p)
-    return path if path.is_absolute() else base / path
+def _resolve(base: Path, p, where: str) -> str:
+    """The path string ``p`` of key ``where``, taken relative to the config's directory."""
+    path = Path(_typed(p, str, where))
+    return str(path if path.is_absolute() else base / path)
 
 
 def validate_paths(config: PipelineConfig) -> None:
@@ -187,50 +251,43 @@ def validate_paths(config: PipelineConfig) -> None:
 
 
 def build_generator(config: PipelineConfig, dataset: JoinedDataset) -> GeneratorClient:
-    gen = config.generator
-    gen_type = gen.get("type", "mock")
+    gen = dict(config.generator)
+    gen_type = gen.pop("type", "mock")
     if gen_type == "mock":
-        mock_config = MockOracleConfig(
-            confusion_threshold=gen.get("confusion_threshold"),
-            noise_rate=float(gen.get("noise_rate", 0.0)),
-            seed=int(gen.get("seed", config.seed)),
-        )
+        plan_path = gen.pop("closed_book_plan", None)
+        mock_config = parse_config(MockOracleConfig, {"seed": config.seed, **gen}, "generator")
         golds = {ex.id: ex.gold_answers for ex, _ in dataset}
-        closed_book: list[str] = []
-        if gen.get("closed_book_plan"):
-            plan = load_plan(gen["closed_book_plan"])
-            closed_book = [e.example_id for e in plan if e.closed_book]
+        plan = load_plan(plan_path) if plan_path else []
+        closed_book = [e.example_id for e in plan if e.closed_book]
         return MockOracleClient(mock_config, golds_by_id=golds, closed_book_ids=closed_book)
     if gen_type == "http":
         if not gen.get("endpoint_url"):
             raise ConfigError("http generator requires endpoint_url")
-        http_config = HttpGeneratorConfig(
-            endpoint_url=gen["endpoint_url"],
-            model_name=gen.get("model_name", "default"),
-            temperature=float(gen.get("temperature", 0.0)),
-            max_tokens=int(gen.get("max_tokens", 256)),
-            timeout_ms=int(gen.get("timeout_ms", 30000)),
-            max_retries=int(gen.get("max_retries", 3)),
-            api_key_env_var=gen.get("api_key_env_var"),
-            cache_dir=gen.get("cache_dir"),
-        )
-        return HttpGeneratorClient(http_config)
+        return HttpGeneratorClient(parse_config(HttpGeneratorConfig, gen, "generator"))
     raise ConfigError(f"unknown generator type {gen_type!r}")
 
 
-def _build_predictor(entry: dict):
+@dataclass(frozen=True)
+class _ModelEntry:
+    """The settings of a ``model`` predictor entry."""
+
+    path: str
+
+
+def _build_predictor(entry: dict, where: str, max_n: int):
+    settings = {key: value for key, value in entry.items() if key not in ("name", "type")}
     kind = entry.get("type", "model")
     if kind == "model":
-        return load_model(entry["path"])
-    if kind == "remote":
-        return RemotePredictorClient(
-            RemotePredictorConfig(
-                endpoint_url=entry["endpoint_url"],
-                timeout_ms=int(entry.get("timeout_ms", 10000)),
-                max_retries=int(entry.get("max_retries", 2)),
-                fallback_to_full=bool(entry.get("fallback_to_full", False)),
+        path = parse_config(_ModelEntry, settings, where).path
+        model = load_model(path)
+        if model.feature_spec.max_docs < max_n:
+            raise ConfigError(
+                f"{where}: model {path} takes at most "
+                f"{model.feature_spec.max_docs} documents, but the dataset has N={max_n}"
             )
-        )
+        return model
+    if kind == "remote":
+        return RemotePredictorClient(parse_config(RemotePredictorConfig, settings, where))
     raise ConfigError(f"unknown predictor type {kind!r}")
 
 
@@ -335,7 +392,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     """Run every configured method over the dataset and aggregate one table."""
     dataset, retrievals = _load(config)
     client = build_generator(config, dataset)
-    JudgeMode.parse(config.judge)  # validate early; tables report EM/F1 directly
 
     oracle_labels: dict[str, CompressionLabel] = {}
     if config.triplets_path:
@@ -351,8 +407,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             )
             splits[example.id] = specificity_split(scores)
 
-    min_n = min(retrieval.n for _, retrieval in dataset)
-    rows = [row for m in config.methods for row in _method_rows(m, config, oracle_labels, min_n)]
+    rows = [row for m in config.methods for row in _method_rows(m, config, oracle_labels, dataset)]
     method_results = _evaluate(rows, dataset, client, config, splits)
     manifest = {
         "config_sha256": config.config_hash(),
@@ -374,13 +429,14 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     return run
 
 
-def _method_rows(method: str, config: PipelineConfig, oracle_labels, min_n: int):
+def _method_rows(method: str, config: PipelineConfig, oracle_labels, dataset: JoinedDataset):
     """Expand one method name into (row_name, labeler, fingerprint) rows."""
     top_k = _TOP_K_RE.match(method)
     if top_k or method == METHOD_NO_RETRIEVAL:
         predictor = FixedKPredictor(int(top_k.group(1)) if top_k else 0)
         return [(method, predictor.predict_label, predictor.fingerprint())]
     if method == METHOD_TOP_RANDOM:
+        min_n = min(retrieval.n for _, retrieval in dataset)
         predictor = RandomKPredictor(config.seed, k_range=range(1, min_n + 1))
         return [(method, predictor.predict_label, predictor.fingerprint())]
     if method == METHOD_ONLY_DOC:
@@ -395,9 +451,10 @@ def _method_rows(method: str, config: PipelineConfig, oracle_labels, min_n: int)
         return [(method, oracle_labeler, "oracle:annotated")]
     if method == METHOD_ADAPTIVE:
         rows = []
-        for entry in config.predictors:
-            predictor = _build_predictor(entry)
-            row_name = entry.get("name", METHOD_ADAPTIVE)
+        max_n = max(retrieval.n for _, retrieval in dataset)
+        for i, entry in enumerate(config.predictors):
+            predictor = _build_predictor(entry, f"predictors[{i}]", max_n)
+            row_name = _typed(entry.get("name", METHOD_ADAPTIVE), str, f"predictors[{i}].name")
             rows.append((row_name, predictor.predict_label, predictor.fingerprint()))
         return rows
     raise ConfigError(f"unknown method {method!r}")
@@ -451,7 +508,9 @@ def sweep_document_count(config: PipelineConfig) -> list[SweepPoint]:
     dataset, _ = _load(config)
     client = build_generator(config, dataset)
     max_k = min(retrieval.n for _, retrieval in dataset)
-    rows = [row for k in range(max_k + 1) for row in _method_rows(f"top_{k}", config, {}, max_k)]
+    rows = [
+        row for k in range(max_k + 1) for row in _method_rows(f"top_{k}", config, {}, dataset)
+    ]
     points = [
         SweepPoint(k=k, em=r.em, f1=r.f1, mean_tokens=r.mean_tokens, n=r.n)
         for k, r in enumerate(m.report for m in _evaluate(rows, dataset, client, config))

@@ -20,8 +20,8 @@ import numpy as np
 import requests
 
 from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
-from .features import FeatureSpec, FeatureVector, extract_features
-from .generation import ProtocolError, TransportError, post_json
+from .features import FeatureSpec, extract_features
+from .generation import ProtocolError, TransportError, check_endpoint_settings, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ UNANSWERABLE_POLICIES = (POLICY_DROP, POLICY_MAP_TO_N, POLICY_OWN_CLASS)
 
 
 class FeatureSpecMismatch(ValueError):
-    """Model and feature vector were built under different feature specs."""
+    """A model file was saved under a different feature layout."""
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class TrainConfig:
             raise ValueError(f"warmup_fraction must be in [0, 1], got {self.warmup_fraction}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-
-
-@dataclass(frozen=True)
-class PredictionDistribution:
-    probs: np.ndarray
-    class_list: tuple
 
 
 @dataclass
@@ -92,16 +86,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def softmax_predict(model: PredictorModel, x: FeatureVector) -> PredictionDistribution:
-    """Class distribution for one feature vector."""
-    if x.spec_hash != model.feature_spec_hash:
-        raise FeatureSpecMismatch(
-            f"feature spec hash {x.spec_hash} does not match model {model.feature_spec_hash}"
-        )
-    probs = softmax(model.weights @ x.values)
-    return PredictionDistribution(probs=probs, class_list=model.class_list)
-
-
 def predict_k(
     model: PredictorModel, example: QAExample, retrieval: RetrievalSet
 ) -> CompressionLabel:
@@ -110,9 +94,8 @@ def predict_k(
     The class list is ordered smallest-k first with the unanswerable class
     last, so the first maximum wins ties.
     """
-    x = extract_features(example, retrieval, model.feature_spec)
-    dist = softmax_predict(model, x)
-    winner = dist.class_list[int(np.argmax(dist.probs))]
+    probs = softmax(model.weights @ extract_features(example, retrieval, model.feature_spec))
+    winner = model.class_list[int(np.argmax(probs))]
     if winner == UNANSWERABLE_CLASS:
         return CompressionLabel.unanswerable()
     return CompressionLabel.keep(int(winner))
@@ -200,7 +183,7 @@ def _training_matrix(
         if y is None:
             dropped += 1
             continue
-        xs.append(extract_features(example, retrieval, feature_spec).values)
+        xs.append(extract_features(example, retrieval, feature_spec))
         ys.append(y)
     if not xs:
         raise ValueError("no trainable rows after applying the unanswerable policy")
@@ -425,6 +408,9 @@ class RemotePredictorConfig:
     max_retries: int = 2
     fallback_to_full: bool = False
     backoff_base_s: float = 0.25
+
+    def __post_init__(self) -> None:
+        check_endpoint_settings(self)
 
 
 class RemotePredictorClient:

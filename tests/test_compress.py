@@ -13,7 +13,6 @@ from ragtrim.compress import (
     compress,
     count_tokens,
     only_doc_select,
-    register_template,
     save_contexts,
     split_sentences,
 )
@@ -100,11 +99,6 @@ class TestAssemblePrompt:
         text = prompt.text
         assert text.index("user: tell me about the Titanic") < text.index("Document 1:")
         assert "assistant: a famous ship" in text
-
-    def test_custom_template_registration(self, five_docs):
-        register_template("bare", lambda q, h, docs: f"{q}|{len(docs)}")
-        prompt = assemble_prompt(make_example(query="hi"), five_docs.docs[:2], template_id="bare")
-        assert prompt.text == "hi|2"
 
 
 class TestOnlyDoc:

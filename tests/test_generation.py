@@ -354,7 +354,7 @@ class TestHttpClient:
         prompts = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(16)]
         with ScriptedServer([(200, {"text": "ok"})]) as server:
             client = HttpGeneratorClient(
-                http_config(server.url, cache_dir=str(tmp_path), max_in_flight=4)
+                http_config(server.url, cache_dir=str(tmp_path))
             )
             with ThreadPoolExecutor(max_workers=8) as pool:
                 outputs = list(pool.map(client.generate, prompts * 2))

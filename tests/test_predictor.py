@@ -36,7 +36,6 @@ from ragtrim.predictor import (
     predict_k,
     save_model,
     softmax,
-    softmax_predict,
     train,
 )
 from helpers import (
@@ -54,18 +53,18 @@ SPEC5 = FeatureSpec(max_docs=5)
 class TestFeatures:
     def test_wh_one_hot_and_token_count(self):
         x = extract_features(make_example(query="who wrote Hamlet"), make_retrieval(), SPEC5)
-        assert x.values[0] == 3.0  # query token count
-        assert list(x.values[1:8]) == [1, 0, 0, 0, 0, 0, 0]  # who
+        assert x[0] == 3.0  # query token count
+        assert list(x[1:8]) == [1, 0, 0, 0, 0, 0, 0]  # who
 
     def test_non_wh_query_maps_to_other(self):
         x = extract_features(make_example(query="name the author"), make_retrieval(), SPEC5)
-        assert list(x.values[1:8]) == [0, 0, 0, 0, 0, 0, 1]
+        assert list(x[1:8]) == [0, 0, 0, 0, 0, 0, 1]
 
     def test_score_block_arithmetic(self):
         retrieval = make_retrieval(
             texts=[f"doc {i}" for i in range(5)], scores=[0.9, 0.7, 0.5, 0.3, 0.1]
         )
-        x = extract_features(make_example(), retrieval, SPEC5).values
+        x = extract_features(make_example(), retrieval, SPEC5)
         n_idx = 8
         assert x[n_idx] == 5.0
         scores = list(x[n_idx + 1 : n_idx + 6])
@@ -77,7 +76,7 @@ class TestFeatures:
 
     def test_padding_below_max_docs(self):
         retrieval = make_retrieval(texts=["a b", "c d", "e f"], scores=[0.9, 0.8, 0.7])
-        x = extract_features(make_example(), retrieval, SPEC5).values
+        x = extract_features(make_example(), retrieval, SPEC5)
         scores = list(x[9:14])
         assert scores == pytest.approx([0.9, 0.8, 0.7, 0.0, 0.0])
         overlaps = list(x[21:26])
@@ -88,9 +87,9 @@ class TestFeatures:
     def test_dimensions_and_finiteness(self):
         assert SPEC5.dim == 32
         x = extract_features(make_example(), make_retrieval(), SPEC5)
-        assert x.values.shape == (32,)
-        assert np.all(np.isfinite(x.values))
-        assert x.values[-1] == 1.0  # bias
+        assert x.shape == (32,)
+        assert np.all(np.isfinite(x))
+        assert x[-1] == 1.0  # bias
 
     def test_history_flattened_into_lexical_features(self):
         bare = make_example(query="and when")
@@ -100,7 +99,7 @@ class TestFeatures:
         retrieval = make_retrieval()
         x_bare = extract_features(bare, retrieval, SPEC5)
         x_chatty = extract_features(chatty, retrieval, SPEC5)
-        assert x_chatty.values[0] > x_bare.values[0]
+        assert x_chatty[0] > x_bare[0]
 
     def test_too_many_docs_rejected(self):
         retrieval = make_retrieval(texts=[f"doc {i}" for i in range(5)])
@@ -122,17 +121,23 @@ def model_with_bias_logits(bias_logits, policy="drop"):
     )
 
 
+def model_probs(model):
+    """The class distribution predict_k takes its argmax over."""
+    return softmax(model.weights @ extract_features(make_example(), make_retrieval(), SPEC5))
+
+
 class TestSoftmaxPredict:
     def test_zero_weights_give_uniform(self):
         model = model_with_bias_logits([0.0] * 6)
-        dist = softmax_predict(model, extract_features(make_example(), make_retrieval(), SPEC5))
-        assert dist.probs == pytest.approx([1 / 6] * 6, abs=1e-12)
+        assert model_probs(model) == pytest.approx([1 / 6] * 6, abs=1e-12)
+        assert predict_k(model, make_example(), make_retrieval()) == CompressionLabel.keep(0)
 
     def test_peaked_logits(self):
         model = model_with_bias_logits([10.0, 0, 0, 0, 0, 0])
-        dist = softmax_predict(model, extract_features(make_example(), make_retrieval(), SPEC5))
-        assert int(np.argmax(dist.probs)) == 0
-        assert dist.probs[0] > 0.99
+        probs = model_probs(model)
+        assert int(np.argmax(probs)) == 0
+        assert probs[0] > 0.99
+        assert predict_k(model, make_example(), make_retrieval()) == CompressionLabel.keep(0)
 
     @settings(max_examples=100)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
@@ -150,13 +155,6 @@ class TestSoftmaxPredict:
         base = softmax(np.array(logits))
         shifted = softmax(np.array(logits) + c)
         assert np.max(np.abs(base - shifted)) <= 1e-12
-
-    def test_hash_mismatch_rejected(self):
-        model = model_with_bias_logits([0.0] * 6)
-        retrieval = make_retrieval(texts=["a", "b", "c"])
-        x_other = extract_features(make_example(), retrieval, FeatureSpec(max_docs=4))
-        with pytest.raises(FeatureSpecMismatch):
-            softmax_predict(model, x_other)
 
 
 class TestPredictK:
