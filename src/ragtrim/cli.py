@@ -23,10 +23,10 @@ from .features import FeatureSpec
 from .generation import JudgeMode
 from .pipeline import (
     ConfigError,
-    PipelineConfig,
     confusion_csv,
     load_pipeline_config,
     parse_config,
+    read_json_object,
     render_confusion,
     report_confusion,
     run_pipeline,
@@ -48,7 +48,7 @@ logger = logging.getLogger(__name__)
 
 
 def _cmd_make_corpus(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.spec).read_text(encoding="utf-8")) if args.spec else {}
+    raw = read_json_object(args.spec) if args.spec else {}
     spec = parse_config(CorpusSpec, {"size": args.size, **raw}, "spec")
     corpus = make_synthetic_corpus(spec, seed=args.seed)
     paths = corpus.write(args.out_dir)
@@ -64,19 +64,9 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    examples = load_examples(args.examples, args.format)
-    retrievals = load_retrievals(args.retrievals)
-    dataset = join_dataset(examples, retrievals)
-    if args.generator == "mock":
-        generator = {"type": "mock", "closed_book_plan": args.mock_plan, "seed": args.mock_seed,
-                     "confusion_threshold": args.confusion_threshold, "noise_rate": args.noise_rate}
-    else:
-        generator = {"type": "http", "endpoint_url": args.endpoint_url,
-                     "model_name": args.model_name, "cache_dir": args.cache_dir,
-                     "timeout_ms": args.timeout_ms, "max_retries": args.max_retries,
-                     "api_key_env_var": args.api_key_env_var}
-    config = PipelineConfig(args.examples, args.retrievals, methods=[], generator=generator,
-                            judge=args.judge, template_id=args.template)
+    config = load_pipeline_config(args.config)
+    examples = load_examples(config.examples_path, config.example_format)
+    dataset = join_dataset(examples, load_retrievals(config.retrievals_path))
     client = pipeline.build_generator(config, dataset)
     options = AnnotationOptions(
         judge_mode=JudgeMode.parse(config.judge),
@@ -107,7 +97,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_predictor(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    raw = read_json_object(args.config) if args.config else {}
     policy = raw.pop("unanswerable_policy", POLICY_DROP)
     if policy not in UNANSWERABLE_POLICIES:
         raise ConfigError(f"config.unanswerable_policy must be one of {UNANSWERABLE_POLICIES}")
@@ -201,27 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_make_corpus)
 
     p = sub.add_parser("annotate", help="label each example with its minimal document count")
-    p.add_argument("--examples", required=True)
-    p.add_argument("--retrievals", required=True)
-    p.add_argument("--generator", choices=["mock", "http"], default="mock")
-    p.add_argument("--judge", default="em", help="em, f1, or f1:<threshold>")
-    p.add_argument("--k0", choices=["on", "off"], default="on")
+    p.add_argument(
+        "--config",
+        required=True,
+        help="the run config; annotation reads its datasets.examples, datasets.retrievals, "
+        "datasets.format, generator, judge, template and seed",
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
-    p.add_argument("--format", choices=["qa", "conversational"], default="qa")
-    p.add_argument("--template", default="qa_default")
+    p.add_argument("--k0", choices=["on", "off"], default="on")
     p.add_argument("--failure-limit", type=float, default=0.10)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--mock-plan", help="corpus plan JSONL supplying closed-book example ids")
-    p.add_argument("--confusion-threshold", type=int, default=None)
-    p.add_argument("--noise-rate", type=float, default=0.0)
-    p.add_argument("--mock-seed", type=int, default=0)
-    p.add_argument("--endpoint-url")
-    p.add_argument("--model-name", default="default")
-    p.add_argument("--cache-dir")
-    p.add_argument("--timeout-ms", type=int, default=30000)
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--api-key-env-var")
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train-predictor", help="fit the compression-rate classifier")

@@ -154,7 +154,11 @@ class JoinedDataset:
 
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -103,6 +103,19 @@ def parse_config(cls, raw, where: str, keys: Mapping[str, str] | None = None):
         raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``; anything else is a ConfigError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {json.dumps(raw)[:40]}")
+    return raw
+
+
 def _typed(value, hint, path: str):
     """``value`` checked against the field type ``hint``, with ints widened to float."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -139,7 +152,7 @@ _JSON_KEYS = {
 class PipelineConfig:
     examples_path: str
     retrievals_path: str
-    methods: list[str]
+    methods: list[str] = field(default_factory=list)
     triplets_path: str | None = None
     example_format: str = "qa"
     generator: dict = field(default_factory=lambda: {"type": "mock"})
@@ -169,8 +182,6 @@ class PipelineConfig:
             raise ConfigError("the config and its datasets section must be JSON objects")
         flat = {f"datasets.{key}": value for key, value in raw.get("datasets", {}).items()}
         flat.update((key, value) for key, value in raw.items() if key != "datasets")
-        if not flat.get("methods"):
-            raise ConfigError("config must list at least one method")
         names = {key: name for name, key in _JSON_KEYS.items()}
         values = {}
         for key, value in flat.items():
@@ -202,8 +213,13 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    config = PipelineConfig.from_dict(raw)
+    """The run config in the file at ``path``, its paths taken relative to that file.
+
+    Every key is checked, those of each ``predictors`` entry too, but no
+    dataset, triplets or model file is opened: annotation reads this config
+    before its triplets and models exist.
+    """
+    config = PipelineConfig.from_dict(read_json_object(path))
     base = Path(path).parent
     config.examples_path = _resolve(base, config.examples_path, "datasets.examples")
     config.retrievals_path = _resolve(base, config.retrievals_path, "datasets.retrievals")
@@ -220,6 +236,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     if config.output_dir:
         out = Path(config.output_dir)
         config.output_dir = str(out if out.is_absolute() else base / out)
+    build_predictors(config)
     return config
 
 
@@ -274,21 +291,34 @@ class _ModelEntry:
     path: str
 
 
-def _build_predictor(entry: dict, where: str, max_n: int):
-    settings = {key: value for key, value in entry.items() if key not in ("name", "type")}
-    kind = entry.get("type", "model")
-    if kind == "model":
-        path = parse_config(_ModelEntry, settings, where).path
-        model = load_model(path)
-        if model.feature_spec.max_docs < max_n:
-            raise ConfigError(
-                f"{where}: model {path} takes at most "
-                f"{model.feature_spec.max_docs} documents, but the dataset has N={max_n}"
-            )
-        return model
-    if kind == "remote":
-        return RemotePredictorClient(parse_config(RemotePredictorConfig, settings, where))
-    raise ConfigError(f"unknown predictor type {kind!r}")
+def build_predictors(config: PipelineConfig, max_n: int | None = None) -> list[tuple[str, object]]:
+    """(row name, predictor) of each ``predictors`` entry, with every key checked.
+
+    Only given ``max_n``, the dataset's largest document count, is a model
+    entry's file opened and its ``max_docs`` checked; else its predictor is None.
+    """
+    built = []
+    for i, entry in enumerate(config.predictors):
+        where = f"predictors[{i}]"
+        name = _typed(entry.get("name", METHOD_ADAPTIVE), str, f"{where}.name")
+        settings = {key: value for key, value in entry.items() if key not in ("name", "type")}
+        kind = entry.get("type", "model")
+        if kind == "model":
+            path = parse_config(_ModelEntry, settings, where).path
+            predictor = None
+            if max_n is not None:
+                predictor = load_model(path)
+                if predictor.feature_spec.max_docs < max_n:
+                    raise ConfigError(
+                        f"{where}: model {path} takes at most {predictor.feature_spec.max_docs} "
+                        f"documents, but the dataset has N={max_n}"
+                    )
+        elif kind == "remote":
+            predictor = RemotePredictorClient(parse_config(RemotePredictorConfig, settings, where))
+        else:
+            raise ConfigError(f"unknown predictor type {kind!r}")
+        built.append((name, predictor))
+    return built
 
 
 @dataclass
@@ -391,6 +421,7 @@ def _evaluate(
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Run every configured method over the dataset and aggregate one table."""
     dataset, retrievals = _load(config)
+    predictors = build_predictors(config, max(retrieval.n for _, retrieval in dataset))
     client = build_generator(config, dataset)
 
     oracle_labels: dict[str, CompressionLabel] = {}
@@ -407,7 +438,11 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             )
             splits[example.id] = specificity_split(scores)
 
-    rows = [row for m in config.methods for row in _method_rows(m, config, oracle_labels, dataset)]
+    rows = [
+        row
+        for m in config.methods
+        for row in _method_rows(m, config, dataset, oracle_labels, predictors)
+    ]
     method_results = _evaluate(rows, dataset, client, config, splits)
     manifest = {
         "config_sha256": config.config_hash(),
@@ -429,8 +464,12 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     return run
 
 
-def _method_rows(method: str, config: PipelineConfig, oracle_labels, dataset: JoinedDataset):
-    """Expand one method name into (row_name, labeler, fingerprint) rows."""
+def _method_rows(method: str, config: PipelineConfig, dataset: JoinedDataset, oracle_labels,
+                 predictors):
+    """Expand one method name into (row_name, labeler, fingerprint) rows.
+
+    ``predictors`` are the (row name, predictor) pairs of ``build_predictors``.
+    """
     top_k = _TOP_K_RE.match(method)
     if top_k or method == METHOD_NO_RETRIEVAL:
         predictor = FixedKPredictor(int(top_k.group(1)) if top_k else 0)
@@ -450,13 +489,7 @@ def _method_rows(method: str, config: PipelineConfig, oracle_labels, dataset: Jo
 
         return [(method, oracle_labeler, "oracle:annotated")]
     if method == METHOD_ADAPTIVE:
-        rows = []
-        max_n = max(retrieval.n for _, retrieval in dataset)
-        for i, entry in enumerate(config.predictors):
-            predictor = _build_predictor(entry, f"predictors[{i}]", max_n)
-            row_name = _typed(entry.get("name", METHOD_ADAPTIVE), str, f"predictors[{i}].name")
-            rows.append((row_name, predictor.predict_label, predictor.fingerprint()))
-        return rows
+        return [(name, p.predict_label, p.fingerprint()) for name, p in predictors]
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -509,7 +542,7 @@ def sweep_document_count(config: PipelineConfig) -> list[SweepPoint]:
     client = build_generator(config, dataset)
     max_k = min(retrieval.n for _, retrieval in dataset)
     rows = [
-        row for k in range(max_k + 1) for row in _method_rows(f"top_{k}", config, {}, dataset)
+        row for k in range(max_k + 1) for row in _method_rows(f"top_{k}", config, dataset, {}, [])
     ]
     points = [
         SweepPoint(k=k, em=r.em, f1=r.f1, mean_tokens=r.mean_tokens, n=r.n)
@@ -589,7 +622,9 @@ __all__ = [
     "RunResult",
     "SweepPoint",
     "load_pipeline_config",
+    "read_json_object",
     "build_generator",
+    "build_predictors",
     "run_pipeline",
     "sweep_document_count",
     "format_table_csv",

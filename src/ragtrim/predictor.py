@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
+from .data import (
+    AnnotatedTriplet,
+    CompressionLabel,
+    DataError,
+    JoinedDataset,
+    QAExample,
+    RetrievalSet,
+)
 from .features import FeatureSpec, extract_features
 from .generation import ProtocolError, TransportError, check_endpoint_settings, post_json
 
@@ -462,7 +469,12 @@ def save_model(path: str | Path, model: PredictorModel) -> None:
 
 
 def load_model(path: str | Path) -> PredictorModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read model {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise DataError(f"model {path} is not valid JSON: {exc}") from exc
     feature_spec = FeatureSpec(max_docs=int(payload["feature_spec"]["max_docs"]))
     if payload["feature_spec_hash"] != feature_spec.spec_hash():
         raise FeatureSpecMismatch(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,18 +54,21 @@ class CorpusSpec:
     """Size and evidence-depth distribution of a synthetic corpus.
 
     depth_weights keys are "0".."N" (rank of the first evidence document,
-    0 = closed-book-known) or "none" (no document suffices).
+    0 = closed-book-known) or "none" (no document suffices). Left out, they
+    are ``default_depth_weights(n_docs)``.
     """
 
     size: int
     n_docs: int = 5
-    depth_weights: Mapping[str, float] = field(default_factory=default_depth_weights)
+    depth_weights: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.n_docs < 1:
             raise ValueError(f"n_docs must be >= 1, got {self.n_docs}")
+        if self.depth_weights is None:
+            object.__setattr__(self, "depth_weights", default_depth_weights(self.n_docs))
         total = 0.0
         for key, weight in self.depth_weights.items():
             if key != NONE_DEPTH and not 0 <= int(key) <= self.n_docs:

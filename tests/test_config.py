@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,11 @@ class CountingSession:
     """Stands in for requests.Session: counts every POST and answers both endpoints."""
 
     posts: list[str] = []
+    bodies: list[dict] = []
 
     def post(self, url, **kwargs):
         CountingSession.posts.append(url)
+        CountingSession.bodies.append(kwargs["json"])
         return http_response(200, b'{"text": "x", "k": 1}')
 
 
@@ -44,6 +47,7 @@ def posts(monkeypatch):
     """The URLs of every POST any HTTP client of this test sends."""
     monkeypatch.setattr(requests, "Session", CountingSession)
     CountingSession.posts = []
+    CountingSession.bodies = []
     return CountingSession.posts
 
 
@@ -110,37 +114,63 @@ def remote(**keys):
     return predictor({"type": "remote", "endpoint_url": PREDICTOR_URL, **keys})
 
 
-def annotate(*flags):
+def annotate(run_args):
+    """CLI args of `ragtrim annotate` on the config file of the `ragtrim run` case ``run_args``."""
+
     def args(paths, tmp_path):
-        return ["annotate", "--examples", paths["examples"], "--retrievals", paths["retrievals"],
-                "--out", str(tmp_path / "triplets.jsonl"), "--generator", "http",
-                "--endpoint-url", GENERATOR_URL, *flags]
+        out = str(tmp_path / "triplets.jsonl")
+        return ["annotate", *run_args(paths, tmp_path)[1:], "--out", out]
 
     return args
 
 
-def with_json(verb_args, flag, obj):
-    """CLI args of a verb that reads the JSON object ``obj`` through ``flag``."""
+def with_text(verb_args, flag, text):
+    """CLI args of a verb that reads the file holding ``text`` through ``flag``."""
 
     def args(paths, tmp_path):
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(text)
         return [*verb_args(paths, tmp_path), flag, str(path)]
 
     return args
 
 
-def train_args(paths, tmp_path):
-    return ["train-predictor", "--triplets", paths["triplets"], "--examples", paths["examples"],
-            "--retrievals", paths["retrievals"], "--out", str(tmp_path / "model.json")]
+def with_json(verb_args, flag, obj):
+    """CLI args of a verb that reads the JSON value ``obj`` through ``flag``."""
+    return with_text(verb_args, flag, json.dumps(obj))
+
+
+def verb(*words):
+    """CLI args that are ``words`` alone."""
+    return lambda paths, tmp_path: list(words)
+
+
+NO_FILE = "nope.json: No such file or directory"
+
+
+def train_args(paths, tmp_path, triplets=None):
+    return ["train-predictor", "--triplets", triplets or paths["triplets"], "--examples",
+            paths["examples"], "--retrievals", paths["retrievals"], "--out",
+            str(tmp_path / "model.json")]
 
 
 def corpus_args(paths, tmp_path):
     return ["make-corpus", "--out-dir", str(tmp_path / "made"), "--size", "5"]
 
 
+def eval_args(paths, tmp_path):
+    return ["eval-predictor", "--model", str(tmp_path / "nope.json"), "--triplets",
+            paths["triplets"], "--examples", paths["examples"], "--retrievals",
+            paths["retrievals"], "--report", str(tmp_path / "report.json")]
+
+
+def unused_remote(**keys):
+    """The valid config (methods top_1 only) with a remote entry that no method uses."""
+    return top(predictors=[{"type": "remote", "endpoint_url": PREDICTOR_URL, **keys}])
+
+
 # (case id, CLI args built from the corpus paths and tmp_path, text the ERROR line carries)
-DEFECTS = [
+RUN_DEFECTS = [
     ("judge", top(judge="emm"), "unknown judge mode spec 'emm'"),
     ("template", top(template="nope"), "unknown template 'nope'"),
     ("fallback", top(fallback="bogus"), "unknown fallback policy 'bogus'"),
@@ -173,17 +203,47 @@ DEFECTS = [
     ("model-path-type", top(predictors=[{"type": "model", "path": 5}], methods=["adaptive"]),
      "predictors[0].path must be str"),
     ("predictor-name-type", remote(name=5), "predictors[0].name must be str"),
-    ("annotate-judge", annotate("--judge", "emm"), "unknown judge mode spec 'emm'"),
-    ("annotate-template", annotate("--template", "nope"), "unknown template 'nope'"),
-    ("annotate-max-retries", annotate("--max-retries", "-1"),
-     "generator: max_retries must be >= 0"),
+    ("unused-remote-timeout", unused_remote(timeout_ms=0),
+     "predictors[0]: timeout_ms must be >= 1"),
+    ("unused-remote-typo", unused_remote(fallback_to_ful=True),
+     "unknown key predictors[0].fallback_to_ful"),
+    ("unused-model-too-small",
+     run(lambda config, paths: config.update(predictors=[{"path": paths["small_model"]}])),
+     "small_model.json takes at most 3 documents, but the dataset has N=5"),
+]
+# Checked by run alone: annotation opens no model file, as it comes before the model exists.
+MODEL_SIZE_DEFECTS = {"model-too-small", "unused-model-too-small"}
+
+DEFECTS = [
+    *RUN_DEFECTS,
+    # annotate reads the same config file, so each defect stops it too.
+    *[(f"annotate-{name}", annotate(make_args), message)
+      for name, make_args, message in RUN_DEFECTS if name not in MODEL_SIZE_DEFECTS],
+    ("annotate-missing-examples",
+     annotate(run(lambda config, paths: config["datasets"].update(examples="nope.json"))),
+     NO_FILE),
+    ("annotate-missing-plan",
+     annotate(top(generator={"type": "mock", "closed_book_plan": "nope.json"})), NO_FILE),
+    ("run-config-missing", lambda paths, tmp_path: ["run", "--config", str(tmp_path / "nope.json")],
+     NO_FILE),
+    ("run-config-not-json", with_text(verb("run"), "--config", '{"datasets": '),
+     "in.json is not valid JSON"),
+    ("annotate-config-not-object", with_json(verb("annotate", "--out", "t.jsonl"), "--config", []),
+     "in.json must hold a JSON object"),
     ("train-config-typo", with_json(train_args, "--config", {"epoch": 5}),
      "unknown key config.epoch"),
     ("train-config-type", with_json(train_args, "--config", {"max_docs": "5"}),
      "config.max_docs must be int"),
     ("train-config-policy", with_json(train_args, "--config", {"unanswerable_policy": "x"}),
      "config.unanswerable_policy must be one of"),
+    ("train-config-truncated", with_text(train_args, "--config", '{"epochs": 5'),
+     "in.json is not valid JSON"),
+    ("train-missing-triplets",
+     lambda paths, tmp_path: train_args(paths, tmp_path, str(tmp_path / "nope.json")), NO_FILE),
+    ("eval-missing-model", eval_args, NO_FILE),
     ("corpus-spec-typo", with_json(corpus_args, "--spec", {"n_doc": 3}), "unknown key spec.n_doc"),
+    ("corpus-spec-not-object", with_json(corpus_args, "--spec", [1]),
+     "in.json must hold a JSON object"),
 ]
 
 
@@ -201,11 +261,35 @@ def test_config_defect_exits_2_before_any_request(
     assert posts == []
 
 
-@pytest.mark.parametrize("make_args", [run(lambda config, paths: None), annotate()],
+@pytest.mark.parametrize("make_args", [run(lambda config, paths: None),
+                                       annotate(run(lambda config, paths: None))],
                          ids=["run", "annotate"])
 def test_valid_config_reaches_the_counting_session(corpus, tmp_path, posts, make_args):
     assert cli_main(make_args(corpus, tmp_path)) == 0
     assert posts and set(posts) == {GENERATOR_URL}
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [{"type": "mock", "noise_rate": 0.1},
+     {"type": "http", "endpoint_url": GENERATOR_URL, "temperature": 0.7, "max_tokens": 64}],
+    ids=["mock", "http"],
+)
+def test_annotate_and_run_read_one_generator_from_one_config(corpus, tmp_path, posts, generator):
+    """The labels come from the generator the run then reads the compressed contexts with."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(valid_run_config(corpus, tmp_path), generator=generator,
+                                    seed=42)))
+    triplets = tmp_path / "triplets.jsonl"
+    assert cli_main(["annotate", "--config", str(path), "--out", str(triplets)]) == 0
+    annotate_bodies = list(CountingSession.bodies)
+    assert cli_main(["run", "--config", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    labelled_by = {json.loads(line)["generator"] for line in triplets.read_text().splitlines()}
+    assert labelled_by == {manifest["generator_fingerprint"]}
+    if generator["type"] == "http":
+        assert annotate_bodies
+        assert all(b["temperature"] == 0.7 and b["max_tokens"] == 64 for b in annotate_bodies)
 
 
 # config_hash() and fingerprints of these configs, as computed before parse_config existed.
@@ -276,9 +360,26 @@ def test_backoff_reaches_the_clients(corpus, tmp_path, monkeypatch):
     assert sleeps == [0.0, 0.0]
 
 
+def readme_blocks(heading: str, language: str) -> list[str]:
+    """The ``language`` code blocks of the README section under ``## heading``."""
+    section = README.read_text(encoding="utf-8").split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", section, re.S)
+
+
 def readme_run_configs() -> list[dict]:
-    section = README.read_text(encoding="utf-8").split("## Run config", 1)[1].split("\n## ", 1)[0]
-    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    return [json.loads(block) for block in readme_blocks("Run config", "json")]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    """Each `ragtrim` line of the Quickstart, with the first run config saved as it says."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run_config.json").write_text(readme_blocks("Run config", "json")[0])
+    script = readme_blocks("Quickstart", "bash")[0]
+    lines = [line for line in script.replace("\\\n", " ").splitlines()
+             if line.startswith("ragtrim ")]
+    assert len(lines) == 7
+    for line in lines:
+        assert cli_main(shlex.split(line)[1:]) == 0, line
 
 
 def test_readme_run_configs_parse_and_name_every_key(monkeypatch):

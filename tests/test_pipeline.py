@@ -74,16 +74,12 @@ class TestConfigValidation:
             run_pipeline(config)
 
     def test_empty_methods_rejected(self, prepared):
+        config = PipelineConfig.from_dict(
+            {"datasets": {"examples": prepared["examples"], "retrievals": prepared["retrievals"]}}
+        )
+        assert config.methods == []  # annotation reads a config without methods
         with pytest.raises(ConfigError, match="method"):
-            PipelineConfig.from_dict(
-                {
-                    "datasets": {
-                        "examples": prepared["examples"],
-                        "retrievals": prepared["retrievals"],
-                    },
-                    "methods": [],
-                }
-            )
+            run_pipeline(config)
 
     def test_oracle_requires_triplets(self, prepared):
         config = base_config(prepared, methods=["oracle"])
@@ -458,14 +454,25 @@ class TestCli:
     def test_full_cli_flow(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         assert cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "40", "--seed", "2"]) == 0
+        # One config for annotate, run and sweep; its triplets and model do not exist yet.
+        config = {
+            "datasets": {
+                "examples": str(corpus_dir / "examples.jsonl"),
+                "retrievals": str(corpus_dir / "retrievals.jsonl"),
+                "triplets": str(tmp_path / "triplets.jsonl"),
+            },
+            "generator": {"type": "mock", "closed_book_plan": str(corpus_dir / "plan.jsonl")},
+            "predictors": [{"name": "adaptive", "type": "model", "path": str(tmp_path / "model.json")}],
+            "methods": ["top_1", "adaptive", "oracle"],
+            "judge": "em",
+            "output_dir": str(tmp_path / "out"),
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
         assert cli_main(
             [
                 "annotate",
-                "--examples", str(corpus_dir / "examples.jsonl"),
-                "--retrievals", str(corpus_dir / "retrievals.jsonl"),
-                "--generator", "mock",
-                "--mock-plan", str(corpus_dir / "plan.jsonl"),
-                "--judge", "em",
+                "--config", str(config_path),
                 "--k0", "on",
                 "--out", str(tmp_path / "triplets.jsonl"),
                 "--stats", str(tmp_path / "stats.json"),
@@ -492,19 +499,6 @@ class TestCli:
                 "--report", str(tmp_path / "report.json"),
             ]
         ) == 0
-        config = {
-            "datasets": {
-                "examples": str(corpus_dir / "examples.jsonl"),
-                "retrievals": str(corpus_dir / "retrievals.jsonl"),
-                "triplets": str(tmp_path / "triplets.jsonl"),
-            },
-            "generator": {"type": "mock", "closed_book_plan": str(corpus_dir / "plan.jsonl")},
-            "predictors": [{"name": "adaptive", "type": "model", "path": str(tmp_path / "model.json")}],
-            "methods": ["top_1", "adaptive", "oracle"],
-            "output_dir": str(tmp_path / "out"),
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert (tmp_path / "out" / "table.csv").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
@@ -520,36 +514,31 @@ class TestCli:
     def test_annotate_abort_writes_partial(self, tmp_path, monkeypatch):
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "5", "--seed", "1"])
-        # Point the mock at an http generator with an unreachable endpoint.
-        rc = cli_main(
-            [
-                "annotate",
-                "--examples", str(corpus_dir / "examples.jsonl"),
-                "--retrievals", str(corpus_dir / "retrievals.jsonl"),
-                "--generator", "http",
-                "--endpoint-url", "http://127.0.0.1:1/",
-                "--max-retries", "0",
-                "--timeout-ms", "200",
-                "--out", str(tmp_path / "triplets.jsonl"),
-            ]
-        )
+        # An http generator with an unreachable endpoint.
+        generator = {"type": "http", "endpoint_url": "http://127.0.0.1:1/", "max_retries": 0,
+                     "timeout_ms": 200}
+        rc = cli_main(self.annotate_args(corpus_dir, tmp_path / "triplets.jsonl", generator))
         assert rc == 1
         assert (tmp_path / "triplets.jsonl.partial").exists()
 
-    def annotate_args(self, corpus_dir, out, *extra):
-        return [
-            "annotate",
-            "--examples", str(corpus_dir / "examples.jsonl"),
-            "--retrievals", str(corpus_dir / "retrievals.jsonl"),
-            "--out", str(out),
-            *extra,
-        ]
+    def annotate_args(self, corpus_dir, out, generator=None, *extra):
+        """`ragtrim annotate` on a run config naming the corpus and ``generator``."""
+        config = {
+            "datasets": {
+                "examples": str(corpus_dir / "examples.jsonl"),
+                "retrievals": str(corpus_dir / "retrievals.jsonl"),
+            },
+            "generator": generator or {"type": "mock"},
+        }
+        config_path = corpus_dir.parent / "annotate_config.json"
+        config_path.write_text(json.dumps(config))
+        return ["annotate", "--config", str(config_path), "--out", str(out), *extra]
 
     def test_annotate_http_without_endpoint_is_a_config_error(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "5", "--seed", "1"])
         out = tmp_path / "triplets.jsonl"
-        assert cli_main(self.annotate_args(corpus_dir, out, "--generator", "http")) == 2
+        assert cli_main(self.annotate_args(corpus_dir, out, {"type": "http"})) == 2
         assert capsys.readouterr().err.startswith("ERROR: http generator requires endpoint_url")
         assert not out.exists()
         assert not (tmp_path / "triplets.jsonl.partial").exists()
@@ -579,9 +568,8 @@ class TestCli:
         with plan.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         if verb == "annotate":
-            args = self.annotate_args(
-                corpus_dir, tmp_path / "triplets.jsonl", "--mock-plan", str(plan)
-            )
+            generator = {"type": "mock", "closed_book_plan": str(plan)}
+            args = self.annotate_args(corpus_dir, tmp_path / "triplets.jsonl", generator)
         else:
             config = {
                 "datasets": {
@@ -610,9 +598,8 @@ class TestCli:
         monkeypatch.setattr(MockOracleClient, "generate", counted_generate)
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "20", "--seed", "3"])
-        args = self.annotate_args(
-            corpus_dir, tmp_path / "triplets.jsonl", "--mock-plan", str(corpus_dir / "plan.jsonl")
-        )
+        generator = {"type": "mock", "closed_book_plan": str(corpus_dir / "plan.jsonl")}
+        args = self.annotate_args(corpus_dir, tmp_path / "triplets.jsonl", generator)
         assert cli_main(args) == 0
         assert len(built_clients) == 1
         assert len(built_clients[0].seen) == len(mock_generations) > 0
@@ -621,16 +608,15 @@ class TestCli:
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "60", "--seed", "4"])
         plan = str(corpus_dir / "plan.jsonl")
-        flags = ["--confusion-threshold", "3", "--noise-rate", "0.1", "--mock-seed", "5"]
+        generator = {"type": "mock", "closed_book_plan": plan, "seed": 5,
+                     "confusion_threshold": 3, "noise_rate": 0.1}
         outputs = []
         for workers in ("1", "4"):
             out = tmp_path / f"triplets_{workers}.jsonl"
-            args = self.annotate_args(corpus_dir, out, "--mock-plan", plan, "--workers", workers)
-            assert cli_main(args + flags) == 0
+            args = self.annotate_args(corpus_dir, out, generator, "--workers", workers)
+            assert cli_main(args) == 0
             outputs.append(out.read_bytes())
 
-        generator = {"type": "mock", "closed_book_plan": plan, "seed": 5,
-                     "confusion_threshold": 3, "noise_rate": 0.1}
         config = PipelineConfig(
             examples_path=str(corpus_dir / "examples.jsonl"),
             retrievals_path=str(corpus_dir / "retrievals.jsonl"),
@@ -643,7 +629,7 @@ class TestCli:
         save_triplets(tmp_path / "library.jsonl", triplets)
         outputs.append((tmp_path / "library.jsonl").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
-        # The flags reached the mock: its fingerprint differs from the default mock's.
+        # The generator section reached the mock: its fingerprint differs from the default mock's.
         default = dict(generator, seed=0, confusion_threshold=None, noise_rate=0.0)
         default_client = build_generator(PipelineConfig("", "", [], generator=default), dataset)
         assert triplets[0].generator_fingerprint != default_client.fingerprint()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from ragtrim.annotate import annotate_dataset
@@ -35,6 +37,14 @@ class TestCorpusSpec:
         assert sum(weights.values()) == pytest.approx(1.0)
         assert weights["none"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("n_docs", [3, 7])
+    def test_default_weights_follow_n_docs(self, n_docs):
+        corpus = make_synthetic_corpus(CorpusSpec(size=200, n_docs=n_docs), seed=1)
+        assert {entry.intended_label.to_json() for entry in corpus.plan} == {
+            *range(1, n_docs + 1), "unanswerable"
+        }
+        assert {retrieval.n for retrieval in corpus.retrievals.values()} == {n_docs}
+
 
 class TestDeterminism:
     def test_same_seed_identical_files(self, tmp_path):
@@ -43,6 +53,17 @@ class TestDeterminism:
             make_synthetic_corpus(spec, seed=123).write(tmp_path / name)
         for fname in ("examples.jsonl", "retrievals.jsonl", "plan.jsonl"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    def test_default_corpus_files_unchanged(self, tmp_path):
+        """A default 5-document corpus keeps the bytes it had when its weights were fixed."""
+        paths = make_synthetic_corpus(CorpusSpec(size=50), seed=7).write(tmp_path)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == {
+            "examples": "cddfa111471ac8a33e6995cf905ed0fd925916745fc81a426f82c9137cb2a542",
+            "plan": "30f0eda63d29f0b18d378ce2b17a0175fa68cf46096000d661806f1afe3f9d14",
+            "retrievals": "74d59cf63cbf8b581e17b17e91b0742b4e48ac02e1569e7f9ac0b61e18248201",
+        }
 
     def test_different_seed_differs(self):
         spec = CorpusSpec(size=50)
