@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -11,19 +10,12 @@ from pathlib import Path
 
 from . import pipeline
 from .annotate import AnnotationAborted, AnnotationOptions, annotate_dataset
-from .data import (
-    DataError,
-    join_dataset,
-    load_examples,
-    load_retrievals,
-    load_triplets,
-    save_triplets,
-)
-from .features import FeatureSpec
+from .data import DataError, save_triplets
 from .generation import JudgeMode
 from .pipeline import (
     ConfigError,
     confusion_csv,
+    load_inputs,
     load_pipeline_config,
     parse_config,
     read_json_object,
@@ -31,17 +23,9 @@ from .pipeline import (
     report_confusion,
     run_pipeline,
     sweep_document_count,
+    train_options,
 )
-from .predictor import (
-    POLICY_DROP,
-    UNANSWERABLE_POLICIES,
-    PredictorReport,
-    TrainConfig,
-    evaluate_predictor,
-    load_model,
-    save_model,
-    train,
-)
+from .predictor import PredictorReport, evaluate_predictor, load_model, save_model, train
 from .synth import CorpusSpec, make_synthetic_corpus
 
 logger = logging.getLogger(__name__)
@@ -65,8 +49,7 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     config = load_pipeline_config(args.config)
-    examples = load_examples(config.examples_path, config.example_format)
-    dataset = join_dataset(examples, load_retrievals(config.retrievals_path))
+    dataset, _ = load_inputs(config)
     client = pipeline.build_generator(config, dataset)
     options = AnnotationOptions(
         judge_mode=JudgeMode.parse(config.judge),
@@ -97,20 +80,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_predictor(args: argparse.Namespace) -> int:
-    raw = read_json_object(args.config) if args.config else {}
-    policy = raw.pop("unanswerable_policy", POLICY_DROP)
-    if policy not in UNANSWERABLE_POLICIES:
-        raise ConfigError(f"config.unanswerable_policy must be one of {UNANSWERABLE_POLICIES}")
-    spec_keys = {f.name for f in dataclasses.fields(FeatureSpec)}
-    feature_spec = parse_config(FeatureSpec, {k: raw[k] for k in raw.keys() & spec_keys}, "config")
-    config = parse_config(TrainConfig, {k: raw[k] for k in raw.keys() - spec_keys}, "config")
-    examples = load_examples(args.examples, args.format)
-    retrievals = load_retrievals(args.retrievals)
-    dataset = join_dataset(examples, retrievals)
-    triplets = load_triplets(args.triplets, retrievals)
-    model, report = train(
-        triplets, dataset, config, feature_spec=feature_spec, unanswerable_policy=policy
-    )
+    config = load_pipeline_config(args.config)
+    dataset, triplets = load_inputs(config, with_triplets=True)
+    model, report = train(triplets, dataset, **train_options(config))
     save_model(args.out, model)
     print(f"trained on {report.n_rows} rows ({report.dropped_unanswerable} unanswerable dropped)")
     print(f"final train accuracy: {report.final_train_accuracy:.4f}")
@@ -119,11 +91,9 @@ def _cmd_train_predictor(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_predictor(args: argparse.Namespace) -> int:
+    config = load_pipeline_config(args.config)
+    dataset, triplets = load_inputs(config, with_triplets=True)
     model = load_model(args.model)
-    examples = load_examples(args.examples, args.format)
-    retrievals = load_retrievals(args.retrievals)
-    dataset = join_dataset(examples, retrievals)
-    triplets = load_triplets(args.triplets, retrievals)
     report = evaluate_predictor(model, triplets, dataset)
     Path(args.report).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
     print(render_confusion(report))
@@ -156,16 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    report = PredictorReport(
-        class_list=tuple(raw["class_list"]),
-        confusion=raw["confusion"],
-        accuracy=raw["accuracy"],
-        per_class=raw.get("per_class", {}),
-        margin_fractions={int(m): f for m, f in raw["margin_fractions"].items()},
-        n=raw["n"],
-        n_skipped=raw.get("n_skipped", 0),
-    )
+    report = PredictorReport.from_dict(read_json_object(args.report))
     print(render_confusion(report))
     if args.out:
         report_confusion(report, args.out)
@@ -205,26 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train-predictor", help="fit the compression-rate classifier")
-    p.add_argument("--triplets", required=True)
-    p.add_argument("--examples", required=True)
-    p.add_argument("--retrievals", required=True)
     p.add_argument(
         "--config",
-        help="JSON object with any of the keys "
-        + ", ".join(f.name for cls in (TrainConfig, FeatureSpec) for f in dataclasses.fields(cls))
-        + f" and unanswerable_policy ({', '.join(UNANSWERABLE_POLICIES)})",
+        required=True,
+        help="the run config; training reads its datasets (triplets included) and train",
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["qa", "conversational"], default="qa")
     p.set_defaults(func=_cmd_train_predictor)
 
     p = sub.add_parser("eval-predictor", help="held-out accuracy, confusion matrix, margins")
+    p.add_argument(
+        "--config", required=True, help="the run config; evaluation reads its datasets"
+    )
     p.add_argument("--model", required=True)
-    p.add_argument("--triplets", required=True)
-    p.add_argument("--examples", required=True)
-    p.add_argument("--retrievals", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--format", choices=["qa", "conversational"], default="qa")
     p.set_defaults(func=_cmd_eval_predictor)
 
     p = sub.add_parser("run", help="compare compression methods end to end")

@@ -1,7 +1,7 @@
 """End-to-end runs: method comparison tables, document-count sweeps, confusion reports.
 
 A run is driven by one JSON config with sections {datasets, generator,
-predictors, methods, output_dir}. Every run writes a manifest (config hash,
+predictors, methods, train, output_dir}. Every run writes a manifest (config hash,
 seeds, fingerprints, generator-call accounting) alongside its tables so
 results are reproducible artifacts.
 """
@@ -28,6 +28,7 @@ from .compress import (
     save_contexts,
 )
 from .data import (
+    AnnotatedTriplet,
     CompressionLabel,
     JoinedDataset,
     join_dataset,
@@ -35,6 +36,7 @@ from .data import (
     load_retrievals,
     load_triplets,
 )
+from .features import FeatureSpec
 from .generation import (
     GeneratorClient,
     HttpGeneratorClient,
@@ -52,11 +54,14 @@ from .metrics import (
     specificity_split,
 )
 from .predictor import (
+    POLICY_DROP,
+    UNANSWERABLE_POLICIES,
     FixedKPredictor,
     PredictorReport,
     RandomKPredictor,
     RemotePredictorClient,
     RemotePredictorConfig,
+    TrainConfig,
     load_model,
 )
 from .synth import load_plan
@@ -108,11 +113,11 @@ def read_json_object(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, got {json.dumps(raw)[:40]}")
+        raise ConfigError(f"{path} must hold a JSON object, got {json.dumps(raw)[:40]}")
     return raw
 
 
@@ -164,6 +169,7 @@ class PipelineConfig:
     output_dir: str | None = None
     split_by_answer_relevance: bool = False
     export_contexts: bool = False
+    train: dict = field(default_factory=dict)  # read by train_options; not in config_hash
 
     def __post_init__(self) -> None:
         try:
@@ -215,9 +221,9 @@ class PipelineConfig:
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     """The run config in the file at ``path``, its paths taken relative to that file.
 
-    Every key is checked, those of each ``predictors`` entry too, but no
-    dataset, triplets or model file is opened: annotation reads this config
-    before its triplets and models exist.
+    Every key is checked, those of each ``predictors`` entry and of ``train``
+    too, but no dataset, triplets or model file is opened: annotation reads
+    this config before its triplets and models exist.
     """
     config = PipelineConfig.from_dict(read_json_object(path))
     base = Path(path).parent
@@ -225,11 +231,9 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     config.retrievals_path = _resolve(base, config.retrievals_path, "datasets.retrievals")
     if config.triplets_path:
         config.triplets_path = _resolve(base, config.triplets_path, "datasets.triplets")
-    if config.generator.get("closed_book_plan"):
-        config.generator = dict(config.generator)
-        config.generator["closed_book_plan"] = _resolve(
-            base, config.generator["closed_book_plan"], "generator.closed_book_plan"
-        )
+    for key in ("closed_book_plan", "cache_dir"):
+        if config.generator.get(key):
+            config.generator[key] = _resolve(base, config.generator[key], f"generator.{key}")
     for i, entry in enumerate(config.predictors):
         if entry.get("type", "model") == "model" and entry.get("path"):
             entry["path"] = _resolve(base, entry["path"], f"predictors[{i}].path")
@@ -237,6 +241,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         out = Path(config.output_dir)
         config.output_dir = str(out if out.is_absolute() else base / out)
     build_predictors(config)
+    train_options(config)
     return config
 
 
@@ -246,25 +251,42 @@ def _resolve(base: Path, p, where: str) -> str:
     return str(path if path.is_absolute() else base / path)
 
 
-def validate_paths(config: PipelineConfig) -> None:
-    """Fail fast on missing inputs, before anything touches a generator."""
-    required = [config.examples_path, config.retrievals_path]
-    if config.triplets_path:
-        required.append(config.triplets_path)
-    if config.generator.get("closed_book_plan"):
-        required.append(config.generator["closed_book_plan"])
-    for entry in config.predictors:
-        if entry.get("type", "model") == "model":
-            required.append(entry.get("path", ""))
-    for p in required:
-        if not p or not Path(p).exists():
-            raise ConfigError(f"missing referenced file: {p!r}")
-    if not config.methods:
-        raise ConfigError("config must list at least one method")
-    if METHOD_ORACLE in config.methods and not config.triplets_path:
-        raise ConfigError("oracle method requires datasets.triplets")
-    if METHOD_ADAPTIVE in config.methods and not config.predictors:
-        raise ConfigError("adaptive method requires at least one configured predictor")
+def load_inputs(
+    config: PipelineConfig, with_triplets: bool = False
+) -> tuple[JoinedDataset, list[AnnotatedTriplet] | None]:
+    """The joined dataset of ``config`` and, given ``with_triplets``, its annotated triplets.
+
+    A missing or malformed file is a DataError; triplets asked for while
+    ``datasets.triplets`` is unset are a ConfigError.
+    """
+    if with_triplets and not config.triplets_path:
+        raise ConfigError(
+            "the oracle method, train-predictor and eval-predictor read datasets.triplets, "
+            "which is unset"
+        )
+    examples = load_examples(config.examples_path, config.example_format)
+    retrievals = load_retrievals(config.retrievals_path)
+    triplets = load_triplets(config.triplets_path, retrievals) if with_triplets else None
+    return join_dataset(examples, retrievals), triplets
+
+
+def train_options(config: PipelineConfig) -> dict:
+    """The ``train`` section as keyword arguments of ``predictor.train``, every key checked.
+
+    It takes the fields of TrainConfig and FeatureSpec and ``unanswerable_policy``.
+    """
+    raw = dict(config.train)
+    policy = raw.pop("unanswerable_policy", POLICY_DROP)
+    if policy not in UNANSWERABLE_POLICIES:
+        raise ConfigError(f"train.unanswerable_policy must be one of {UNANSWERABLE_POLICIES}")
+    spec_keys = {f.name for f in fields(FeatureSpec)}
+    return {
+        "config": parse_config(TrainConfig, {k: raw[k] for k in raw.keys() - spec_keys}, "train"),
+        "feature_spec": parse_config(
+            FeatureSpec, {k: raw[k] for k in raw.keys() & spec_keys}, "train"
+        ),
+        "unanswerable_policy": policy,
+    }
 
 
 def build_generator(config: PipelineConfig, dataset: JoinedDataset) -> GeneratorClient:
@@ -346,14 +368,6 @@ class RunResult:
         return {m.name: m for m in self.methods}
 
 
-def _load(config: PipelineConfig):
-    """Validate, load and join the configured dataset; returns (dataset, retrievals)."""
-    validate_paths(config)
-    examples = load_examples(config.examples_path, config.example_format)
-    retrievals = load_retrievals(config.retrievals_path)
-    return join_dataset(examples, retrievals), retrievals
-
-
 def _evaluate(
     rows: Sequence[tuple[str, Callable | None, str]],
     dataset: JoinedDataset,
@@ -420,14 +434,14 @@ def _evaluate(
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Run every configured method over the dataset and aggregate one table."""
-    dataset, retrievals = _load(config)
+    if not config.methods:
+        raise ConfigError("config must list at least one method")
+    if METHOD_ADAPTIVE in config.methods and not config.predictors:
+        raise ConfigError("adaptive method requires at least one configured predictor")
+    dataset, triplets = load_inputs(config, with_triplets=METHOD_ORACLE in config.methods)
     predictors = build_predictors(config, max(retrieval.n for _, retrieval in dataset))
     client = build_generator(config, dataset)
-
-    oracle_labels: dict[str, CompressionLabel] = {}
-    if config.triplets_path:
-        for t in load_triplets(config.triplets_path, retrievals):
-            oracle_labels[t.example_id] = t.label
+    oracle_labels = {t.example_id: t.label for t in triplets or ()}
 
     splits = None
     if config.split_by_answer_relevance:
@@ -538,7 +552,7 @@ class SweepPoint:
 
 def sweep_document_count(config: PipelineConfig) -> list[SweepPoint]:
     """Evaluate every fixed prefix size k = 0..N; k=0 is the closed-book rate."""
-    dataset, _ = _load(config)
+    dataset, _ = load_inputs(config)
     client = build_generator(config, dataset)
     max_k = min(retrieval.n for _, retrieval in dataset)
     rows = [
@@ -622,6 +636,8 @@ __all__ = [
     "RunResult",
     "SweepPoint",
     "load_pipeline_config",
+    "load_inputs",
+    "train_options",
     "read_json_object",
     "build_generator",
     "build_predictors",

@@ -40,7 +40,7 @@ POLICY_OWN_CLASS = "own_class"
 UNANSWERABLE_POLICIES = (POLICY_DROP, POLICY_MAP_TO_N, POLICY_OWN_CLASS)
 
 
-class FeatureSpecMismatch(ValueError):
+class FeatureSpecMismatch(DataError):
     """A model file was saved under a different feature layout."""
 
 
@@ -291,6 +291,22 @@ class PredictorReport:
             "n_skipped": self.n_skipped,
         }
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "PredictorReport":
+        """The report ``to_dict`` wrote; a missing key or a wrong type is a DataError."""
+        try:
+            return cls(
+                class_list=tuple(raw["class_list"]),
+                confusion=raw["confusion"],
+                accuracy=raw["accuracy"],
+                per_class=raw.get("per_class", {}),
+                margin_fractions={int(m): f for m, f in raw["margin_fractions"].items()},
+                n=raw["n"],
+                n_skipped=raw.get("n_skipped", 0),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed predictor report: {exc!r}") from exc
+
 
 def _margin(true_cls, pred_cls) -> float:
     if true_cls == pred_cls:
@@ -475,20 +491,25 @@ def load_model(path: str | Path) -> PredictorModel:
         raise DataError(f"cannot read model {path}: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8 or not JSON
         raise DataError(f"model {path} is not valid JSON: {exc}") from exc
-    feature_spec = FeatureSpec(max_docs=int(payload["feature_spec"]["max_docs"]))
-    if payload["feature_spec_hash"] != feature_spec.spec_hash():
+    try:
+        feature_spec = FeatureSpec(max_docs=int(payload["feature_spec"]["max_docs"]))
+        spec_hash = payload["feature_spec_hash"]
+        class_list = tuple(
+            c if c == UNANSWERABLE_CLASS else int(c) for c in payload["class_list"]
+        )
+        train_config = payload.get("train_config")
+        train_config = TrainConfig(**train_config) if train_config else None
+        weights = np.array(payload["weights"], dtype=np.float64)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model {path}: {exc!r}") from exc
+    if spec_hash != feature_spec.spec_hash():
         raise FeatureSpecMismatch(
-            f"model file hash {payload['feature_spec_hash']} does not match "
+            f"model file hash {spec_hash} does not match "
             f"feature layout {feature_spec.spec_hash()}"
         )
-    class_list = tuple(
-        c if c == UNANSWERABLE_CLASS else int(c) for c in payload["class_list"]
-    )
-    train_config = TrainConfig(**payload["train_config"]) if payload.get("train_config") else None
-    weights = np.array(payload["weights"], dtype=np.float64)
     if weights.shape != (len(class_list), feature_spec.dim):
-        raise ValueError(
-            f"weight shape {weights.shape} does not match "
+        raise DataError(
+            f"model {path}: weight shape {weights.shape} does not match "
             f"({len(class_list)}, {feature_spec.dim})"
         )
     return PredictorModel(

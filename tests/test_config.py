@@ -16,11 +16,29 @@ import ragtrim.generation
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
 from ragtrim.cli import main as cli_main
-from ragtrim.data import join_dataset, save_triplets
+from ragtrim.data import (
+    join_dataset,
+    load_examples,
+    load_retrievals,
+    load_triplets,
+    save_triplets,
+)
 from ragtrim.features import FeatureSpec
 from ragtrim.generation import HttpGeneratorConfig, MockOracleConfig, Prompt
-from ragtrim.pipeline import PipelineConfig, build_generator, parse_config, run_pipeline
-from ragtrim.predictor import PredictorModel, RemotePredictorConfig, save_model
+from ragtrim.pipeline import (
+    PipelineConfig,
+    build_generator,
+    parse_config,
+    run_pipeline,
+    train_options,
+)
+from ragtrim.predictor import (
+    PredictorModel,
+    RemotePredictorConfig,
+    TrainConfig,
+    save_model,
+    train,
+)
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
 from helpers import http_response, make_example, make_retrieval
 
@@ -148,20 +166,39 @@ def verb(*words):
 NO_FILE = "nope.json: No such file or directory"
 
 
-def train_args(paths, tmp_path, triplets=None):
-    return ["train-predictor", "--triplets", triplets or paths["triplets"], "--examples",
-            paths["examples"], "--retrievals", paths["retrievals"], "--out",
-            str(tmp_path / "model.json")]
+def labelled(**keys):
+    """A config change: datasets.triplets names the corpus annotation; ``keys`` go on top."""
+
+    def change(config, paths):
+        config["datasets"]["triplets"] = paths["triplets"]
+        config.update(keys)
+
+    return change
+
+
+def train_args(change=labelled()):
+    """CLI args of `ragtrim train-predictor` on the `ragtrim run` config after ``change``."""
+
+    def args(paths, tmp_path):
+        return ["train-predictor", *run(change)(paths, tmp_path)[1:],
+                "--out", str(tmp_path / "model.json")]
+
+    return args
+
+
+def eval_args(change=labelled()):
+    """CLI args of `ragtrim eval-predictor` but --model, on the `ragtrim run` config after
+    ``change``."""
+
+    def args(paths, tmp_path):
+        return ["eval-predictor", *run(change)(paths, tmp_path)[1:],
+                "--report", str(tmp_path / "report.json")]
+
+    return args
 
 
 def corpus_args(paths, tmp_path):
     return ["make-corpus", "--out-dir", str(tmp_path / "made"), "--size", "5"]
-
-
-def eval_args(paths, tmp_path):
-    return ["eval-predictor", "--model", str(tmp_path / "nope.json"), "--triplets",
-            paths["triplets"], "--examples", paths["examples"], "--retrievals",
-            paths["retrievals"], "--report", str(tmp_path / "report.json")]
 
 
 def unused_remote(**keys):
@@ -210,6 +247,9 @@ RUN_DEFECTS = [
     ("unused-model-too-small",
      run(lambda config, paths: config.update(predictors=[{"path": paths["small_model"]}])),
      "small_model.json takes at most 3 documents, but the dataset has N=5"),
+    ("train-typo", top(train={"epoch": 5}), "unknown key train.epoch"),
+    ("train-type", top(train=[]), "train must be dict"),
+    ("cache-dir-type", http(cache_dir=5), "generator.cache_dir must be str"),
 ]
 # Checked by run alone: annotation opens no model file, as it comes before the model exists.
 MODEL_SIZE_DEFECTS = {"model-too-small", "unused-model-too-small"}
@@ -230,17 +270,35 @@ DEFECTS = [
      "in.json is not valid JSON"),
     ("annotate-config-not-object", with_json(verb("annotate", "--out", "t.jsonl"), "--config", []),
      "in.json must hold a JSON object"),
-    ("train-config-typo", with_json(train_args, "--config", {"epoch": 5}),
-     "unknown key config.epoch"),
-    ("train-config-type", with_json(train_args, "--config", {"max_docs": "5"}),
-     "config.max_docs must be int"),
-    ("train-config-policy", with_json(train_args, "--config", {"unanswerable_policy": "x"}),
-     "config.unanswerable_policy must be one of"),
-    ("train-config-truncated", with_text(train_args, "--config", '{"epochs": 5'),
+    ("train-config-typo", train_args(labelled(train={"epoch": 5})), "unknown key train.epoch"),
+    ("train-config-type", train_args(labelled(train={"max_docs": "5"})),
+     "train.max_docs must be int"),
+    ("train-config-policy", train_args(labelled(train={"unanswerable_policy": "x"})),
+     "train.unanswerable_policy must be one of"),
+    ("train-config-truncated",
+     with_text(verb("train-predictor", "--out", "model.json"), "--config",
+               '{"train": {"epochs": 5}'),
      "in.json is not valid JSON"),
     ("train-missing-triplets",
-     lambda paths, tmp_path: train_args(paths, tmp_path, str(tmp_path / "nope.json")), NO_FILE),
-    ("eval-missing-model", eval_args, NO_FILE),
+     train_args(lambda config, paths: config["datasets"].update(triplets="nope.json")), NO_FILE),
+    ("train-without-triplets", train_args(lambda config, paths: None),
+     "read datasets.triplets, which is unset"),
+    ("eval-without-triplets", with_json(eval_args(lambda config, paths: None), "--model", {}),
+     "read datasets.triplets, which is unset"),
+    ("eval-missing-model", lambda paths, tmp_path: [
+        *eval_args()(paths, tmp_path), "--model", str(tmp_path / "nope.json")], NO_FILE),
+    ("eval-model-missing-key", with_json(eval_args(), "--model", {"feature_spec": {}}),
+     "in.json: KeyError('max_docs')"),
+    ("eval-model-type", with_json(eval_args(), "--model", {"feature_spec": [5]}),
+     "in.json: TypeError("),
+    ("report-missing", lambda paths, tmp_path: ["report", "--report", str(tmp_path / "nope.json")],
+     NO_FILE),
+    ("report-not-json", with_text(verb("report"), "--report", '{"n": '),
+     "in.json is not valid JSON"),
+    ("report-not-object", with_json(verb("report"), "--report", [1]),
+     "in.json must hold a JSON object"),
+    ("report-missing-key", with_json(verb("report"), "--report", {"class_list": [0, 1]}),
+     "malformed predictor report: KeyError('confusion')"),
     ("corpus-spec-typo", with_json(corpus_args, "--spec", {"n_doc": 3}), "unknown key spec.n_doc"),
     ("corpus-spec-not-object", with_json(corpus_args, "--spec", [1]),
      "in.json must hold a JSON object"),
@@ -261,12 +319,54 @@ def test_config_defect_exits_2_before_any_request(
     assert posts == []
 
 
+def unlabelled_sweep(paths, tmp_path):
+    """`ragtrim sweep` on a config without methods whose triplets and model files do not exist."""
+
+    def change(config, paths):
+        del config["methods"]
+        config["datasets"]["triplets"] = "nope.jsonl"
+        config["predictors"] = [{"path": "nope.json"}]
+
+    return ["sweep", *run(change)(paths, tmp_path)[1:]]
+
+
 @pytest.mark.parametrize("make_args", [run(lambda config, paths: None),
-                                       annotate(run(lambda config, paths: None))],
-                         ids=["run", "annotate"])
+                                       annotate(run(lambda config, paths: None)),
+                                       unlabelled_sweep],
+                         ids=["run", "annotate", "sweep-without-methods"])
 def test_valid_config_reaches_the_counting_session(corpus, tmp_path, posts, make_args):
     assert cli_main(make_args(corpus, tmp_path)) == 0
     assert posts and set(posts) == {GENERATOR_URL}
+
+
+@pytest.mark.parametrize(
+    "keys, options",
+    [({}, {}),
+     ({"train": {"epochs": 3, "seed": 7, "learning_rate": 0.1, "max_docs": 6,
+                 "unanswerable_policy": "own_class"}},
+      {"config": TrainConfig(epochs=3, seed=7, learning_rate=0.1),
+       "feature_spec": FeatureSpec(max_docs=6), "unanswerable_policy": "own_class"})],
+    ids=["no-train-section", "train-section"],
+)
+def test_train_predictor_writes_the_model_train_writes(corpus, tmp_path, keys, options):
+    """The model file is the one train() writes: at its defaults when the config has no train
+    section, else with the section's settings."""
+    assert cli_main(train_args(labelled(**keys))(corpus, tmp_path)) == 0
+    dataset = join_dataset(load_examples(corpus["examples"]), load_retrievals(corpus["retrievals"]))
+    model, _ = train(load_triplets(corpus["triplets"]), dataset, **options)
+    save_model(tmp_path / "expected.json", model)
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_cache_dir_is_relative_to_the_config_file(corpus, tmp_path, posts, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    config = valid_run_config(corpus, tmp_path)
+    config["generator"]["cache_dir"] = "cache"
+    (tmp_path / "sub" / "c.json").write_text(json.dumps(config))
+    assert cli_main(["run", "--config", "sub/c.json"]) == 0
+    assert posts and list((tmp_path / "sub" / "cache").glob("*.json"))
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize(
@@ -403,3 +503,8 @@ def test_readme_run_configs_parse_and_name_every_key(monkeypatch):
     # from_dict accepted each key, so as many keys as fields means every field is named.
     top_keys = blocks[0].keys() - {"datasets"} | {f"datasets.{k}" for k in blocks[0]["datasets"]}
     assert len(top_keys) == len(dataclasses.fields(PipelineConfig))
+    # The train section names every key, each at its default.
+    train_keys = {f.name for cls in (TrainConfig, FeatureSpec) for f in dataclasses.fields(cls)}
+    assert blocks[0]["train"].keys() == train_keys | {"unanswerable_policy"}
+    assert train_options(PipelineConfig.from_dict(blocks[0])) == train_options(
+        PipelineConfig("", ""))

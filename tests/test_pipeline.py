@@ -8,7 +8,7 @@ import pytest
 
 from ragtrim.annotate import annotate_dataset
 from ragtrim.cli import main as cli_main
-from ragtrim.data import join_dataset, load_examples, load_retrievals, save_triplets
+from ragtrim.data import DataError, join_dataset, load_examples, load_retrievals, save_triplets
 from ragtrim.generation import MockOracleClient
 from ragtrim.pipeline import (
     ConfigError,
@@ -67,11 +67,13 @@ def base_config(prepared, out_dir=None, methods=None, generator=None):
 
 
 class TestConfigValidation:
-    def test_missing_file_fails_before_generation(self, prepared):
-        config = base_config(prepared)
-        config.examples_path = str(prepared["root"] / "nope.jsonl")
-        with pytest.raises(ConfigError, match="missing referenced file"):
-            run_pipeline(config)
+    def test_missing_file_fails_before_generation(self, prepared, monkeypatch):
+        """Each file the run reads is opened before the first generator call."""
+        monkeypatch.setattr(MockOracleClient, "generate", None)  # a call would raise TypeError
+        for key in ("examples", "retrievals", "triplets", "plan", "model"):
+            config = base_config({**prepared, key: str(prepared["root"] / f"nope_{key}")})
+            with pytest.raises(DataError, match=f"nope_{key}"):
+                run_pipeline(config)
 
     def test_empty_methods_rejected(self, prepared):
         config = PipelineConfig.from_dict(
@@ -454,7 +456,7 @@ class TestCli:
     def test_full_cli_flow(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         assert cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "40", "--seed", "2"]) == 0
-        # One config for annotate, run and sweep; its triplets and model do not exist yet.
+        # One config for every verb; its triplets and model do not exist yet.
         config = {
             "datasets": {
                 "examples": str(corpus_dir / "examples.jsonl"),
@@ -483,19 +485,15 @@ class TestCli:
         assert cli_main(
             [
                 "train-predictor",
-                "--triplets", str(tmp_path / "triplets.jsonl"),
-                "--examples", str(corpus_dir / "examples.jsonl"),
-                "--retrievals", str(corpus_dir / "retrievals.jsonl"),
+                "--config", str(config_path),
                 "--out", str(tmp_path / "model.json"),
             ]
         ) == 0
         assert cli_main(
             [
                 "eval-predictor",
+                "--config", str(config_path),
                 "--model", str(tmp_path / "model.json"),
-                "--triplets", str(tmp_path / "triplets.jsonl"),
-                "--examples", str(corpus_dir / "examples.jsonl"),
-                "--retrievals", str(corpus_dir / "retrievals.jsonl"),
                 "--report", str(tmp_path / "report.json"),
             ]
         ) == 0
