@@ -9,20 +9,23 @@ so corpus-scale behavior is fully deterministic and replayable.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
+import http.client
 import json
 import logging
 import os
+import select
+import ssl
 import tempfile
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
+from json import dumps as json_dumps
 from pathlib import Path
-from typing import TYPE_CHECKING, ContextManager, Mapping, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from urllib.parse import urlsplit, urlunsplit
 
 from .metrics import exact_match, normalize_answer, token_f1
 
@@ -32,8 +35,9 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNKNOWN_ANSWER = "UNKNOWN"
-# POSTs one HttpGeneratorClient has in flight at once (annotate --workers runs threads).
+# POSTs one HttpSession has in flight at once (annotate --workers runs threads).
 MAX_IN_FLIGHT = 4
+DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 class TransportError(RuntimeError):
@@ -255,10 +259,126 @@ class HttpGeneratorConfig:
 
 
 def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig) -> None:
-    """Range checks on the settings post_json reads, shared by both endpoint configs."""
+    """Checks on the settings post_json reads, shared by both endpoint configs: ranges,
+    an http(s) URL, and a proxy for it that HttpSession can use."""
     for name, least in (("max_retries", 0), ("timeout_ms", 1), ("backoff_base_s", 0)):
         if getattr(config, name) < least:
             raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)}")
+    url = urlsplit(config.endpoint_url)
+    if url.scheme not in DEFAULT_PORTS or not url.hostname:
+        raise ValueError(f"endpoint_url must be an http:// or https:// URL, got {url.geturl()!r}")
+    proxy_for(url.scheme, url.hostname, urllib.request.getproxies())
+
+
+def proxy_for(scheme: str, host: str, proxies: Mapping[str, str]) -> tuple[str, int] | None:
+    """(host, port) of the proxy that ``proxies`` (urllib.request.getproxies) names for ``host``.
+
+    None means connect directly: no ``scheme`` or ``all`` proxy is set, or ``host``
+    matches no_proxy. Only a plain ``http://host[:port]`` proxy is supported; any
+    other (credentials, socks, https) is a ValueError, so none is ignored silently.
+    """
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(host):
+        return None
+    parts = urlsplit(proxy)
+    if (parts.scheme != "http" or not parts.hostname or parts.username is not None
+            or parts.path not in ("", "/") or parts.query):
+        raise ValueError(f"unsupported proxy {proxy!r} for {scheme}://{host}: "
+                         "only http://host:port proxies are supported")
+    return parts.hostname, parts.port or DEFAULT_PORTS["http"]
+
+
+@dataclass(frozen=True)
+class HttpResponse:
+    """What HttpSession.post returns: the status code and the raw body."""
+
+    status_code: int
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+class HttpSession:
+    """Keep-alive HTTP/1.1 connections for JSON POSTs, pooled per (scheme, host, port).
+
+    At most MAX_IN_FLIGHT POSTs are in flight at once. The proxy settings are
+    read once, here, and each host's route once (see proxy_for): a plain HTTP
+    proxy gets an absolute-form target for ``http`` and a CONNECT tunnel for
+    ``https``. TLS uses ssl.create_default_context(). ``post`` sends its request
+    once; a failure raises OSError or http.client.HTTPException, and the
+    caller decides whether to send it again.
+    """
+
+    def __init__(self):
+        self._proxies = urllib.request.getproxies()
+        self._routes: dict[tuple, tuple[str, int] | None] = {}
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
+        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        self._tls: ssl.SSLContext | None = None
+
+    def post(self, url: str, json, headers: Mapping[str, str] | None = None,
+             timeout: float | None = None) -> HttpResponse:
+        parts = urlsplit(url)
+        key = (parts.scheme, parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme])
+        body = json_dumps(json).encode("utf-8")
+        with self._slots:
+            conn, proxy = self._checkout(key)
+            absolute = proxy is not None and parts.scheme == "http"
+            target = url if absolute else urlunsplit(("", "", parts.path or "/", parts.query, ""))
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            try:
+                conn.request("POST", target, body,
+                             {"Content-Type": "application/json", **(headers or {})})
+                response = conn.getresponse()
+                content = response.read()
+            except BaseException:
+                conn.close()
+                raise
+            if response.will_close:
+                conn.close()
+            else:
+                with self._lock:
+                    self._idle.setdefault(key, []).append(conn)
+        return HttpResponse(response.status, content)
+
+    def close(self) -> None:
+        """Close the idle connections; a later ``post`` opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+    def _checkout(self, key: tuple) -> tuple[http.client.HTTPConnection, tuple[str, int] | None]:
+        """An idle connection to ``key`` that the server has not closed, else a new one."""
+        with self._lock:
+            if key not in self._routes:
+                self._routes[key] = proxy_for(key[0], key[1], self._proxies)
+            idle = self._idle.get(key, [])
+            while idle:
+                conn = idle.pop()
+                # An idle socket is readable only once the server closed it (or broke protocol).
+                if conn.sock is not None and not select.select([conn.sock], [], [], 0)[0]:
+                    return conn, self._routes[key]
+                conn.close()
+            proxy = self._routes[key]
+        scheme, host, port = key
+        if scheme == "http":
+            return http.client.HTTPConnection(*(proxy or (host, port))), proxy
+        if self._tls is None:
+            self._tls = ssl.create_default_context()
+        conn = http.client.HTTPSConnection(*(proxy or (host, port)), context=self._tls)
+        if proxy is not None:
+            conn.set_tunnel(host, port)
+        return conn, proxy
 
 
 def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
@@ -271,18 +391,18 @@ def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
 
 
 def post_json(
-    session: requests.Session,
+    session: HttpSession,
     config: HttpGeneratorConfig | RemotePredictorConfig,
     payload: dict,
     headers: Mapping[str, str] | None = None,
-    gate: ContextManager = contextlib.nullcontext(),
 ) -> dict:
     """POST ``payload`` as JSON and return the JSON object the endpoint answers.
 
-    The one failure policy of both HTTP clients. Timeouts, dropped connections
-    and 5xx are retried ``max_retries`` times with exponential backoff, then
-    raise TransportError; a 4xx, or a 2xx body that is not a JSON object,
-    raises ProtocolError at once. ``gate`` is held around each POST only.
+    The one failure policy of both HTTP clients. Socket errors (timeouts,
+    refused, reset and dropped connections: OSError), broken HTTP replies
+    (http.client.HTTPException) and 5xx are retried ``max_retries`` times with
+    exponential backoff, then raise TransportError; a 4xx, or a 2xx body that
+    is not a JSON object, raises ProtocolError at once.
     """
     attempts = config.max_retries + 1
     error: Exception | None = None
@@ -290,10 +410,9 @@ def post_json(
         if attempt > 0:
             time.sleep(config.backoff_base_s * 2 ** (attempt - 1))
         try:
-            with gate:
-                resp = session.post(config.endpoint_url, json=payload, headers=headers,
-                                    timeout=config.timeout_ms / 1000.0)
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            resp = session.post(config.endpoint_url, json=payload, headers=headers,
+                                timeout=config.timeout_ms / 1000.0)
+        except (OSError, http.client.HTTPException) as exc:
             error = exc
         else:
             if not 500 <= resp.status_code < 600:
@@ -320,12 +439,11 @@ def post_json(
 class HttpGeneratorClient:
     """GeneratorClient speaking plain JSON over HTTP POST, with retries and a disk cache."""
 
-    def __init__(self, config: HttpGeneratorConfig, session: requests.Session | None = None):
+    def __init__(self, config: HttpGeneratorConfig, session: HttpSession | None = None):
         self.config = config
-        self.session = session or requests.Session()
+        self.session = session or HttpSession()
         self.calls = 0
         self.cache_hits = 0
-        self._in_flight = threading.Semaphore(MAX_IN_FLIGHT)
         self._counter_lock = threading.Lock()
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
@@ -355,12 +473,12 @@ class HttpGeneratorClient:
         return text
 
     def _fetch(self, payload: dict) -> str:
-        headers = {"Content-Type": "application/json"}
+        headers = {}
         if self.config.api_key_env_var:
             key = os.environ.get(self.config.api_key_env_var)
             if key:
                 headers["Authorization"] = f"Bearer {key}"
-        body = post_json(self.session, self.config, payload, headers, gate=self._in_flight)
+        body = post_json(self.session, self.config, payload, headers)
         if "text" not in body:
             raise ProtocolError(f"response missing 'text' field: {str(body)[:200]}")
         return str(body["text"])

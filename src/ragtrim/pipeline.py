@@ -356,6 +356,7 @@ class MethodResult:
 
 
 # Per-row generation counters; the manifest records each per method and as a total.
+# A remote predictor's row also records its ``fallbacks`` (calls answered with k=N).
 _RUN_COUNTERS = ("generator_calls", "cache_hits", "reused")
 
 
@@ -458,6 +459,10 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         for row in _method_rows(m, config, dataset, oracle_labels, predictors)
     ]
     method_results = _evaluate(rows, dataset, client, config, splits)
+    per_method = {m.name: {key: getattr(m, key) for key in _RUN_COUNTERS} for m in method_results}
+    for name, predictor in predictors:
+        if name in per_method and isinstance(predictor, RemotePredictorClient):
+            per_method[name]["fallbacks"] = predictor.fallbacks
     manifest = {
         "config_sha256": config.config_hash(),
         "seed": config.seed,
@@ -466,9 +471,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "methods": [m.name for m in method_results],
         "method_fingerprints": {m.name: m.fingerprint for m in method_results},
         **{key: sum(getattr(m, key) for m in method_results) for key in _RUN_COUNTERS},
-        "per_method": {
-            m.name: {key: getattr(m, key) for key in _RUN_COUNTERS} for m in method_results
-        },
+        "per_method": per_method,
         "n_examples": len(dataset),
         "dropped_example_ids": dataset.dropped_ids,
     }

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .data import (
     AnnotatedTriplet,
@@ -28,7 +27,13 @@ from .data import (
     RetrievalSet,
 )
 from .features import FeatureSpec, extract_features
-from .generation import ProtocolError, TransportError, check_endpoint_settings, post_json
+from .generation import (
+    HttpSession,
+    ProtocolError,
+    TransportError,
+    check_endpoint_settings,
+    post_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -293,19 +298,47 @@ class PredictorReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PredictorReport":
-        """The report ``to_dict`` wrote; a missing key or a wrong type is a DataError."""
+        """The report ``to_dict`` wrote; a missing key or a wrong type is a DataError
+        naming the key."""
+        raw = {"per_class": {}, "n_skipped": 0, **raw}
+        expected = {
+            "class_list": ("a non-empty list", lambda v: isinstance(v, list) and v),
+            "confusion": ("a list of rows of counts", lambda v: isinstance(v, list) and all(
+                isinstance(row, list) and all(map(_is_int, row)) for row in v)),
+            "accuracy": ("a number", _is_number),
+            "per_class": ("an object", lambda v: isinstance(v, dict)),
+            "margin_fractions": ("an object of numbers", lambda v: isinstance(v, dict)
+                                 and all(map(_is_number, v.values()))),
+            "n": ("an int", _is_int),
+            "n_skipped": ("an int", _is_int),
+        }
+        for key, (kind, valid) in expected.items():
+            if key not in raw:
+                raise DataError(f"malformed predictor report: {KeyError(key)!r}")
+            if not valid(raw[key]):
+                raise DataError(f"malformed predictor report: {key} must be {kind}, "
+                                f"got {json.dumps(raw[key])[:40]}")
         try:
-            return cls(
-                class_list=tuple(raw["class_list"]),
-                confusion=raw["confusion"],
-                accuracy=raw["accuracy"],
-                per_class=raw.get("per_class", {}),
-                margin_fractions={int(m): f for m, f in raw["margin_fractions"].items()},
-                n=raw["n"],
-                n_skipped=raw.get("n_skipped", 0),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed predictor report: {exc!r}") from exc
+            margin_fractions = {int(m): f for m, f in raw["margin_fractions"].items()}
+        except ValueError as exc:
+            raise DataError(f"malformed predictor report: margin_fractions: {exc}") from exc
+        return cls(
+            class_list=tuple(raw["class_list"]),
+            confusion=raw["confusion"],
+            accuracy=raw["accuracy"],
+            per_class=raw["per_class"],
+            margin_fractions=margin_fractions,
+            n=raw["n"],
+            n_skipped=raw["n_skipped"],
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _margin(true_cls, pred_cls) -> float:
@@ -437,9 +470,13 @@ class RemotePredictorConfig:
 
 
 class RemotePredictorClient:
-    def __init__(self, config: RemotePredictorConfig, session: requests.Session | None = None):
+    """Predictor served over HTTP; ``fallbacks`` counts the calls answered with k=N
+    because the endpoint failed."""
+
+    def __init__(self, config: RemotePredictorConfig, session: HttpSession | None = None):
         self.config = config
-        self.session = session or requests.Session()
+        self.session = session or HttpSession()
+        self.fallbacks = 0
 
     def predict_label(self, example: QAExample, retrieval: RetrievalSet) -> CompressionLabel:
         payload = {
@@ -459,6 +496,7 @@ class RemotePredictorClient:
             if not self.config.fallback_to_full:
                 raise
             logger.warning("remote predictor failed (%s); keeping all %d documents", exc, retrieval.n)
+            self.fallbacks += 1
             k = retrieval.n
         return CompressionLabel.keep(k)
 

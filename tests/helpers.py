@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,18 +73,14 @@ MALFORMED_BODIES = {
 
 
 def http_response(status: int, body: bytes):
-    """A requests.Response with the given status and raw body, as a session returns it."""
-    import requests
+    """The response HttpSession.post returns for the given status and raw body."""
+    from ragtrim.generation import HttpResponse
 
-    response = requests.Response()
-    response.status_code = status
-    response._content = body
-    response.encoding = "utf-8"
-    return response
+    return HttpResponse(status, body)
 
 
 class BodySession:
-    """Stands in for a requests session; every POST gets a 200 with the given body."""
+    """Stands in for an HttpSession; every POST gets a 200 with the given body."""
 
     def __init__(self, body: bytes):
         self.body = body
@@ -92,6 +89,13 @@ class BodySession:
     def post(self, *args, **kwargs):
         self.posts += 1
         return http_response(200, self.body)
+
+
+def clear_proxy_env(monkeypatch) -> None:
+    """Unset every proxy variable, so a test does not depend on the machine's settings."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 def free_port() -> int:
@@ -105,35 +109,60 @@ def free_port() -> int:
 class ScriptedServer:
     """Local HTTP server that replays a list of (status, payload) responses.
 
-    The last response repeats once the script is exhausted. Request bodies
-    and headers are recorded for assertions.
+    The last response repeats once the script is exhausted. A payload may be
+    a function of the request body. A status of "drop" reads the request and
+    closes the connection without a reply.
+    Request bodies, targets, headers and client ports are recorded for
+    assertions. With ``keep_alive`` the server speaks HTTP/1.1 and keeps each
+    connection open; ``close_after_reply`` then closes it after each reply
+    without announcing it, and releases ``closed`` once it is closed.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, keep_alive=False, close_after_reply=False):
         self.script = list(script)
-        self.requests: list[dict] = []
+        self.bodies: list[dict] = []
+        self.paths: list[str] = []
         self.headers_seen: list[dict] = []
+        self.ports: list[int] = []
+        self.closed = threading.Semaphore(0)
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length) if length else b"{}"
-                outer.requests.append(json.loads(raw or b"{}"))
+                request = json.loads(raw or b"{}")
+                outer.bodies.append(request)
+                outer.paths.append(self.path)
                 outer.headers_seen.append(dict(self.headers))
-                idx = min(len(outer.requests) - 1, len(outer.script) - 1)
+                outer.ports.append(self.client_address[1])
+                idx = min(len(outer.bodies) - 1, len(outer.script) - 1)
                 status, payload = outer.script[idx]
+                if status == "drop":
+                    self.close_connection = True
+                    return
+                if callable(payload):
+                    payload = payload(request)
                 body = json.dumps(payload).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
+                if close_after_reply:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(ThreadingHTTPServer):
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                outer.closed.release()
+
+        self.server = Server(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     @property

@@ -1,17 +1,17 @@
 """Fault injection for the HTTP generator and the remote predictor: one failure policy.
 
-Both clients post through ``generation.post_json``. A timeout, a dropped
-connection or a 5xx is retried; a 4xx or a malformed 200 ends the call on
+Both clients post through ``generation.post_json``. A timeout, a reset or
+dropped connection or a 5xx is retried; a 4xx or a malformed 200 ends the call on
 that attempt; retries that run out raise TransportError.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,13 +29,13 @@ from ragtrim.predictor import RemotePredictorClient, RemotePredictorConfig
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
 from helpers import http_response, make_example, make_retrieval
 
-RETRIED = ("timeout", "dropped", 500, 503)
+RETRIED = ("timeout", "reset", "dropped", 500, 503)
 ENDS_THE_CALL = (400, 401, "not-json", "not-object")
 OUTCOMES = (*RETRIED, *ENDS_THE_CALL, "valid")
 
 
 class FaultSession:
-    """Stands in for a requests session; the n-th POST gets the n-th scripted outcome."""
+    """Stands in for an HttpSession; the n-th POST gets the n-th scripted outcome."""
 
     def __init__(self, outcomes, valid_body: bytes):
         self.outcomes = outcomes
@@ -46,9 +46,11 @@ class FaultSession:
         outcome = self.outcomes[self.posts]
         self.posts += 1
         if outcome == "timeout":
-            raise requests.Timeout("injected timeout")
+            raise TimeoutError("injected timeout")
+        if outcome == "reset":
+            raise ConnectionResetError("injected reset connection")
         if outcome == "dropped":
-            raise requests.ConnectionError("injected dropped connection")
+            raise http.client.RemoteDisconnected("injected dropped connection")
         bodies = {"not-json": b"x", "not-object": b"[]", "valid": self.valid_body}
         if outcome in bodies:
             return http_response(200, bodies[outcome])
@@ -110,6 +112,7 @@ def test_predictor_follows_the_failure_policy(outcomes, fallback_to_full):
         with pytest.raises(error):
             client.predict_label(make_example(), retrieval)
     assert session.posts == posts <= config.max_retries + 1
+    assert client.fallbacks == (expected != "valid" and fallback_to_full)
 
 
 def test_annotation_through_a_flaky_endpoint_matches_the_plan():
@@ -140,7 +143,7 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan():
                 self.faults += 1
                 if digest[8] % 2:
                     return http_response(503, b'{"error": "injected fault"}')
-                raise requests.ConnectionError("injected dropped connection")
+                raise http.client.RemoteDisconnected("injected dropped connection")
             return http_response(200, json.dumps({"text": answers[text]}).encode("utf-8"))
 
     session = FlakySession()

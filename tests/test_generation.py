@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ragtrim.generation import (
     HttpGeneratorClient,
     HttpGeneratorConfig,
+    MAX_IN_FLIGHT,
     JudgeMode,
     MockOracleClient,
     MockOracleConfig,
@@ -19,7 +20,7 @@ from ragtrim.generation import (
     judge_correct,
     mock_generate,
 )
-from helpers import MALFORMED_BODIES, BodySession, ScriptedServer, free_port
+from helpers import MALFORMED_BODIES, BodySession, ScriptedServer, clear_proxy_env, free_port
 
 
 def make_prompt(query_id="q1", docs=(), query="who wrote Hamlet"):
@@ -169,7 +170,7 @@ class TestHttpClient:
         with ScriptedServer([(200, {"text": "the answer"})]) as server:
             client = HttpGeneratorClient(http_config(server.url))
             assert client.generate(make_prompt()) == "the answer"
-            payload = server.requests[0]
+            payload = server.bodies[0]
             assert set(payload) == {"model", "prompt", "temperature", "max_tokens"}
             assert payload["model"] == "test-model"
 
@@ -180,7 +181,7 @@ class TestHttpClient:
             first = client.generate(prompt)
             second = client.generate(prompt)
             assert (first, second) == ("cached value", "cached value")
-            assert len(server.requests) == 1
+            assert len(server.bodies) == 1
             assert client.cache_hits == 1
         # Warm cache works with the server gone entirely (the key names the endpoint).
         offline = HttpGeneratorClient(
@@ -220,14 +221,14 @@ class TestHttpClient:
         with ScriptedServer([(500, {"error": "boom"}), (200, {"text": "ok"})]) as server:
             client = HttpGeneratorClient(http_config(server.url))
             assert client.generate(make_prompt()) == "ok"
-            assert len(server.requests) == 2
+            assert len(server.bodies) == 2
 
     def test_401_is_protocol_error(self):
         with ScriptedServer([(401, {"error": "no key"})]) as server:
             client = HttpGeneratorClient(http_config(server.url))
             with pytest.raises(ProtocolError, match="unauthorized"):
                 client.generate(make_prompt())
-            assert len(server.requests) == 1  # no retries on 4xx
+            assert len(server.bodies) == 1  # no retries on 4xx
 
     def test_transport_error_after_retries(self):
         url = f"http://127.0.0.1:{free_port()}/"
@@ -274,7 +275,7 @@ class TestHttpClient:
             assert greedy.generate(prompt) == "greedy"
             assert sampled.generate(prompt) == "sampled"
             assert greedy.generate(prompt) == "greedy"
-            assert len(server.requests) == 2
+            assert len(server.bodies) == 2
             assert (greedy.cache_hits, sampled.cache_hits) == (1, 0)
         assert greedy.fingerprint() != sampled.fingerprint()
 
@@ -288,7 +289,7 @@ class TestHttpClient:
             with caplog.at_level("WARNING", logger="ragtrim.generation"):
                 assert client.generate(prompt) == "refetched"
             assert (client.calls, client.cache_hits) == (1, 0)
-            assert len(server.requests) == 2
+            assert len(server.bodies) == 2
             assert entry.name in caplog.text
             assert client.generate(prompt) == "refetched"  # entry was overwritten
             assert client.cache_hits == 1
@@ -347,6 +348,87 @@ class TestHttpClient:
         assert errors == []
         assert len(list(tmp_path.glob("*.json"))) == rounds
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_connection_closed_after_each_reply_is_not_reused(self, caplog):
+        """The server closes each kept-alive connection after replying; the pool sees that
+        before reusing it, so no POST fails."""
+        server = ScriptedServer([(200, {"text": "ok"})], keep_alive=True, close_after_reply=True)
+        with server, caplog.at_level("WARNING", logger="ragtrim.generation"):
+            client = HttpGeneratorClient(http_config(server.url))
+            for i in range(3):
+                assert client.generate(make_prompt(query=f"question {i}")) == "ok"
+                assert server.closed.acquire(timeout=5)
+            client.session.close()
+        assert len(server.bodies) == 3
+        assert len(set(server.ports)) == 3
+        assert caplog.records == []
+
+    def test_dropped_connection_is_one_retry_on_a_new_connection(self, caplog):
+        script = [(200, {"text": "first"}), ("drop", None), (200, {"text": "second"})]
+        with ScriptedServer(script, keep_alive=True) as server:
+            client = HttpGeneratorClient(http_config(server.url, backoff_base_s=0))
+            assert client.generate(make_prompt(query="one")) == "first"
+            with caplog.at_level("WARNING", logger="ragtrim.generation"):
+                assert client.generate(make_prompt(query="two")) == "second"
+            client.session.close()
+        assert len(server.bodies) == 3
+        assert server.ports[0] == server.ports[1] != server.ports[2]
+        assert [r.getMessage().split(" to ")[0] for r in caplog.records] == ["attempt 1/3"]
+
+    def test_pooled_connections_are_capped_and_never_shared(self):
+        """More threads than MAX_IN_FLIGHT post over kept-alive connections at once: each
+        gets the answer to its own request, over at most MAX_IN_FLIGHT connections."""
+        import sys
+        import threading
+
+        threads, rounds = 8, 25
+        echo = [(200, lambda request: {"text": request["prompt"]})]
+        errors: list[BaseException] = []
+        with ScriptedServer(echo, keep_alive=True) as server:
+            client = HttpGeneratorClient(http_config(server.url))
+
+            def post(worker):
+                try:
+                    for i in range(rounds):
+                        prompt = make_prompt(query=f"worker {worker} round {i}")
+                        assert client.generate(prompt) == prompt.text
+                except BaseException as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=post, args=(w,)) for w in range(threads)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in workers)
+            client.session.close()
+        assert errors == []
+        assert len(server.bodies) == threads * rounds
+        assert len(set(server.ports)) <= MAX_IN_FLIGHT
+
+    def test_http_proxy_gets_the_absolute_target(self, monkeypatch):
+        clear_proxy_env(monkeypatch)
+        with ScriptedServer([(200, {"text": "via proxy"})]) as proxy:
+            monkeypatch.setenv("http_proxy", proxy.url)
+            # Nothing listens on localhost:9, so only the proxy can answer.
+            client = HttpGeneratorClient(http_config("http://localhost:9/v1/gen?x=1"))
+            assert client.generate(make_prompt()) == "via proxy"
+        assert proxy.paths == ["http://localhost:9/v1/gen?x=1"]
+        assert proxy.headers_seen[0]["Host"] == "localhost:9"
+
+    def test_no_proxy_host_goes_direct(self, monkeypatch):
+        clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{free_port()}")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with ScriptedServer([(200, {"text": "direct"})]) as server:
+            client = HttpGeneratorClient(http_config(server.url, max_retries=0))
+            assert client.generate(make_prompt()) == "direct"
+        assert server.paths == ["/"]
 
     def test_concurrent_generation_is_safe(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor

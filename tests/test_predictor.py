@@ -363,7 +363,7 @@ class TestRemotePredictor:
             client = RemotePredictorClient(RemotePredictorConfig(endpoint_url=server.url))
             retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
             assert client.predict_label(make_example(), retrieval) == CompressionLabel.keep(2)
-            assert server.requests[0]["N"] == 5
+            assert server.bodies[0]["N"] == 5
 
     def test_out_of_range_k_is_protocol_error(self):
         with ScriptedServer([(200, {"k": 9})]) as server:
@@ -378,7 +378,7 @@ class TestRemotePredictor:
             retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
             label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
             assert label == CompressionLabel.keep(3)
-            assert len(server.requests) == 2
+            assert len(server.bodies) == 2
 
     @pytest.mark.parametrize(
         "reply", [(200, {"k": 9}), (400, {"error": "bad request"})], ids=["k-out-of-range", "400"]
@@ -389,7 +389,7 @@ class TestRemotePredictor:
             retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
             label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
             assert label == CompressionLabel.keep(5)
-            assert len(server.requests) == 1
+            assert len(server.bodies) == 1
 
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
     def test_body_that_is_not_an_object_is_protocol_error(self, body):
