@@ -35,7 +35,6 @@ from .generation import (
 )
 from .annotate import (
     AnnotationAborted,
-    AnnotationError,
     AnnotationOptions,
     AnnotationStats,
     annotate_dataset,

@@ -9,22 +9,22 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Generator
 
 from .compress import assemble_prompt, select_top_k
 from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
 from .generation import (
     GeneratorClient,
     JudgeMode,
+    Prompt,
     ProtocolError,
     TransportError,
     judge_correct,
+    prefetching,
 )
 
 __all__ = [
-    "AnnotationError",
     "AnnotationAborted",
     "AnnotationOptions",
     "AnnotationStats",
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class AnnotationError(RuntimeError):
-    """A single example could not be annotated (generator failure)."""
 
 
 class AnnotationAborted(RuntimeError):
@@ -55,7 +51,6 @@ class AnnotationOptions:
     include_k0: bool = True
     template_id: str = "qa_default"
     failure_limit: float = 0.10
-    workers: int = 1
 
 
 @dataclass
@@ -89,43 +84,35 @@ class AnnotationStats:
 def find_optimal_k(
     example: QAExample,
     retrieval: RetrievalSet,
-    client: GeneratorClient,
     judge_mode: JudgeMode = JudgeMode(),
     include_k0: bool = True,
     template_id: str = "qa_default",
-) -> CompressionLabel:
-    """Smallest k whose rank-prefix yields a judged-correct answer.
+) -> Generator[Prompt, str, CompressionLabel]:
+    """Search for the smallest k whose rank-prefix yields a judged-correct answer.
 
-    Probes k=0 (closed book) first when enabled, then k=1..N ascending with
-    early exit. Returns the unanswerable label when no prefix works.
+    Yields one probe prompt at a time and takes the generator's output for it
+    through ``send``. Probes k=0 (closed book) first when enabled, then
+    k=1..N ascending with early exit. Returns (as ``StopIteration.value``) the
+    first accepted k, or the unanswerable label when no prefix works.
     """
     ks = range(0 if include_k0 else 1, retrieval.n + 1)
     for k in ks:
-        prompt = assemble_prompt(example, select_top_k(retrieval, k), template_id)
-        output = client.generate(prompt)
+        output = yield assemble_prompt(example, select_top_k(retrieval, k), template_id)
         if judge_correct(output, example.gold_answers, judge_mode):
             return CompressionLabel.keep(k)
     return CompressionLabel.unanswerable()
 
 
+def _advance(search: Generator[Prompt, str, CompressionLabel], output: str | None):
+    """Send ``output`` to ``search``: its next probe, or its label once it has one."""
+    try:
+        return search.send(output)
+    except StopIteration as done:
+        return done.value
+
+
 def _histogram_key(label: CompressionLabel) -> str:
     return "unanswerable" if label.is_unanswerable else str(label.k)
-
-
-def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: Iterable, window: int) -> Iterator:
-    """``pool.map`` with at most ``window`` tasks submitted and not yet consumed.
-
-    ``pool.map`` submits every item up front, so a consumer that stops early
-    (an abort) would still wait for all of them when the pool shuts down; here
-    it waits for at most ``window - 1``.
-    """
-    pending: deque[Future] = deque()
-    for item in items:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
-    while pending:
-        yield pending.popleft().result()
 
 
 def annotate_dataset(
@@ -135,47 +122,55 @@ def annotate_dataset(
 ) -> tuple[list[AnnotatedTriplet], AnnotationStats]:
     """Annotate every example in the dataset; returns triplets sorted by example id.
 
-    Generator failures skip the example and are logged. When failures exceed
-    ``failure_limit`` of the dataset, the run aborts with partial results
-    attached to the exception. ``cache_hits`` is how far the client's own
-    ``cache_hits`` counter rose, and ``generator_calls`` is the rise in its
-    ``calls`` less those hits: the requests that reached the backend. A
-    counter the client does not have reads as 0.
+    The searches of the client's ``max_in_flight`` examples take turns, and
+    each search's next probe is prefetched while the others are generated;
+    every ``generate`` call runs on this thread. Generator failures skip the
+    example and are logged. When failures exceed ``failure_limit`` of the
+    dataset, the run aborts with partial results attached to the exception,
+    and no probe is sent after that but the prefetches already started.
+    ``cache_hits`` is how far the client's own ``cache_hits`` counter rose, and
+    ``generator_calls`` is the rise in its ``calls`` less those hits: the
+    requests that reached the backend. A counter the client does not have
+    reads as 0.
     """
     fingerprint = client.fingerprint()
     stats = AnnotationStats(total_examples=len(dataset))
     calls_before = getattr(client, "calls", 0)
     hits_before = getattr(client, "cache_hits", 0)
-
-    def annotate_one(
-        pair: tuple[QAExample, RetrievalSet],
-    ) -> tuple[str, CompressionLabel] | AnnotationError:
-        example, retrieval = pair
-        try:
-            label = find_optimal_k(
-                example,
-                retrieval,
-                client,
-                judge_mode=options.judge_mode,
-                include_k0=options.include_k0,
-                template_id=options.template_id,
-            )
-        except (TransportError, ProtocolError) as exc:
-            return AnnotationError(f"generator failed for example {example.id}: {exc}")
-        return example.id, label
-
     triplets: list[AnnotatedTriplet] = []
+    # (example id, its search, the probe it waits on), in turn order.
+    searches: deque[tuple[str, Generator, Prompt]] = deque()
+
+    def step(example_id: str, search: Generator, output: str | None = None) -> None:
+        """Give ``search`` its output: queue and prefetch its next probe, or record its label."""
+        probe = _advance(search, output)
+        if isinstance(probe, Prompt):
+            prefetch([probe])
+            searches.append((example_id, search, probe))
+            return
+        stats.annotated += 1
+        key = _histogram_key(probe)
+        stats.label_histogram[key] = stats.label_histogram.get(key, 0) + 1
+        if probe.is_unanswerable:
+            stats.unanswerable_count += 1
+        triplets.append(AnnotatedTriplet(example_id, example_id, probe, fingerprint))
+
+    pairs = iter(dataset.pairs)
     try:
-        # An executor starts threads only on submit, so workers=1 runs in this thread.
-        with ThreadPoolExecutor(max_workers=max(1, options.workers)) as pool:
-            if options.workers > 1:
-                outcomes = _in_order(pool, annotate_one, dataset.pairs, options.workers)
-            else:
-                outcomes = map(annotate_one, dataset.pairs)
-            for outcome in outcomes:
-                if isinstance(outcome, AnnotationError):
+        with prefetching(client) as (prefetch, width):
+            while True:
+                while len(searches) < width and (pair := next(pairs, None)) is not None:
+                    example, retrieval = pair
+                    step(example.id, find_optimal_k(example, retrieval, options.judge_mode,
+                                                     options.include_k0, options.template_id))
+                if not searches:
+                    break
+                example_id, search, probe = searches.popleft()
+                try:
+                    output = client.generate(probe)
+                except (TransportError, ProtocolError) as exc:
                     stats.failed += 1
-                    logger.warning("%s", outcome)
+                    logger.warning("generator failed for example %s: %s", example_id, exc)
                     if stats.failed / stats.total_examples > options.failure_limit:
                         raise AnnotationAborted(
                             f"aborting: {stats.failed}/{stats.total_examples} examples failed "
@@ -184,13 +179,7 @@ def annotate_dataset(
                             stats,
                         )
                     continue
-                example_id, label = outcome
-                stats.annotated += 1
-                key = _histogram_key(label)
-                stats.label_histogram[key] = stats.label_histogram.get(key, 0) + 1
-                if label.is_unanswerable:
-                    stats.unanswerable_count += 1
-                triplets.append(AnnotatedTriplet(example_id, example_id, label, fingerprint))
+                step(example_id, search, output)
     finally:
         # Also on abort: the exception carries these same objects.
         triplets.sort(key=lambda t: t.example_id)

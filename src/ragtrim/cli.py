@@ -56,7 +56,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         include_k0=args.k0 == "on",
         template_id=config.template_id,
         failure_limit=args.failure_limit,
-        workers=args.workers,
     )
     try:
         triplets, stats = annotate_dataset(dataset, client, options)
@@ -162,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats")
     p.add_argument("--k0", choices=["on", "off"], default="on")
     p.add_argument("--failure-limit", type=float, default=0.10)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train-predictor", help="fit the compression-rate classifier")

@@ -21,12 +21,15 @@ import tempfile
 import threading
 import time
 import urllib.request
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
+from .data import DataError
 from .metrics import exact_match, normalize_answer, token_f1
 
 if TYPE_CHECKING:
@@ -35,8 +38,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNKNOWN_ANSWER = "UNKNOWN"
-# POSTs one HttpSession has in flight at once (annotate --workers runs threads).
-MAX_IN_FLIGHT = 4
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
@@ -207,7 +208,7 @@ class MockOracleClient:
     def generate(self, prompt: Prompt) -> str:
         golds = self.golds_by_id.get(prompt.query_id)
         if golds is None:
-            raise KeyError(f"mock oracle has no gold answers for query {prompt.query_id!r}")
+            raise DataError(f"mock oracle has no gold answers for query {prompt.query_id!r}")
         with self._lock:
             self.calls += 1
         return mock_generate(
@@ -242,6 +243,8 @@ class HttpGeneratorConfig:
 
     Request shape: {"model", "prompt", "temperature", "max_tokens"} -> {"text"}.
     Responses are cached under cache_dir keyed by hash(endpoint, request payload).
+    ``max_in_flight`` bounds the POSTs that prefetching keeps in flight; it
+    changes no answer, so it is in neither the cache key nor the fingerprint.
     """
 
     endpoint_url: str
@@ -253,9 +256,12 @@ class HttpGeneratorConfig:
     api_key_env_var: str | None = None
     cache_dir: str | None = None
     backoff_base_s: float = 0.25
+    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         check_endpoint_settings(self)
+        if self.max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
 
 
 def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig) -> None:
@@ -306,7 +312,8 @@ class HttpResponse:
 class HttpSession:
     """Keep-alive HTTP/1.1 connections for JSON POSTs, pooled per (scheme, host, port).
 
-    At most MAX_IN_FLIGHT POSTs are in flight at once. The proxy settings are
+    Each POST in flight holds its own connection; the caller bounds how many
+    there are (HttpGeneratorClient: ``max_in_flight``). The proxy settings are
     read once, here, and each host's route once (see proxy_for): a plain HTTP
     proxy gets an absolute-form target for ``http`` and a CONNECT tunnel for
     ``https``. TLS uses ssl.create_default_context(). ``post`` sends its request
@@ -319,7 +326,6 @@ class HttpSession:
         self._routes: dict[tuple, tuple[str, int] | None] = {}
         self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
         self._lock = threading.Lock()
-        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self._tls: ssl.SSLContext | None = None
 
     def post(self, url: str, json, headers: Mapping[str, str] | None = None,
@@ -327,26 +333,25 @@ class HttpSession:
         parts = urlsplit(url)
         key = (parts.scheme, parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme])
         body = json_dumps(json).encode("utf-8")
-        with self._slots:
-            conn, proxy = self._checkout(key)
-            absolute = proxy is not None and parts.scheme == "http"
-            target = url if absolute else urlunsplit(("", "", parts.path or "/", parts.query, ""))
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
-            try:
-                conn.request("POST", target, body,
-                             {"Content-Type": "application/json", **(headers or {})})
-                response = conn.getresponse()
-                content = response.read()
-            except BaseException:
-                conn.close()
-                raise
-            if response.will_close:
-                conn.close()
-            else:
-                with self._lock:
-                    self._idle.setdefault(key, []).append(conn)
+        conn, proxy = self._checkout(key)
+        absolute = proxy is not None and parts.scheme == "http"
+        target = url if absolute else urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request("POST", target, body,
+                         {"Content-Type": "application/json", **(headers or {})})
+            response = conn.getresponse()
+            content = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
         return HttpResponse(response.status, content)
 
     def close(self) -> None:
@@ -370,11 +375,11 @@ class HttpSession:
                     return conn, self._routes[key]
                 conn.close()
             proxy = self._routes[key]
+            if key[0] == "https" and self._tls is None:
+                self._tls = ssl.create_default_context()
         scheme, host, port = key
         if scheme == "http":
             return http.client.HTTPConnection(*(proxy or (host, port))), proxy
-        if self._tls is None:
-            self._tls = ssl.create_default_context()
         conn = http.client.HTTPSConnection(*(proxy or (host, port)), context=self._tls)
         if proxy is not None:
             conn.set_tunnel(host, port)
@@ -437,7 +442,15 @@ def post_json(
 
 
 class HttpGeneratorClient:
-    """GeneratorClient speaking plain JSON over HTTP POST, with retries and a disk cache."""
+    """GeneratorClient speaking plain JSON over HTTP POST, with retries and a disk cache.
+
+    ``prefetch`` starts the POSTs of prompts that ``generate`` will be asked for
+    next, at most ``max_in_flight`` at once on a pool of threads. Only the POST
+    and its retries run there. ``generate`` counts every call and cache hit,
+    reads and writes the cache, and takes a pending answer or fetches one
+    inline, all on the caller's thread, so the requests, retries and counters
+    of a run are those of a serial run.
+    """
 
     def __init__(self, config: HttpGeneratorConfig, session: HttpSession | None = None):
         self.config = config
@@ -445,29 +458,51 @@ class HttpGeneratorClient:
         self.calls = 0
         self.cache_hits = 0
         self._counter_lock = threading.Lock()
+        self._pending: dict[str, Future[str]] = {}  # request key -> its prefetched answer
+        self._pool: ThreadPoolExecutor | None = None
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    def _cache_path(self, payload: dict) -> Path | None:
-        """Cache entry for a request: keyed on the endpoint and every payload field."""
-        if not self.config.cache_dir:
-            return None
+    @property
+    def max_in_flight(self) -> int:
+        return self.config.max_in_flight
+
+    def _request(self, prompt: Prompt) -> tuple[dict, str, Path | None]:
+        """The payload of ``prompt``, its key (a hash of the endpoint and every payload
+        field) and the cache entry under that key."""
+        payload = _request_payload(self.config, prompt)
         request = json.dumps([self.config.endpoint_url, payload], sort_keys=True)
         key = hashlib.sha256(request.encode("utf-8")).hexdigest()
-        return Path(self.config.cache_dir) / f"{key}.json"
+        cache_dir = self.config.cache_dir
+        return payload, key, Path(cache_dir) / f"{key}.json" if cache_dir else None
+
+    def prefetch(self, prompts: Iterable[Prompt]) -> None:
+        """Start fetching each prompt that has no cache entry and is not already pending."""
+        for prompt in prompts:
+            payload, key, cache_path = self._request(prompt)
+            if key in self._pending or (cache_path is not None and cache_path.exists()):
+                continue
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.config.max_in_flight, "ragtrim-post")
+            self._pending[key] = self._pool.submit(self._fetch, payload)
+
+    def cancel_prefetch(self) -> None:
+        """Cancel the prefetches not yet started and wait for the POSTs that are."""
+        pending, self._pending = self._pending, {}
+        wait([f for f in pending.values() if not f.cancel()])
 
     def generate(self, prompt: Prompt) -> str:
         with self._counter_lock:
             self.calls += 1
-        payload = _request_payload(self.config, prompt)
-        cache_path = self._cache_path(payload)
+        payload, key, cache_path = self._request(prompt)
         cached = _read_cache_entry(cache_path) if cache_path is not None else None
         if cached is not None:
             with self._counter_lock:
                 self.cache_hits += 1
             return cached
 
-        text = self._fetch(payload)
+        future = self._pending.pop(key, None)
+        text = self._fetch(payload) if future is None else future.result()
         if cache_path is not None:
             _write_cache_entry(cache_path, text)
         return text
@@ -489,6 +524,25 @@ class HttpGeneratorClient:
             f"http:{c.model_name}@{c.endpoint_url}"
             f"|temperature={c.temperature}|max_tokens={c.max_tokens}"
         )
+
+
+@contextmanager
+def prefetching(client: GeneratorClient) -> Iterator[tuple[Callable[[Iterable[Prompt]], None], int]]:
+    """``client``'s ``prefetch`` and ``max_in_flight``; on exit, after an abort or an
+    error too, the prefetches still pending are cancelled.
+
+    Both are read as attributes, so a wrapper that passes unknown attributes
+    through keeps them. A client without ``prefetch`` (the mock) gets a no-op
+    and a width of 1.
+    """
+    prefetch = getattr(client, "prefetch", None)
+    if prefetch is None:
+        yield (lambda prompts: None), 1
+        return
+    try:
+        yield prefetch, client.max_in_flight
+    finally:
+        client.cancel_prefetch()
 
 
 def _read_cache_entry(path: Path) -> str | None:

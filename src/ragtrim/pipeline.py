@@ -14,9 +14,10 @@ import logging
 import re
 import types
 import typing
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .compress import (
     FALLBACK_TO_N,
@@ -31,6 +32,8 @@ from .data import (
     AnnotatedTriplet,
     CompressionLabel,
     JoinedDataset,
+    QAExample,
+    RetrievalSet,
     join_dataset,
     load_examples,
     load_retrievals,
@@ -44,6 +47,7 @@ from .generation import (
     JudgeMode,
     MockOracleClient,
     MockOracleConfig,
+    prefetching,
 )
 from .metrics import (
     EvalReport,
@@ -205,7 +209,8 @@ class PipelineConfig:
                     "triplets": self.triplets_path,
                     "format": self.example_format,
                 },
-                "generator": self.generator,
+                # The width of the requests in flight changes no output.
+                "generator": {k: v for k, v in self.generator.items() if k != "max_in_flight"},
                 "predictors": self.predictors,
                 "methods": self.methods,
                 "judge": self.judge,
@@ -369,6 +374,17 @@ class RunResult:
         return {m.name: m for m in self.methods}
 
 
+def _ahead(items: Iterable, n: int) -> Iterator:
+    """``items`` in order, each yielded once the ``n`` items after it have been drawn."""
+    window: deque = deque()
+    for item in items:
+        window.append(item)
+        if len(window) > n:
+            yield window.popleft()
+    while window:
+        yield window.popleft()
+
+
 def _evaluate(
     rows: Sequence[tuple[str, Callable | None, str]],
     dataset: JoinedDataset,
@@ -378,56 +394,70 @@ def _evaluate(
 ) -> list[MethodResult]:
     """Generate and score every (row_name, labeler, fingerprint) row, example-major.
 
-    Within one example, a label is compressed only the first time a row
-    returns it, and a prompt goes to the client only the first time a row
-    produces it; later rows with the same prompt text reuse that output. An
-    output is scored only the first time a row of the example returns it: the
-    example's gold answers fix every metric, so later rows copy the metrics
-    and keep their own token_count and k. Each labeler still runs once per
-    example in dataset order (seeded draws keep their sequence) and each
-    row's results keep dataset order. A labeler of None selects the only_doc
-    context; a label of None skips the example.
+    Each example is planned and its prompts prefetched while the client's
+    ``max_in_flight - 1`` examples before it are generated, so up to
+    ``max_in_flight`` requests overlap; every ``generate`` call runs on this
+    thread, in dataset order. Within one example, a prompt goes to the client
+    only the first time a row produces it; later rows with the same prompt
+    text reuse that output. An output is scored only the first time a row of
+    the example returns it: the example's gold answers fix every metric, so
+    later rows copy the metrics and keep their own token_count and k. Each
+    labeler still runs once per example in dataset order (seeded draws keep
+    their sequence) and each row's results keep dataset order.
     """
     methods = [
         MethodResult(name, report=None, results=[], generator_calls=0, cache_hits=0,
                      fingerprint=fingerprint)  # report: aggregated once every example is scored
         for name, _, fingerprint in rows
     ]
-    for example, retrieval in dataset:
-        contexts: dict[CompressionLabel, CompressedContext] = {}  # for this example only
-        outputs: dict[str, str] = {}  # prompt text -> output, for this example only
-        scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
-        split = splits.get(example.id) if splits else None
-        for (_, labeler, _), m in zip(rows, methods):
+
+    def plan(pair: tuple[QAExample, RetrievalSet]):
+        """The example and each row's context for it, None where the row's label skips
+        it; the contexts' prompts are prefetched. A labeler of None selects the only_doc
+        context, and a label is compressed only the first time a row returns it."""
+        example, retrieval = pair
+        contexts: dict[CompressionLabel, CompressedContext] = {}
+        planned: list[CompressedContext | None] = []
+        for _, labeler, _ in rows:
             if labeler is None:
-                ctx = only_doc_select(example, retrieval, config.template_id)
-            else:
-                label = labeler(example, retrieval)
-                if label is None:
-                    continue
-                if label not in contexts:
-                    contexts[label] = compress(
-                        example, retrieval, label, config.fallback, config.template_id
-                    )
-                ctx = contexts[label]
-            output = outputs.get(ctx.prompt.text)
-            if output is None:
-                hits_before = getattr(client, "cache_hits", 0)
-                output = outputs[ctx.prompt.text] = client.generate(ctx.prompt)
-                m.generator_calls += 1
-                m.cache_hits += getattr(client, "cache_hits", 0) - hits_before
-            else:
-                m.reused += 1
-            result = scored.get(output)
-            if result is None:
-                result = scored[output] = score_output(
-                    example.id, output, example.gold_answers, ctx.token_count, ctx.k, split=split
+                planned.append(only_doc_select(example, retrieval, config.template_id))
+                continue
+            label = labeler(example, retrieval)
+            if label is not None and label not in contexts:
+                contexts[label] = compress(
+                    example, retrieval, label, config.fallback, config.template_id
                 )
-            else:
-                result = replace(result, token_count=ctx.token_count, k=ctx.k)
-            m.results.append(result)
-            if config.export_contexts:
-                m.contexts.append(ctx)
+            planned.append(contexts.get(label))
+        prefetch(ctx.prompt for ctx in planned if ctx is not None)
+        return example, planned
+
+    with prefetching(client) as (prefetch, width):
+        for example, planned in _ahead(map(plan, dataset), width - 1):
+            outputs: dict[str, str] = {}  # prompt text -> output, for this example only
+            scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
+            split = splits.get(example.id) if splits else None
+            for ctx, m in zip(planned, methods):
+                if ctx is None:
+                    continue
+                output = outputs.get(ctx.prompt.text)
+                if output is None:
+                    hits_before = getattr(client, "cache_hits", 0)
+                    output = outputs[ctx.prompt.text] = client.generate(ctx.prompt)
+                    m.generator_calls += 1
+                    m.cache_hits += getattr(client, "cache_hits", 0) - hits_before
+                else:
+                    m.reused += 1
+                result = scored.get(output)
+                if result is None:
+                    result = scored[output] = score_output(
+                        example.id, output, example.gold_answers, ctx.token_count, ctx.k,
+                        split=split,
+                    )
+                else:
+                    result = replace(result, token_count=ctx.token_count, k=ctx.k)
+                m.results.append(result)
+                if config.export_contexts:
+                    m.contexts.append(ctx)
     for m in methods:
         m.report = aggregate(m.results)
     return methods

@@ -189,7 +189,7 @@ def _training_matrix(
     dropped = 0
     for triplet in triplets:
         if triplet.example_id not in index:
-            raise KeyError(f"triplet example {triplet.example_id} missing from dataset")
+            raise DataError(f"triplet example {triplet.example_id} missing from dataset")
         example, retrieval = index[triplet.example_id]
         y = _class_index(class_list, triplet.label, policy, retrieval.n)
         if y is None:
@@ -367,7 +367,7 @@ def evaluate_predictor(
     pairs: list[tuple] = []
     for triplet in triplets:
         if triplet.example_id not in index:
-            raise KeyError(f"triplet example {triplet.example_id} missing from dataset")
+            raise DataError(f"triplet example {triplet.example_id} missing from dataset")
         example, retrieval = index[triplet.example_id]
         true_idx = _class_index(class_list, triplet.label, model.unanswerable_policy, retrieval.n)
         if true_idx is None:

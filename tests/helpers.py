@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import http.client
 import json
 import os
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json import dumps as json_dumps
 
 from ragtrim.data import QAExample, RankedDocument, RetrievalSet
 
@@ -89,6 +93,85 @@ class BodySession:
     def post(self, *args, **kwargs):
         self.posts += 1
         return http_response(200, self.body)
+
+
+def mock_answers(corpus, dataset) -> dict[str, tuple[str, str]]:
+    """Prompt text -> (query id, the corpus mock's answer), for every rank prefix of every
+    example: what an endpoint serving that mock would answer."""
+    from ragtrim.compress import assemble_prompt
+    from ragtrim.synth import mock_client_for
+
+    mock = mock_client_for(corpus)
+    answers = {}
+    for example, retrieval in dataset:
+        for k in range(retrieval.n + 1):
+            prompt = assemble_prompt(example, retrieval.docs[:k])
+            answers[prompt.text] = (example.id, mock.generate(prompt))
+    return answers
+
+
+class MockEndpoint:
+    """Stands in for HttpSession: answers each POST from ``mock_answers``, on any thread.
+
+    Each POST sleeps ``delay_s``. The first attempt of a seeded ``fault_rate``
+    share of distinct prompts fails with a 503 or a dropped connection, as in
+    perfbench's flaky stub; every prompt of a ``failing`` query id gets a 503.
+    Under one lock it counts POSTs, faults and the prompt tokens of answered
+    POSTs, the peak number of POSTs in flight, and every POST of a prompt that
+    was already in flight.
+    """
+
+    def __init__(self, answers, delay_s=0.0, fault_rate=0.0, seed=42, failing=()):
+        self.answers = answers
+        self.delay_s = delay_s
+        self.fault_rate = fault_rate
+        self.seed = seed
+        self.failing = set(failing)
+        self.lock = threading.Lock()
+        self.posts = 0
+        self.faults = 0
+        self.tokens = 0
+        self.peak_in_flight = 0
+        self.doubled: list[str] = []
+        self.in_flight: list[str] = []
+        self.seen: set[str] = set()
+
+    def post(self, url, json, **kwargs):
+        text = json["prompt"]
+        query_id, answer = self.answers[text]
+        digest = hashlib.sha256(f"{self.seed}|{text}".encode("utf-8")).digest()
+        with self.lock:
+            self.posts += 1
+            if text in self.in_flight:
+                self.doubled.append(text)
+            self.in_flight.append(text)
+            self.peak_in_flight = max(self.peak_in_flight, len(self.in_flight))
+            first = text not in self.seen
+            self.seen.add(text)
+            fault = query_id in self.failing or (
+                first and int.from_bytes(digest[:8], "big") / 2**64 < self.fault_rate)
+            self.faults += fault
+            self.tokens += 0 if fault else len(text.split())
+        try:
+            time.sleep(self.delay_s)
+            if fault and (query_id in self.failing or digest[8] % 2):
+                return http_response(503, b'{"error": "injected fault"}')
+            if fault:
+                raise http.client.RemoteDisconnected("injected dropped connection")
+            return http_response(200, json_dumps({"text": answer}).encode("utf-8"))
+        finally:
+            with self.lock:
+                self.in_flight.remove(text)
+
+
+def serve(monkeypatch, endpoint) -> None:
+    """Send the POSTs of every HttpSession to ``endpoint`` (a MockEndpoint)."""
+    from ragtrim.generation import HttpSession
+
+    def post(session, url, **kwargs):
+        return endpoint.post(url, **kwargs)
+
+    monkeypatch.setattr(HttpSession, "post", post)
 
 
 def clear_proxy_env(monkeypatch) -> None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from ragtrim.annotate import (
@@ -25,7 +23,32 @@ from ragtrim.generation import (
     judge_correct,
 )
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
-from helpers import FailingClient, ScriptedClient, make_example, make_retrieval
+from helpers import (
+    FailingClient,
+    MockEndpoint,
+    ScriptedClient,
+    make_example,
+    make_retrieval,
+    mock_answers,
+)
+
+
+def search(example, retrieval, client, **options):
+    """The label find_optimal_k finds when ``client`` answers each of its probes."""
+    probes = find_optimal_k(example, retrieval, **options)
+    try:
+        prompt = next(probes)
+        while True:
+            prompt = probes.send(client.generate(prompt))
+    except StopIteration as done:
+        return done.value
+
+
+def endpoint_client(endpoint, max_in_flight, **config):
+    """An HTTP client posting to ``endpoint`` (a MockEndpoint) with no backoff sleeps."""
+    config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                 backoff_base_s=0, max_in_flight=max_in_flight, **config)
+    return HttpGeneratorClient(config, session=endpoint)
 
 
 def oracle_for(example, closed_book=False):
@@ -60,7 +83,7 @@ class TestFindOptimalK:
             texts=["nothing useful here", "the capital is Paris", "more filler", "noise", "noise two"]
         )
         client = oracle_for(example)
-        label = find_optimal_k(example, retrieval, client)
+        label = search(example, retrieval, client)
         assert label == CompressionLabel.keep(2)
         # Brute-force recheck: judge every prefix size independently.
         outcomes = {}
@@ -73,32 +96,32 @@ class TestFindOptimalK:
         example = make_example(answers=("Shakespeare",))
         retrieval = make_retrieval(texts=["written by William Shakespeare", "noise", "noise"])
         client = oracle_for(example)
-        assert find_optimal_k(example, retrieval, client) == CompressionLabel.keep(1)
+        assert search(example, retrieval, client) == CompressionLabel.keep(1)
         assert client.calls == 2  # k=0 probe plus the first successful prefix
 
     def test_closed_book_gives_zero(self):
         example = make_example(answers=("Paris",))
         retrieval = make_retrieval(texts=["noise", "noise"])
         client = oracle_for(example, closed_book=True)
-        assert find_optimal_k(example, retrieval, client) == CompressionLabel.keep(0)
+        assert search(example, retrieval, client) == CompressionLabel.keep(0)
 
     def test_k0_probe_can_be_disabled(self):
         example = make_example(answers=("Paris",))
         retrieval = make_retrieval(texts=["noise", "noise"])
         client = oracle_for(example, closed_book=True)
-        label = find_optimal_k(example, retrieval, client, include_k0=False)
+        label = search(example, retrieval, client, include_k0=False)
         assert label.is_unanswerable
 
     def test_no_prefix_suffices(self):
         example = make_example(answers=("Paris",))
         retrieval = make_retrieval(texts=["noise", "more noise"])
-        assert find_optimal_k(example, retrieval, oracle_for(example)).is_unanswerable
+        assert search(example, retrieval, oracle_for(example)).is_unanswerable
 
     def test_transport_error_propagates(self):
         example = make_example()
         retrieval = make_retrieval()
         with pytest.raises(TransportError):
-            find_optimal_k(example, retrieval, FailingClient())
+            search(example, retrieval, FailingClient())
 
 
 class SometimesFailingClient:
@@ -113,23 +136,6 @@ class SometimesFailingClient:
         self.calls += 1
         if prompt.query_id in self.failing_ids:
             raise TransportError(f"outage for {prompt.query_id}")
-        return self.inner.generate(prompt)
-
-    def fingerprint(self):
-        return self.inner.fingerprint()
-
-
-class LockedCountingClient:
-    """Counts generate calls from any number of threads."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def generate(self, prompt):
-        with self._lock:
-            self.calls += 1
         return self.inner.generate(prompt)
 
     def fingerprint(self):
@@ -171,17 +177,25 @@ class TestAnnotateDataset:
         # Worst case is N+1 generator calls per example with the k=0 probe on.
         assert stats.generator_calls <= len(dataset) * 6
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_byte_identical_across_runs_and_widths(self, tmp_path):
+        """The mock, and an endpoint serving it at max_in_flight 1, 1 and 4: the same
+        triplets and stats, and the same requests at every width."""
         corpus, dataset = self.make_corpus()
-        outputs = []
-        for workers in (1, 1, 4):
-            triplets, _ = annotate_dataset(
-                dataset, mock_client_for(corpus), AnnotationOptions(workers=workers)
-            )
+        answers = mock_answers(corpus, dataset)
+        outputs, stats, posts = [], [], []
+        for width in (None, 1, 1, 4):
+            endpoint = MockEndpoint(answers, delay_s=0.001)
+            client = mock_client_for(corpus) if width is None else endpoint_client(endpoint, width)
+            triplets, run_stats = annotate_dataset(dataset, client)
             path = tmp_path / f"t{len(outputs)}.jsonl"
             save_triplets(path, triplets)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+            outputs.append(path.read_text().replace(client.fingerprint(), "generator"))
+            stats.append(run_stats.to_dict())
+            posts.append(endpoint.posts)
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        assert stats[0] == stats[1] == stats[2] == stats[3]
+        assert posts[1:] == [stats[0]["generator_calls"]] * 3
+        assert endpoint.peak_in_flight > 1 and endpoint.doubled == []
 
     def test_abort_at_total_failure(self):
         corpus, dataset = self.make_corpus(size=1)
@@ -209,18 +223,23 @@ class TestAnnotateDataset:
         assert excinfo.value.stats.generator_calls == client.calls > 0
         assert all(t.example_id not in failing for t in excinfo.value.triplets)
 
-    def test_workers_stop_soon_after_an_abort(self):
+    def test_wide_annotation_stops_soon_after_an_abort(self):
+        """The first 30 of 200 examples fail at their first probe, so the 21st failure
+        aborts. At width 4 the other examples' probes still in flight then finish, and
+        nothing else is sent: at most 3 requests more than at width 1."""
         corpus, dataset = self.make_corpus(size=200)
         failing = [e.id for e, _ in dataset.pairs[:30]]
-        max_n = max(retrieval.n for _, retrieval in dataset)
-        calls = {}
-        for workers in (1, 4):
-            client = LockedCountingClient(SometimesFailingClient(mock_client_for(corpus), failing))
-            with pytest.raises(AnnotationAborted):
-                annotate_dataset(dataset, client, AnnotationOptions(workers=workers))
-            calls[workers] = client.calls
-        # Each task still running at the abort makes at most one call per prefix (k=0..N).
-        assert calls[4] <= calls[1] + (4 - 1) * (max_n + 1)
+        posts = {}
+        for width in (1, 4):
+            endpoint = MockEndpoint(mock_answers(corpus, dataset), failing=failing)
+            client = endpoint_client(endpoint, width, max_retries=0)
+            with pytest.raises(AnnotationAborted) as excinfo:
+                annotate_dataset(dataset, client)
+            assert endpoint.in_flight == []  # the abort waited for the started prefetches
+            assert excinfo.value.stats.failed == 21
+            posts[width] = endpoint.posts
+        assert posts[1] == 21
+        assert posts[4] <= posts[1] + (4 - 1)
 
     def test_only_rank_prefixes_are_evaluated(self):
         example = make_example(id="p1", query="what is it", answers=("zz",))

@@ -197,6 +197,20 @@ def eval_args(change=labelled()):
     return args
 
 
+def train_args_without_first_retrieval(paths, tmp_path):
+    """`ragtrim train-predictor` on retrievals without the first example's, so the join
+    drops an example that a triplet names."""
+    lines = Path(paths["retrievals"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    retrievals = tmp_path / "retrievals.jsonl"
+    retrievals.write_text("".join(lines[1:]), encoding="utf-8")
+
+    def change(config, paths):
+        labelled()(config, paths)
+        config["datasets"]["retrievals"] = str(retrievals)
+
+    return train_args(change)(paths, tmp_path)
+
+
 def corpus_args(paths, tmp_path):
     return ["make-corpus", "--out-dir", str(tmp_path / "made"), "--size", "5"]
 
@@ -228,6 +242,9 @@ RUN_DEFECTS = [
     ("http-max-retries", http(max_retries=-1), "generator: max_retries must be >= 0"),
     ("http-timeout", http(timeout_ms=0), "generator: timeout_ms must be >= 1"),
     ("http-backoff", http(backoff_base_s=-1), "generator: backoff_base_s must be >= 0"),
+    ("http-max-in-flight", http(max_in_flight=0), "generator: max_in_flight must be >= 1"),
+    ("mock-max-in-flight", top(generator={"type": "mock", "max_in_flight": 4}),
+     "unknown key generator.max_in_flight"),
     ("http-url", http(endpoint_url="generator.test/gen"),
      "generator: endpoint_url must be an http:// or https:// URL, got 'generator.test/gen'"),
     ("remote-typo", remote(fallback_to_ful=True), "unknown key predictors[0].fallback_to_ful"),
@@ -283,6 +300,8 @@ DEFECTS = [
      "in.json is not valid JSON"),
     ("train-missing-triplets",
      train_args(lambda config, paths: config["datasets"].update(triplets="nope.json")), NO_FILE),
+    ("train-triplet-not-joined", train_args_without_first_retrieval,
+     "missing from dataset"),
     ("train-without-triplets", train_args(lambda config, paths: None),
      "read datasets.triplets, which is unset"),
     ("eval-without-triplets", with_json(eval_args(lambda config, paths: None), "--model", {}),

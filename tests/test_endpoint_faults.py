@@ -7,17 +7,15 @@ that attempt; retries that run out raise TransportError.
 
 from __future__ import annotations
 
-import hashlib
 import http.client
-import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
-from ragtrim.compress import assemble_prompt
-from ragtrim.data import CompressionLabel, join_dataset
+from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
     HttpGeneratorClient,
     HttpGeneratorConfig,
@@ -25,9 +23,10 @@ from ragtrim.generation import (
     ProtocolError,
     TransportError,
 )
+from ragtrim.pipeline import PipelineConfig, run_pipeline, sweep_document_count
 from ragtrim.predictor import RemotePredictorClient, RemotePredictorConfig
-from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
-from helpers import http_response, make_example, make_retrieval
+from ragtrim.synth import CorpusSpec, make_synthetic_corpus
+from helpers import MockEndpoint, http_response, make_example, make_retrieval, mock_answers, serve
 
 RETRIED = ("timeout", "reset", "dropped", 500, 503)
 ENDS_THE_CALL = (400, 401, "not-json", "not-object")
@@ -115,38 +114,17 @@ def test_predictor_follows_the_failure_policy(outcomes, fallback_to_full):
     assert client.fallbacks == (expected != "valid" and fallback_to_full)
 
 
-def test_annotation_through_a_flaky_endpoint_matches_the_plan():
-    """The flaky HTTP workload in miniature: 1% of prompts fail their first attempt."""
-    seed, fault_rate = 42, 0.01
-    corpus = make_synthetic_corpus(CorpusSpec(size=400), seed=seed)
+def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypatch):
+    """The flaky HTTP workload in miniature: 1% of prompts fail their first attempt.
+
+    Annotation, then a run and a sweep at max_in_flight 1 and 4, each width
+    through a fresh endpoint: the same tables and manifest at both widths, and
+    every POST is a backend request or a retried fault.
+    """
+    corpus = make_synthetic_corpus(CorpusSpec(size=400), seed=42)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
-    mock = mock_client_for(corpus)
-    answers = {}  # prompt text -> the mock's answer, so the endpoint behaves like the mock
-    for example, retrieval in dataset:
-        for k in range(retrieval.n + 1):
-            prompt = assemble_prompt(example, retrieval.docs[:k])
-            answers[prompt.text] = mock.generate(prompt)
-
-    class FlakySession:
-        def __init__(self):
-            self.posts = 0
-            self.faults = 0
-            self.seen: set[str] = set()
-
-        def post(self, url, **kwargs):
-            self.posts += 1
-            text = kwargs["json"]["prompt"]
-            digest = hashlib.sha256(f"{seed}|{text}".encode("utf-8")).digest()
-            first = text not in self.seen
-            self.seen.add(text)
-            if first and int.from_bytes(digest[:8], "big") / 2**64 < fault_rate:
-                self.faults += 1
-                if digest[8] % 2:
-                    return http_response(503, b'{"error": "injected fault"}')
-                raise http.client.RemoteDisconnected("injected dropped connection")
-            return http_response(200, json.dumps({"text": answers[text]}).encode("utf-8"))
-
-    session = FlakySession()
+    answers = mock_answers(corpus, dataset)
+    session = MockEndpoint(answers, fault_rate=0.01)
     config = HttpGeneratorConfig(
         endpoint_url="http://generator.test/", model_name="m", backoff_base_s=0
     )
@@ -158,3 +136,37 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan():
     assert session.faults > 0
     assert session.posts == stats.generator_calls + session.faults
     assert stats.generator_calls == client.calls > 0
+
+    paths = corpus.write(tmp_path / "corpus")
+    save_triplets(tmp_path / "triplets.jsonl", triplets)
+    built = []
+    build = ragtrim.pipeline.build_generator
+
+    def recorded_build(config, data):
+        built.append(build(config, data))
+        return built[-1]
+
+    monkeypatch.setattr(ragtrim.pipeline, "build_generator", recorded_build)
+    outputs = {}
+    for width in (1, 4):
+        endpoint = MockEndpoint(answers, fault_rate=0.01)
+        serve(monkeypatch, endpoint)
+        out = tmp_path / f"out{width}"
+        generator = {"type": "http", "endpoint_url": "http://generator.test/", "model_name": "m",
+                     "backoff_base_s": 0, "max_in_flight": width}
+        config = PipelineConfig(
+            examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+            triplets_path=str(tmp_path / "triplets.jsonl"), generator=generator,
+            methods=["no_retrieval", "top_1", "top_3", "top_random", "oracle"], seed=42,
+            output_dir=str(out),
+        )
+        built.clear()
+        run_pipeline(config)
+        sweep_document_count(config)
+        outputs[width] = [(out / name).read_bytes()
+                          for name in ("table.csv", "manifest.json", "sweep.csv")]
+        backend_requests = sum(c.calls - c.cache_hits for c in built)
+        assert len(built) == 2 and endpoint.faults > 0
+        assert endpoint.posts == backend_requests + endpoint.faults
+        assert endpoint.peak_in_flight <= width and endpoint.doubled == []
+    assert outputs[1] == outputs[4]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ragtrim.generation import (
     HttpGeneratorClient,
     HttpGeneratorConfig,
-    MAX_IN_FLIGHT,
     JudgeMode,
     MockOracleClient,
     MockOracleConfig,
@@ -20,7 +19,15 @@ from ragtrim.generation import (
     judge_correct,
     mock_generate,
 )
-from helpers import MALFORMED_BODIES, BodySession, ScriptedServer, clear_proxy_env, free_port
+from ragtrim.data import DataError
+from helpers import (
+    MALFORMED_BODIES,
+    BodySession,
+    MockEndpoint,
+    ScriptedServer,
+    clear_proxy_env,
+    free_port,
+)
 
 
 def make_prompt(query_id="q1", docs=(), query="who wrote Hamlet"):
@@ -123,7 +130,7 @@ class TestMockOracle:
 
     def test_unknown_query_id_raises(self):
         client = MockOracleClient(MockOracleConfig(), {"q1": ("x",)})
-        with pytest.raises(KeyError):
+        with pytest.raises(DataError, match="no gold answers for query 'q9'"):
             client.generate(make_prompt(query_id="q9"))
 
 
@@ -376,40 +383,51 @@ class TestHttpClient:
         assert [r.getMessage().split(" to ")[0] for r in caplog.records] == ["attempt 1/3"]
 
     def test_pooled_connections_are_capped_and_never_shared(self):
-        """More threads than MAX_IN_FLIGHT post over kept-alive connections at once: each
-        gets the answer to its own request, over at most MAX_IN_FLIGHT connections."""
+        """Prefetching many more prompts than max_in_flight over kept-alive connections:
+        each prompt gets the answer to its own request, over at most max_in_flight
+        connections."""
         import sys
-        import threading
 
-        threads, rounds = 8, 25
+        prompts = [make_prompt(query=f"prompt {i}") for i in range(200)]
         echo = [(200, lambda request: {"text": request["prompt"]})]
-        errors: list[BaseException] = []
         with ScriptedServer(echo, keep_alive=True) as server:
-            client = HttpGeneratorClient(http_config(server.url))
-
-            def post(worker):
-                try:
-                    for i in range(rounds):
-                        prompt = make_prompt(query=f"worker {worker} round {i}")
-                        assert client.generate(prompt) == prompt.text
-                except BaseException as exc:  # reported by the main thread
-                    errors.append(exc)
-
+            client = HttpGeneratorClient(http_config(server.url, max_in_flight=4))
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                workers = [threading.Thread(target=post, args=(w,)) for w in range(threads)]
-                for t in workers:
-                    t.start()
-                for t in workers:
-                    t.join(timeout=30)
+                client.prefetch(prompts)
+                outputs = [client.generate(prompt) for prompt in prompts]
             finally:
                 sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in workers)
             client.session.close()
-        assert errors == []
-        assert len(server.bodies) == threads * rounds
-        assert len(set(server.ports)) <= MAX_IN_FLIGHT
+        assert outputs == [prompt.text for prompt in prompts]
+        assert len(server.bodies) == len(prompts) == client.calls
+        assert len(set(server.ports)) <= 4
+
+    def test_prefetch_skips_cached_and_pending_prompts(self, tmp_path):
+        prompts = [make_prompt(query=f"question {i}") for i in range(2)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts})
+        config = http_config("http://generator.test/", cache_dir=str(tmp_path))
+        client = HttpGeneratorClient(config, session=endpoint)
+        client.generate(prompts[0])
+        client.prefetch([prompts[0], prompts[1], prompts[1]])
+        assert [client.generate(p) for p in prompts] == ["a", "a"]
+        assert (endpoint.posts, client.calls, client.cache_hits) == (2, 3, 1)
+
+    def test_cancelled_prefetch_that_has_not_started_never_posts(self):
+        import time
+
+        prompts = [make_prompt(query=f"question {i}") for i in range(6)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts}, delay_s=0.05)
+        config = http_config("http://generator.test/", max_in_flight=2)
+        client = HttpGeneratorClient(config, session=endpoint)
+        client.prefetch(prompts)
+        deadline = time.monotonic() + 10
+        while endpoint.peak_in_flight < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        client.cancel_prefetch()
+        assert endpoint.in_flight == []  # it waited for the two POSTs under way
+        assert endpoint.posts == 2
 
     def test_http_proxy_gets_the_absolute_target(self, monkeypatch):
         clear_proxy_env(monkeypatch)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from ragtrim.pipeline import (
 )
 from ragtrim.predictor import PredictorReport, RandomKPredictor, TrainConfig, save_model, train
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
+from helpers import MockEndpoint, mock_answers, serve
 
 WEIGHTS = {"0": 0.10, "1": 0.30, "2": 0.20, "3": 0.15, "4": 0.10, "5": 0.05, "none": 0.10}
 ALL_METHODS = ["no_retrieval", "top_1", "top_5", "top_random", "only_doc", "adaptive", "oracle"]
@@ -256,6 +258,36 @@ class TestPromptDedup:
         predictor = RandomKPredictor(5, k_range=range(1, min_n + 1))
         draws = [predictor.predict_label(ex, retrieval).k for ex, retrieval in dataset]
         assert [r.k for r in run.by_name()["top_random"].results] == draws
+
+
+class TestRequestsInFlight:
+    def test_four_in_flight_halve_the_wall_time_and_change_no_output(self, tmp_path, monkeypatch):
+        """A 20 ms endpoint: at max_in_flight 4 a run takes at most half the time it takes
+        at 1, never has more than 4 POSTs or one prompt twice in flight, and writes the
+        same table.csv and manifest.json."""
+        corpus = make_synthetic_corpus(CorpusSpec(size=40), seed=8)
+        paths = corpus.write(tmp_path / "corpus")
+        answers = mock_answers(corpus, join_dataset(corpus.examples, corpus.retrievals))
+        seconds, outputs = {}, {}
+        for width in (1, 4):
+            endpoint = MockEndpoint(answers, delay_s=0.02)
+            serve(monkeypatch, endpoint)
+            out = tmp_path / f"out{width}"
+            config = PipelineConfig(
+                examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+                generator={"type": "http", "endpoint_url": "http://generator.test/",
+                           "max_in_flight": width},
+                methods=["top_1", "top_random"], seed=3,
+                output_dir=str(out),
+            )
+            start = time.perf_counter()
+            run = run_pipeline(config)
+            seconds[width] = time.perf_counter() - start
+            outputs[width] = [(out / name).read_bytes() for name in ("table.csv", "manifest.json")]
+            assert endpoint.posts == run.manifest["generator_calls"] > 40
+            assert endpoint.peak_in_flight <= width and endpoint.doubled == []
+        assert outputs[1] == outputs[4]
+        assert seconds[4] <= seconds[1] / 2, seconds
 
 
 class TestScoreMemo:
@@ -602,18 +634,30 @@ class TestCli:
         assert len(built_clients) == 1
         assert len(built_clients[0].seen) == len(mock_generations) > 0
 
-    def test_annotate_mock_flags_match_across_workers_and_library(self, tmp_path):
+    def test_annotate_mock_flags_match_across_runs_and_library(self, tmp_path, monkeypatch):
+        """The mock's flags reach it from the CLI. The mock has no prefetch, so
+        annotation probes one example at a time, exactly as the library call does."""
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "60", "--seed", "4"])
         plan = str(corpus_dir / "plan.jsonl")
         generator = {"type": "mock", "closed_book_plan": plan, "seed": 5,
                      "confusion_threshold": 3, "noise_rate": 0.1}
+        probed = []
+        generate = MockOracleClient.generate
+
+        def recorded_generate(client, prompt):
+            probed.append(prompt.query_id)
+            return generate(client, prompt)
+
+        monkeypatch.setattr(MockOracleClient, "generate", recorded_generate)
         outputs = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"triplets_{workers}.jsonl"
-            args = self.annotate_args(corpus_dir, out, generator, "--workers", workers)
-            assert cli_main(args) == 0
+        for run in ("first", "second"):
+            out = tmp_path / f"triplets_{run}.jsonl"
+            assert cli_main(self.annotate_args(corpus_dir, out, generator)) == 0
             outputs.append(out.read_bytes())
+        # One example at a time: each example's probes are contiguous.
+        switches = sum(a != b for a, b in zip(probed, probed[1:]))
+        assert switches == 2 * 60 - 1
 
         config = PipelineConfig(
             examples_path=str(corpus_dir / "examples.jsonl"),

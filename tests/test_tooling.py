@@ -5,12 +5,26 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
+import ragtrim.pipeline
+from ragtrim.annotate import annotate_dataset
+from ragtrim.data import join_dataset, save_triplets
 from ragtrim.generation import HttpGeneratorClient, HttpGeneratorConfig, Prompt
-from helpers import ScriptedServer
+from ragtrim.pipeline import PipelineConfig, run_pipeline, sweep_document_count
+from ragtrim.synth import CorpusSpec, make_synthetic_corpus
+from helpers import MockEndpoint, ScriptedServer, mock_answers, serve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded read-only."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_traced_names_exist():
@@ -28,9 +42,7 @@ def test_traced_names_exist():
 def test_metered_http_client_counts_one_retry():
     """The HTTP workloads wrap each client in MeteredClient, which swaps in its own session
     and reads each response's status_code; a transport that broke that seam would fail here."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     text = "\nQuestion: who wrote Hamlet\nAnswer:"
     prompt = Prompt("q1", "who wrote Hamlet", (), "qa_default", text)
     with ScriptedServer([(503, {"error": "busy"}), (200, {"text": "a"})]) as server:
@@ -40,3 +52,56 @@ def test_metered_http_client_counts_one_retry():
     counters = meter.counters()
     assert (counters["retries"], counters["backend_requests"]) == (1, 1)
     assert counters["billed_tokens"] == len(prompt.text.split()) == 5
+
+
+def test_metered_study_generates_on_the_calling_thread(tmp_path, monkeypatch):
+    """The study wraps every client in MeteredClient, whose counters take no lock. At
+    max_in_flight 4, annotate, run and sweep call ``generate`` only on the calling
+    thread, the requests still overlap, and the meter reconciles with the endpoint:
+    lookups, backend requests, billed tokens and retries."""
+    tracing = load_tracing()
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=5)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    endpoint = MockEndpoint(mock_answers(corpus, dataset), delay_s=0.001, fault_rate=0.05)
+    serve(monkeypatch, endpoint)
+    callers = set()
+    generate = HttpGeneratorClient.generate
+
+    def recorded_generate(client, prompt):
+        callers.add(threading.get_ident())
+        return generate(client, prompt)
+
+    monkeypatch.setattr(HttpGeneratorClient, "generate", recorded_generate)
+    meters, stage = [], ["annotate"]
+    build = ragtrim.pipeline.build_generator
+
+    def metered_build(config, data):
+        meters.append(tracing.MeteredClient(build(config, data), stage[0]))
+        return meters[-1]
+
+    monkeypatch.setattr(ragtrim.pipeline, "build_generator", metered_build)
+    paths = corpus.write(tmp_path / "corpus")
+    config = PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        triplets_path=str(tmp_path / "triplets.jsonl"),
+        generator={"type": "http", "endpoint_url": "http://generator.test/", "model_name": "m",
+                   "backoff_base_s": 0, "cache_dir": str(tmp_path / "cache"), "max_in_flight": 4},
+        methods=["no_retrieval", "top_1", "top_3", "top_random", "oracle"], seed=5,
+        output_dir=str(tmp_path / "out"),
+    )
+    triplets, _ = annotate_dataset(dataset, ragtrim.pipeline.build_generator(config, dataset))
+    save_triplets(config.triplets_path, triplets)
+    stage[0] = "run"
+    run_pipeline(config)
+    stage[0] = "sweep"
+    sweep_document_count(config)
+
+    assert callers == {threading.get_ident()}
+    assert endpoint.peak_in_flight > 1  # the meter passed prefetch and the width through
+    counters = [meter.counters() for meter in meters]
+    assert [c["stage"] for c in counters] == ["annotate", "run", "sweep"]
+    assert all(c["lookups"] == c["client_calls"] > 0 and c["failed"] == 0 for c in counters)
+    assert sum(c["client_cache_hits"] for c in counters) > 0
+    assert sum(c["backend_requests"] for c in counters) == endpoint.posts - endpoint.faults
+    assert sum(c["billed_tokens"] for c in counters) == endpoint.tokens
+    assert sum(c["retries"] for c in counters) == endpoint.faults > 0
