@@ -473,8 +473,11 @@ class HttpGeneratorClient:
         payload = _request_payload(self.config, prompt)
         request = json.dumps([self.config.endpoint_url, payload], sort_keys=True)
         key = hashlib.sha256(request.encode("utf-8")).hexdigest()
+        return payload, key, self._cache_path(key)
+
+    def _cache_path(self, key: str) -> Path | None:
         cache_dir = self.config.cache_dir
-        return payload, key, Path(cache_dir) / f"{key}.json" if cache_dir else None
+        return Path(cache_dir) / f"{key}.json" if cache_dir else None
 
     def prefetch(self, prompts: Iterable[Prompt]) -> None:
         """Start fetching each prompt that has no cache entry and is not already pending."""
@@ -484,12 +487,29 @@ class HttpGeneratorClient:
                 continue
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(self.config.max_in_flight, "ragtrim-post")
-            self._pending[key] = self._pool.submit(self._fetch, payload)
+            self._pending[key] = self._pool.submit(self._prefetched, self._pending, payload)
+
+    def _prefetched(self, pending: dict, payload: dict) -> str | None:
+        """The POST of a prefetch, or None once cancel_prefetch has dropped ``pending``."""
+        with self._counter_lock:
+            if pending is not self._pending:
+                return None
+        return self._fetch(payload)
 
     def cancel_prefetch(self) -> None:
-        """Cancel the prefetches not yet started and wait for the POSTs that are."""
-        pending, self._pending = self._pending, {}
-        wait([f for f in pending.values() if not f.cancel()])
+        """Cancel the prefetches not yet started and wait for the POSTs that are; none
+        starts once this is called. With a cache, the answer of each prefetch that
+        finished but was never taken by ``generate`` is written to it: it was paid for."""
+        with self._counter_lock:
+            pending, self._pending = self._pending, {}
+        for future in pending.values():
+            future.cancel()
+        wait(pending.values())
+        if self.config.cache_dir:
+            for key, future in pending.items():
+                text = None if future.cancelled() or future.exception() else future.result()
+                if text is not None:
+                    _write_cache_entry(self._cache_path(key), text)
 
     def generate(self, prompt: Prompt) -> str:
         with self._counter_lock:

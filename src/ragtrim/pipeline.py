@@ -358,11 +358,20 @@ class MethodResult:
     fingerprint: str
     contexts: list[CompressedContext] = field(default_factory=list)
     reused: int = 0  # rows served from an earlier identical prompt of the same example
+    skipped: int = 0  # examples the row's labeler gave no label (an oracle row's missing ones)
 
 
 # Per-row generation counters; the manifest records each per method and as a total.
-# A remote predictor's row also records its ``fallbacks`` (calls answered with k=N).
-_RUN_COUNTERS = ("generator_calls", "cache_hits", "reused")
+# Every row has generator_calls + reused + skipped == n_examples. A remote
+# predictor's row also records its ``fallbacks`` (calls answered with k=N).
+_RUN_COUNTERS = ("generator_calls", "cache_hits", "reused", "skipped")
+
+# Examples that run and sweep plan and prefetch ahead of the one being generated, per
+# POST slot of a client at max_in_flight > 1. One retry's backoff (0.25 s) holds a slot
+# while generate waits for it in dataset order, and the other slots need planned work
+# meanwhile. On http-flaky-400, 8, 16, 32 and 64 measured alike; 32 (128 examples at
+# width 4) plans about four backoffs' worth of work.
+LOOKAHEAD_PER_SLOT = 32
 
 
 @dataclass
@@ -394,13 +403,15 @@ def _evaluate(
 ) -> list[MethodResult]:
     """Generate and score every (row_name, labeler, fingerprint) row, example-major.
 
-    Each example is planned and its prompts prefetched while the client's
-    ``max_in_flight - 1`` examples before it are generated, so up to
-    ``max_in_flight`` requests overlap; every ``generate`` call runs on this
-    thread, in dataset order. Within one example, a prompt goes to the client
-    only the first time a row produces it; later rows with the same prompt
-    text reuse that output. An output is scored only the first time a row of
-    the example returns it: the example's gold answers fix every metric, so
+    Each example is planned and its prompts prefetched while the
+    ``LOOKAHEAD_PER_SLOT * max_in_flight`` examples before it are generated, so
+    the client's ``max_in_flight`` requests overlap and stay busy while one of
+    them backs off; a client without ``prefetch`` or at width 1 plans each
+    example only after the one before it is generated. Every ``generate`` call
+    runs on this thread, in dataset order. Within one example, a prompt goes to
+    the client only the first time a row produces it; later rows with the same
+    prompt text reuse that output. An output is scored only the first time a row
+    of the example returns it: the example's gold answers fix every metric, so
     later rows copy the metrics and keep their own token_count and k. Each
     labeler still runs once per example in dataset order (seeded draws keep
     their sequence) and each row's results keep dataset order.
@@ -432,12 +443,14 @@ def _evaluate(
         return example, planned
 
     with prefetching(client) as (prefetch, width):
-        for example, planned in _ahead(map(plan, dataset), width - 1):
+        ahead = LOOKAHEAD_PER_SLOT * width if width > 1 else 0
+        for example, planned in _ahead(map(plan, dataset), ahead):
             outputs: dict[str, str] = {}  # prompt text -> output, for this example only
             scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
             split = splits.get(example.id) if splits else None
             for ctx, m in zip(planned, methods):
                 if ctx is None:
+                    m.skipped += 1
                     continue
                 output = outputs.get(ctx.prompt.text)
                 if output is None:

@@ -116,6 +116,8 @@ class MockEndpoint:
     Each POST sleeps ``delay_s``. The first attempt of a seeded ``fault_rate``
     share of distinct prompts fails with a 503 or a dropped connection, as in
     perfbench's flaky stub; every prompt of a ``failing`` query id gets a 503.
+    A POST of a prompt in ``gates`` waits, in flight, until its event is set
+    (at most 10 s; the prompts that timed out are in ``gate_timeouts``).
     Under one lock it counts POSTs, faults and the prompt tokens of answered
     POSTs, the peak number of POSTs in flight, and every POST of a prompt that
     was already in flight.
@@ -135,6 +137,8 @@ class MockEndpoint:
         self.doubled: list[str] = []
         self.in_flight: list[str] = []
         self.seen: set[str] = set()
+        self.gates: dict[str, threading.Event] = {}
+        self.gate_timeouts: list[str] = []
 
     def post(self, url, json, **kwargs):
         text = json["prompt"]
@@ -154,6 +158,8 @@ class MockEndpoint:
             self.tokens += 0 if fault else len(text.split())
         try:
             time.sleep(self.delay_s)
+            if text in self.gates and not self.gates[text].wait(10):
+                self.gate_timeouts.append(text)
             if fault and (query_id in self.failing or digest[8] % 2):
                 return http_response(503, b'{"error": "injected fault"}')
             if fault:

@@ -387,7 +387,7 @@ def test_manifest_counts_remote_predictor_fallbacks(corpus, tmp_path, monkeypatc
     per_method = run_pipeline(config).manifest["per_method"]
     assert len(predictor_posts) == 30
     assert per_method["remote"]["fallbacks"] == 10
-    assert set(per_method["top_1"]) == {"generator_calls", "cache_hits", "reused"}
+    assert set(per_method["top_1"]) == {"generator_calls", "cache_hits", "reused", "skipped"}
 
 
 def unlabelled_sweep(paths, tmp_path):

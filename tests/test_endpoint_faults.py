@@ -8,6 +8,7 @@ that attempt; retries that run out raise TransportError.
 from __future__ import annotations
 
 import http.client
+import time
 
 import pytest
 from hypothesis import given
@@ -170,3 +171,40 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypa
         assert endpoint.posts == backend_requests + endpoint.faults
         assert endpoint.peak_in_flight <= width and endpoint.doubled == []
     assert outputs[1] == outputs[4]
+
+
+def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
+    """Every prompt of example 20 of 60 fails for good, so the run raises TransportError
+    when it reaches that example, after the look-ahead has sent prompts of later ones.
+    No POST is under way or starts after the raise, every answered prompt has a cache
+    entry, and a rerun with the fault lifted POSTs only the prompts left unanswered."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=4)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    ids = [example.id for example, _ in dataset]
+    paths = corpus.write(tmp_path / "corpus")
+    cache = tmp_path / "cache"
+    config = PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        generator={"type": "http", "endpoint_url": "http://generator.test/", "max_retries": 0,
+                   "cache_dir": str(cache), "max_in_flight": 4},
+        methods=["top_1", "top_3", "top_random"], seed=3,
+    )
+    endpoint = MockEndpoint(answers, delay_s=0.002, failing=[ids[20]])
+    serve(monkeypatch, endpoint)
+    with pytest.raises(TransportError):
+        run_pipeline(config)
+    posts = endpoint.posts
+    assert endpoint.in_flight == []
+    time.sleep(0.05)
+    assert endpoint.posts == posts
+
+    answered = {text for text in endpoint.seen if answers[text][0] != ids[20]}
+    assert any(ids.index(answers[text][0]) > 20 for text in answered)
+    assert len(list(cache.glob("*.json"))) == len(answered)
+    rerun = MockEndpoint(answers)
+    serve(monkeypatch, rerun)
+    manifest = run_pipeline(config).manifest
+    assert rerun.seen.isdisjoint(answered)
+    assert manifest["cache_hits"] == len(answered)
+    assert rerun.posts == manifest["generator_calls"] - len(answered)

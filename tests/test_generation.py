@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import socket
+import ssl
+import threading
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +33,8 @@ from helpers import (
     clear_proxy_env,
     free_port,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def make_prompt(query_id="q1", docs=(), query="who wrote Hamlet"):
@@ -429,6 +436,37 @@ class TestHttpClient:
         assert endpoint.in_flight == []  # it waited for the two POSTs under way
         assert endpoint.posts == 2
 
+    def test_cancel_under_contention_keeps_every_answer_and_starts_nothing_after(
+        self, tmp_path
+    ):
+        """Cancelling 300 queued prefetches at width 4 while the threads switch every
+        microsecond: a POST starts after cancel_prefetch is called only if it had
+        passed its check before (at most one per thread); once it returns, no POST is
+        in flight and none starts, and every answered POST has its cache entry."""
+        import sys
+        import time
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                prompts = [make_prompt(query=f"question {round_} {i}") for i in range(300)]
+                endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts})
+                cache = tmp_path / str(round_)
+                client = HttpGeneratorClient(
+                    http_config("http://generator.test/", cache_dir=str(cache)),
+                    session=endpoint)
+                client.prefetch(prompts)
+                time.sleep(0.0005 * round_)
+                before = endpoint.posts
+                client.cancel_prefetch()
+                posts = endpoint.posts
+                time.sleep(0.01)
+                assert endpoint.in_flight == [] and endpoint.posts == posts <= before + 4
+                assert len(list(cache.glob("*.json"))) == posts
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_http_proxy_gets_the_absolute_target(self, monkeypatch):
         clear_proxy_env(monkeypatch)
         with ScriptedServer([(200, {"text": "via proxy"})]) as proxy:
@@ -438,6 +476,27 @@ class TestHttpClient:
             assert client.generate(make_prompt()) == "via proxy"
         assert proxy.paths == ["http://localhost:9/v1/gen?x=1"]
         assert proxy.headers_seen[0]["Host"] == "localhost:9"
+
+    def test_https_through_a_proxy_goes_through_one_connect_tunnel(self, monkeypatch):
+        """A CONNECT proxy in front of a TLS server whose certificate (a committed
+        self-signed one for localhost and 127.0.0.1, made with ``openssl req -x509``)
+        is trusted through SSL_CERT_FILE: two POSTs go over one tunnel, with
+        origin-form targets, and the certificate is checked against the host."""
+        clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("SSL_CERT_FILE", str(FIXTURES / "localhost-cert.pem"))
+        server = ScriptedServer([(200, {"text": "tunnelled"})], keep_alive=True)
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(FIXTURES / "localhost-cert.pem", FIXTURES / "localhost-key.pem")
+        server.server.socket = tls.wrap_socket(server.server.socket, server_side=True)
+        with server, ConnectProxy() as proxy:
+            monkeypatch.setenv("https_proxy", proxy.url)
+            port = server.server.server_port
+            client = HttpGeneratorClient(http_config(f"https://localhost:{port}/v1/gen"))
+            for i in range(2):
+                assert client.generate(make_prompt(query=f"question {i}")) == "tunnelled"
+            client.session.close()
+        assert proxy.targets == [f"localhost:{port}"]
+        assert server.paths == ["/v1/gen", "/v1/gen"]
 
     def test_no_proxy_host_goes_direct(self, monkeypatch):
         clear_proxy_env(monkeypatch)
@@ -472,3 +531,47 @@ def test_mock_client_concurrent_calls():
         outputs = list(pool.map(client.generate, prompts * 10))
     assert set(outputs) == {"Paris"}
     assert client.calls == 80
+
+
+class ConnectProxy:
+    """A local HTTP proxy that answers each CONNECT with 200 and relays the tunnel's bytes
+    both ways; ``targets`` records each CONNECT target."""
+
+    def __init__(self):
+        self.targets: list[str] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+
+    def __enter__(self):
+        threading.Thread(target=self._accept, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc):
+        self.listener.close()
+
+    def _accept(self):
+        while True:
+            try:
+                client, _ = self.listener.accept()
+            except OSError:  # closed
+                return
+            head = b""
+            while b"\r\n\r\n" not in head and (chunk := client.recv(4096)):
+                head += chunk
+            target = head.split()[1].decode()
+            self.targets.append(target)
+            host, port = target.rsplit(":", 1)
+            upstream = socket.create_connection((host, int(port)))
+            client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            for source, sink in ((client, upstream), (upstream, client)):
+                threading.Thread(target=self._relay, args=(source, sink), daemon=True).start()
+
+    @staticmethod
+    def _relay(source, sink):
+        try:
+            while data := source.recv(65536):
+                sink.sendall(data)
+        except OSError:
+            pass
+        finally:
+            sink.close()

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
 
 from ragtrim.annotate import annotate_dataset
 from ragtrim.cli import main as cli_main
-from ragtrim.data import DataError, join_dataset, load_examples, load_retrievals, save_triplets
+from ragtrim.data import (
+    DataError,
+    join_dataset,
+    load_examples,
+    load_retrievals,
+    load_triplets,
+    save_triplets,
+)
 from ragtrim.generation import MockOracleClient
 from ragtrim.pipeline import (
     ConfigError,
@@ -143,13 +151,27 @@ class TestRunPipeline:
     def test_generator_call_budget_accounting(self, prepared):
         run = run_pipeline(base_config(prepared))
         manifest = run.manifest
-        for key in ("generator_calls", "cache_hits", "reused"):
+        for key in ("generator_calls", "cache_hits", "reused", "skipped"):
             assert manifest[key] == sum(entry[key] for entry in manifest["per_method"].values())
         # Every scored row either sent its prompt or reused an earlier identical one.
         for m in run.methods:
             assert m.generator_calls + m.reused == m.report.n
             assert manifest["per_method"][m.name]["reused"] == m.reused
         assert manifest["reused"] > 0  # top_k prefixes repeat across rows
+
+    def test_oracle_examples_without_a_label_are_counted_skipped(self, prepared, tmp_path):
+        triplets = load_triplets(prepared["triplets"])
+        save_triplets(tmp_path / "some.jsonl", triplets[::3])
+        config = base_config(prepared, methods=["top_1", "oracle"])
+        config.triplets_path = str(tmp_path / "some.jsonl")
+        manifest = run_pipeline(config).manifest
+        oracle = manifest["per_method"]["oracle"]
+        assert oracle["skipped"] == len(triplets) - len(triplets[::3]) > 0
+        assert manifest["per_method"]["top_1"]["skipped"] == 0
+        assert manifest["skipped"] == oracle["skipped"]
+        for entry in manifest["per_method"].values():
+            assert entry["generator_calls"] + entry["reused"] + entry["skipped"] == (
+                manifest["n_examples"])
 
     def test_outputs_written_and_deterministic(self, prepared):
         out_a = prepared["root"] / "out_a"
@@ -288,6 +310,122 @@ class TestRequestsInFlight:
             assert endpoint.peak_in_flight <= width and endpoint.doubled == []
         assert outputs[1] == outputs[4]
         assert seconds[4] <= seconds[1] / 2, seconds
+
+    def test_lookahead_keeps_the_other_slots_busy_while_one_prompt_is_held(
+        self, tmp_path, monkeypatch
+    ):
+        """The endpoint holds the first example's prompt until a prompt of the last
+        example the look-ahead reaches arrives. At width 4 with 2 examples per slot,
+        that is example 8, beyond max_in_flight - 1: no more than 9 planned examples
+        are alive at once, no more than 4 POSTs or one prompt twice are in flight,
+        and table.csv, manifest.json and sweep.csv equal those of width 1."""
+        import ragtrim.pipeline
+        from ragtrim.compress import assemble_prompt
+
+        monkeypatch.setattr(ragtrim.pipeline, "LOOKAHEAD_PER_SLOT", 2)
+        corpus = make_synthetic_corpus(CorpusSpec(size=30), seed=8)
+        paths = corpus.write(tmp_path / "corpus")
+        dataset = join_dataset(corpus.examples, corpus.retrievals)
+        answers = mock_answers(corpus, dataset)
+        ids = [example.id for example, _ in dataset]
+        example, retrieval = dataset.pairs[0]
+        held = assemble_prompt(example, retrieval.docs[:1]).text
+        far = {text for text, (query_id, _) in answers.items() if query_id == ids[8]}
+        events = record_plans_and_generates(monkeypatch)
+        outputs = {}
+        for width in (1, 4):
+            endpoint = MockEndpoint(answers)
+            release = threading.Event()
+            if width > 1:  # width 1 would wait for example 8 until the gate times out
+                endpoint.gates[held] = release
+
+            class Releasing:
+                def post(self, url, json, **kwargs):
+                    if json["prompt"] in far:
+                        release.set()
+                    return endpoint.post(url, json=json, **kwargs)
+
+            serve(monkeypatch, Releasing())
+            out = tmp_path / f"out{width}"
+            config = http_run_config(paths, out, width)
+            events.clear()
+            run_pipeline(config)
+            alive = planned_alive(events, ids)
+            sweep_document_count(config)
+            outputs[width] = [(out / name).read_bytes()
+                              for name in ("table.csv", "manifest.json", "sweep.csv")]
+            assert endpoint.peak_in_flight <= width and endpoint.doubled == []
+            assert endpoint.gate_timeouts == []
+            assert max(alive) == (1 if width == 1 else 2 * width + 1)
+        assert outputs[1] == outputs[4]
+
+    @pytest.mark.parametrize("generator", ["mock", "http-width-1"])
+    def test_without_overlap_each_example_is_planned_after_the_last_generate_before_it(
+        self, tmp_path, monkeypatch, generator
+    ):
+        """The mock, and an HTTP client at width 1, have no look-ahead: example i+1 is
+        labelled only after example i's last generate."""
+        corpus = make_synthetic_corpus(CorpusSpec(size=12), seed=8)
+        paths = corpus.write(tmp_path / "corpus")
+        dataset = join_dataset(corpus.examples, corpus.retrievals)
+        config = http_run_config(paths, None, 1)
+        if generator == "mock":
+            config.generator = {"type": "mock", "closed_book_plan": str(paths["plan"])}
+        else:
+            serve(monkeypatch, MockEndpoint(mock_answers(corpus, dataset)))
+        events = record_plans_and_generates(monkeypatch)
+        run_pipeline(config)
+        steps = [event for i, event in enumerate(events) if i == 0 or events[i - 1] != event]
+        ids = [example.id for example, _ in dataset]
+        assert steps == [(kind, id_) for id_ in ids for kind in ("plan", "generate")]
+
+
+def http_run_config(paths, out, width):
+    """A run of top_1 and top_random through an http generator at ``width``."""
+    return PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        generator={"type": "http", "endpoint_url": "http://generator.test/",
+                   "max_in_flight": width},
+        methods=["top_1", "top_random"], seed=3, output_dir=str(out) if out else None,
+    )
+
+
+def record_plans_and_generates(monkeypatch) -> list[tuple[str, str]]:
+    """("plan", example id) for each FixedKPredictor label and ("generate", query id) for
+    each generate of the mock or the HTTP client, in call order."""
+    from ragtrim.generation import HttpGeneratorClient
+    from ragtrim.predictor import FixedKPredictor
+
+    events: list[tuple[str, str]] = []
+    label = FixedKPredictor.predict_label
+
+    def recorded_label(self, example, retrieval):
+        events.append(("plan", example.id))
+        return label(self, example, retrieval)
+
+    monkeypatch.setattr(FixedKPredictor, "predict_label", recorded_label)
+    for cls in (MockOracleClient, HttpGeneratorClient):
+        def recorded_generate(self, prompt, generate=cls.generate):
+            events.append(("generate", prompt.query_id))
+            return generate(self, prompt)
+
+        monkeypatch.setattr(cls, "generate", recorded_generate)
+    return events
+
+
+def planned_alive(events, ids) -> list[int]:
+    """At each example's planning: the examples planned and not yet generated, itself
+    included. The example of the latest generate is done by then: the next example
+    is planned only once the driver asks for it."""
+    index = {id_: i for i, id_ in enumerate(ids)}
+    latest, planned, alive = -1, set(), []
+    for kind, id_ in events:
+        if kind == "generate":
+            latest = index[id_]
+        elif id_ not in planned:
+            planned.add(id_)
+            alive.append(index[id_] - latest)
+    return alive
 
 
 class TestScoreMemo:

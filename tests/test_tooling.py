@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import importlib
 import importlib.util
 import threading
@@ -105,3 +106,32 @@ def test_metered_study_generates_on_the_calling_thread(tmp_path, monkeypatch):
     assert sum(c["backend_requests"] for c in counters) == endpoint.posts - endpoint.faults
     assert sum(c["billed_tokens"] for c in counters) == endpoint.tokens
     assert sum(c["retries"] for c in counters) == endpoint.faults > 0
+
+
+def test_bench_pairs_summary_of_canned_result_lines():
+    """scripts/bench_pairs.py reads each run's last stdout line and summarises each side:
+    per-metric medians, quartiles and wins over the pairs in which both runs printed a
+    result."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def line(study_s, em):
+        metrics = {"study_s": {"value": study_s, "unit": "s"},
+                   "adaptive_em": {"value": em, "unit": "ratio"}}
+        return "\n".join(["run record: {}", "  study_s  1.0 s",
+                          json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                                      "metrics": metrics})])
+
+    before = [line(s, 0.9) for s in (20.0, 22.0, 21.0, 30.0, 19.0)]
+    after = [line(s, 0.9) for s in (12.0, 13.0, 11.0, 14.0, 20.0)]
+    results = [[bench_pairs.result_of(out) for out in side] for side in (before, after)]
+    pairs = list(zip(*results)) + [(None, bench_pairs.result_of(after[0]))]
+    assert bench_pairs.result_of("usage: run.py\nerror: no result") is None
+    b, a = bench_pairs.summarise(pairs, {"study_s": "lower", "adaptive_em": "higher"})
+    assert (b["pairs"], b["failed_runs"], a["failed_runs"]) == (5, 1, 0)
+    assert b["metrics"]["study_s"] == {"unit": "s", "median": 21.0, "q1": 20.0, "q3": 22.0,
+                                       "wins": 1, "runs": [20.0, 22.0, 21.0, 30.0, 19.0]}
+    assert (a["metrics"]["study_s"]["median"], a["metrics"]["study_s"]["wins"]) == (13.0, 4)
+    assert b["metrics"]["adaptive_em"]["wins"] == a["metrics"]["adaptive_em"]["wins"] == 0
