@@ -4,7 +4,8 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --workload http-flaky-400 --pairs 10 --pr N
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, one right after the other. Which checkout
+--trace 0`` once in each checkout, with T the ``run_seconds`` that
+BENCHMARK.json declares, one right after the other. Which checkout
 goes first alternates from pair to pair, so a drift in the host's speed falls
 on both sides. The last line a run prints is its result (see
 perfbench/run.py); a run that prints none, or exits non-zero, is a failed run,
@@ -106,19 +107,19 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--pr", required=True, help="names the files BENCH_<pr>_*.json")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path, default=Path.cwd(), help="directory of the files")
     args = parser.parse_args()
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    seconds = declared["run_seconds"]
     checkouts = (args.parent.resolve(), args.change.resolve())
     pairs = []
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         pair = [None, None]
         for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            pair[side] = run_once(checkouts[side], args.workload, args.seed, seconds)
         pairs.append(tuple(pair))
         values = [p["metrics"]["study_s"]["value"] if p else None for p in pair]
         print(f"pair {i + 1}/{args.pairs}: study_s before {values[0]} after {values[1]}",
@@ -127,7 +128,7 @@ def main() -> int:
     machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
                "platform": platform.platform()}
     command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-               f"--seconds {args.seconds:g} --trace 0")
+               f"--seconds {seconds:g} --trace 0")
     key = f"{args.workload} --seed {args.seed}"
     for name, checkout, summary in zip(("before", "after"), checkouts, summarise(pairs, better)):
         _merge(args.out / f"BENCH_{args.pr}_{name}.json", machine, key,

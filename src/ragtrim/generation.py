@@ -459,6 +459,7 @@ class HttpGeneratorClient:
         self.cache_hits = 0
         self._counter_lock = threading.Lock()
         self._pending: dict[str, Future[str]] = {}  # request key -> its prefetched answer
+        self._failed = 0  # prefetches of _pending that failed and generate has not raised
         self._pool: ThreadPoolExecutor | None = None
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
@@ -490,24 +491,31 @@ class HttpGeneratorClient:
             self._pending[key] = self._pool.submit(self._prefetched, self._pending, payload)
 
     def _prefetched(self, pending: dict, payload: dict) -> str | None:
-        """The POST of a prefetch, or None once cancel_prefetch has dropped ``pending``."""
+        """The POST of a prefetch; or None, with no POST, once cancel_prefetch has
+        dropped ``pending`` or while a failed prefetch's error waits for ``generate``.
+        So when that error reaches the caller, only the POSTs already under way on
+        the other threads (at most ``max_in_flight - 1``) are left."""
         with self._counter_lock:
-            if pending is not self._pending:
+            if pending is not self._pending or self._failed:
                 return None
-        return self._fetch(payload)
+        try:
+            return self._fetch(payload)
+        except Exception:
+            with self._counter_lock:
+                if pending is self._pending:
+                    self._failed += 1
+            raise
 
     def cancel_prefetch(self) -> None:
-        """Cancel the prefetches not yet started and wait for the POSTs that are; none
-        starts once this is called. With a cache, the answer of each prefetch that
-        finished but was never taken by ``generate`` is written to it: it was paid for."""
+        """Wait for the POSTs under way; no prefetch starts once this is called. With a
+        cache, the answer of each prefetch that finished but was never taken by
+        ``generate`` is written to it: it was paid for."""
         with self._counter_lock:
-            pending, self._pending = self._pending, {}
-        for future in pending.values():
-            future.cancel()
+            pending, self._pending, self._failed = self._pending, {}, 0
         wait(pending.values())
         if self.config.cache_dir:
             for key, future in pending.items():
-                text = None if future.cancelled() or future.exception() else future.result()
+                text = None if future.exception() else future.result()
                 if text is not None:
                     _write_cache_entry(self._cache_path(key), text)
 
@@ -522,7 +530,14 @@ class HttpGeneratorClient:
             return cached
 
         future = self._pending.pop(key, None)
-        text = self._fetch(payload) if future is None else future.result()
+        try:
+            text = None if future is None else future.result()
+        except Exception:
+            with self._counter_lock:
+                self._failed -= 1
+            raise
+        if text is None:  # not prefetched, or skipped while a failure was pending
+            text = self._fetch(payload)
         if cache_path is not None:
             _write_cache_entry(cache_path, text)
         return text

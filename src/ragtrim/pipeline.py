@@ -367,11 +367,11 @@ class MethodResult:
 _RUN_COUNTERS = ("generator_calls", "cache_hits", "reused", "skipped")
 
 # Examples that run and sweep plan and prefetch ahead of the one being generated, per
-# POST slot of a client at max_in_flight > 1. One retry's backoff (0.25 s) holds a slot
-# while generate waits for it in dataset order, and the other slots need planned work
-# meanwhile. On http-flaky-400, 8, 16, 32 and 64 measured alike; 32 (128 examples at
-# width 4) plans about four backoffs' worth of work.
-LOOKAHEAD_PER_SLOT = 32
+# POST slot of a client at max_in_flight > 1: while one slot holds a retry's backoff
+# (0.25 s) and generate waits for it in dataset order, the other slots need planned
+# work. On http-flaky-400, 16, 32 and 64 measured alike, and 8 lost to 32 in most
+# alternating pairs, as did 8 per slot beyond the first (24 examples at width 4).
+LOOKAHEAD_PER_SLOT = 16
 
 
 @dataclass

@@ -8,6 +8,7 @@ that attempt; retries that run out raise TransportError.
 from __future__ import annotations
 
 import http.client
+import threading
 import time
 
 import pytest
@@ -175,8 +176,11 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypa
 
 def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
     """Every prompt of example 20 of 60 fails for good, so the run raises TransportError
-    when it reaches that example, after the look-ahead has sent prompts of later ones.
-    No POST is under way or starts after the raise, every answered prompt has a cache
+    when it reaches that example. The endpoint holds those prompts until a prompt of
+    example 30 arrives, so the look-ahead has sent prompts of later ones. The POSTs
+    under way when generate raises, and those that start after it, are at most
+    max_in_flight - 1, the other threads' (the raise is held 10 ms to give more a
+    chance). None is under way once the run returns. Every answered prompt has a cache
     entry, and a rerun with the fault lifted POSTs only the prompts left unanswered."""
     corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=4)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
@@ -191,11 +195,34 @@ def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
         methods=["top_1", "top_3", "top_random"], seed=3,
     )
     endpoint = MockEndpoint(answers, delay_s=0.002, failing=[ids[20]])
-    serve(monkeypatch, endpoint)
+    release = threading.Event()
+    endpoint.gates = {text: release for text, (id_, _) in answers.items() if id_ == ids[20]}
+
+    class Releasing:
+        def post(self, url, json, **kwargs):
+            if answers[json["prompt"]][0] == ids[30]:
+                release.set()
+            return endpoint.post(url, json=json, **kwargs)
+
+    serve(monkeypatch, Releasing())
+    at_raise = []  # (POSTs in flight, POSTs started) when generate raises
+    generate = HttpGeneratorClient.generate
+
+    def recorded_generate(self, prompt):
+        try:
+            return generate(self, prompt)
+        except TransportError:
+            at_raise.append((len(endpoint.in_flight), endpoint.posts))
+            time.sleep(0.01)
+            raise
+
+    monkeypatch.setattr(HttpGeneratorClient, "generate", recorded_generate)
     with pytest.raises(TransportError):
         run_pipeline(config)
     posts = endpoint.posts
-    assert endpoint.in_flight == []
+    [(in_flight, posts_then)] = at_raise
+    assert in_flight + posts - posts_then <= 4 - 1
+    assert endpoint.in_flight == [] and endpoint.gate_timeouts == []
     time.sleep(0.05)
     assert endpoint.posts == posts
 
@@ -204,6 +231,7 @@ def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
     assert len(list(cache.glob("*.json"))) == len(answered)
     rerun = MockEndpoint(answers)
     serve(monkeypatch, rerun)
+    monkeypatch.setattr(HttpGeneratorClient, "generate", generate)
     manifest = run_pipeline(config).manifest
     assert rerun.seen.isdisjoint(answered)
     assert manifest["cache_hits"] == len(answered)

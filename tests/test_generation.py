@@ -436,6 +436,28 @@ class TestHttpClient:
         assert endpoint.in_flight == []  # it waited for the two POSTs under way
         assert endpoint.posts == 2
 
+    def test_a_failed_prefetch_holds_the_queue_until_generate_raises_it(self):
+        """At width 1, the prefetches queued behind one that failed for good do not POST
+        while that failure waits for generate; generate fetches them inline. Once the
+        failure is raised, prefetches POST again."""
+        import time
+
+        bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(5)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (bad, *good)},
+                                failing=["q0"])
+        config = http_config("http://generator.test/", max_retries=0, max_in_flight=1)
+        client = HttpGeneratorClient(config, session=endpoint)
+        client.prefetch([bad, *good[:2]])
+        time.sleep(0.05)
+        assert endpoint.posts == 1
+        with pytest.raises(TransportError):
+            client.generate(bad)
+        client.prefetch(good[2:])
+        time.sleep(0.05)
+        assert endpoint.posts == 3
+        assert [client.generate(p) for p in good] == ["a"] * 4
+        assert endpoint.posts == 5 and endpoint.doubled == []
+
     def test_cancel_under_contention_keeps_every_answer_and_starts_nothing_after(
         self, tmp_path
     ):
