@@ -24,10 +24,10 @@ from .data import (
 )
 from .generation import (
     GeneratorClient,
-    HttpGeneratorClient,
+    HttpGeneratorBackend,
     HttpGeneratorConfig,
     JudgeMode,
-    MockOracleClient,
+    MockOracleBackend,
     MockOracleConfig,
     Prompt,
     judge_correct,

@@ -21,7 +21,6 @@ from .generation import (
     ProtocolError,
     TransportError,
     judge_correct,
-    prefetching,
 )
 
 __all__ = [
@@ -128,15 +127,13 @@ def annotate_dataset(
     example and are logged. When failures exceed ``failure_limit`` of the
     dataset, the run aborts with partial results attached to the exception,
     and no probe is sent after that but the prefetches already started.
-    ``cache_hits`` is how far the client's own ``cache_hits`` counter rose, and
+    ``cache_hits`` is how far the client's ``cache_hits`` counter rose, and
     ``generator_calls`` is the rise in its ``calls`` less those hits: the
-    requests that reached the backend. A counter the client does not have
-    reads as 0.
+    requests that reached the backend.
     """
     fingerprint = client.fingerprint()
     stats = AnnotationStats(total_examples=len(dataset))
-    calls_before = getattr(client, "calls", 0)
-    hits_before = getattr(client, "cache_hits", 0)
+    calls_before, hits_before = client.calls, client.cache_hits
     triplets: list[AnnotatedTriplet] = []
     # (example id, its search, the probe it waits on), in turn order.
     searches: deque[tuple[str, Generator, Prompt]] = deque()
@@ -145,7 +142,7 @@ def annotate_dataset(
         """Give ``search`` its output: queue and prefetch its next probe, or record its label."""
         probe = _advance(search, output)
         if isinstance(probe, Prompt):
-            prefetch([probe])
+            client.prefetch([probe])
             searches.append((example_id, search, probe))
             return
         stats.annotated += 1
@@ -155,34 +152,34 @@ def annotate_dataset(
             stats.unanswerable_count += 1
         triplets.append(AnnotatedTriplet(example_id, example_id, probe, fingerprint))
 
-    pairs = iter(dataset.pairs)
+    pairs, width = iter(dataset.pairs), client.max_in_flight
     try:
-        with prefetching(client) as (prefetch, width):
-            while True:
-                while len(searches) < width and (pair := next(pairs, None)) is not None:
-                    example, retrieval = pair
-                    step(example.id, find_optimal_k(example, retrieval, options.judge_mode,
-                                                     options.include_k0, options.template_id))
-                if not searches:
-                    break
-                example_id, search, probe = searches.popleft()
-                try:
-                    output = client.generate(probe)
-                except (TransportError, ProtocolError) as exc:
-                    stats.failed += 1
-                    logger.warning("generator failed for example %s: %s", example_id, exc)
-                    if stats.failed / stats.total_examples > options.failure_limit:
-                        raise AnnotationAborted(
-                            f"aborting: {stats.failed}/{stats.total_examples} examples failed "
-                            f"(limit {options.failure_limit:.0%})",
-                            triplets,
-                            stats,
-                        )
-                    continue
-                step(example_id, search, output)
+        while True:
+            while len(searches) < width and (pair := next(pairs, None)) is not None:
+                example, retrieval = pair
+                step(example.id, find_optimal_k(example, retrieval, options.judge_mode,
+                                                 options.include_k0, options.template_id))
+            if not searches:
+                break
+            example_id, search, probe = searches.popleft()
+            try:
+                output = client.generate(probe)
+            except (TransportError, ProtocolError) as exc:
+                stats.failed += 1
+                logger.warning("generator failed for example %s: %s", example_id, exc)
+                if stats.failed / stats.total_examples > options.failure_limit:
+                    raise AnnotationAborted(
+                        f"aborting: {stats.failed}/{stats.total_examples} examples failed "
+                        f"(limit {options.failure_limit:.0%})",
+                        triplets,
+                        stats,
+                    )
+                continue
+            step(example_id, search, output)
     finally:
+        client.cancel_prefetch()
         # Also on abort: the exception carries these same objects.
         triplets.sort(key=lambda t: t.example_id)
-        stats.cache_hits = getattr(client, "cache_hits", 0) - hits_before
-        stats.generator_calls = getattr(client, "calls", 0) - calls_before - stats.cache_hits
+        stats.cache_hits = client.cache_hits - hits_before
+        stats.generator_calls = client.calls - calls_before - stats.cache_hits
     return triplets, stats

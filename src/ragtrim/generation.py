@@ -1,10 +1,10 @@
-"""Generator abstraction: mock oracle for desk-scale runs, HTTP client for real endpoints.
+"""Generator abstraction: one client over a mock-oracle or an HTTP endpoint backend.
 
-A generator client turns a prompt into an answer string and reports a stable
-fingerprint identifying the system that produced it. The mock oracle answers
-from normalized-substring evidence in the context documents, with optional
-confusion (too many irrelevant documents break generation) and seeded noise,
-so corpus-scale behavior is fully deterministic and replayable.
+A GeneratorClient turns a prompt into an answer string through its backend,
+counting lookups and keeping the disk cache, and reports the backend's stable
+fingerprint. The mock oracle answers from normalized-substring evidence in the
+context documents, with optional confusion (too many irrelevant documents break
+generation) and seeded noise, so corpus-scale behavior is fully deterministic.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import threading
 import time
 import urllib.request
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .data import DataError
@@ -64,10 +63,117 @@ class Prompt:
     text: str
 
 
-class GeneratorClient(Protocol):
-    def generate(self, prompt: Prompt) -> str: ...
+class GeneratorClient:
+    """Answers prompts through a backend, with the counters, a disk cache and prefetching.
 
-    def fingerprint(self) -> str: ...
+    A backend has ``fetch(prompt) -> str`` and ``fingerprint()``, and
+    ``cache_key(prompt)`` (a cache entry's name) for a ``cache_dir`` or a
+    width above 1. ``calls`` counts every lookup, cache hits included.
+    ``prefetch`` starts the fetches of prompts that ``generate`` will be asked
+    for next, at most ``max_in_flight`` at once on a pool of threads; at width
+    1 it does nothing. Only the fetch and its retries run there. ``generate``
+    counts, reads and writes the cache, and takes a pending answer or fetches
+    one inline, all on the caller's thread, so the requests, retries and
+    counters of a run are those of a serial run. A caller that prefetches
+    calls ``cancel_prefetch`` once done, after an error too.
+    """
+
+    def __init__(self, backend, cache_dir: str | None = None, max_in_flight: int = 1):
+        self.backend = backend
+        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.max_in_flight = max_in_flight
+        self.calls = 0
+        self.cache_hits = 0
+        self._counter_lock = threading.Lock()
+        self._pending: dict[str, Future[str]] = {}  # cache key -> its prefetched answer
+        self._failed = 0  # prefetches of _pending that failed and generate has not raised
+        self._pool: ThreadPoolExecutor | None = None
+        if self.cache_dir is not None:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+
+    @property
+    def session(self):
+        """The backend's HTTP session; an AttributeError for a backend without one."""
+        return self.backend.session
+
+    @session.setter
+    def session(self, session) -> None:
+        self.backend.session = session
+
+    def fingerprint(self) -> str:
+        return self.backend.fingerprint()
+
+    def _cache_path(self, key: str) -> Path | None:
+        return self.cache_dir / f"{key}.json" if self.cache_dir is not None else None
+
+    def prefetch(self, prompts: Iterable[Prompt]) -> None:
+        """Start fetching each prompt that has no cache entry and is not already pending;
+        at width 1, nothing."""
+        if self.max_in_flight == 1:
+            return
+        for prompt in prompts:
+            key = self.backend.cache_key(prompt)
+            cache_path = self._cache_path(key)
+            if key in self._pending or (cache_path is not None and cache_path.exists()):
+                continue
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.max_in_flight, "ragtrim-post")
+            self._pending[key] = self._pool.submit(self._prefetched, self._pending, prompt)
+
+    def _prefetched(self, pending: dict, prompt: Prompt) -> str | None:
+        """The fetch of a prefetch; or None, with no fetch, once cancel_prefetch has
+        dropped ``pending`` or while a failed prefetch's error waits for ``generate``.
+        So when that error reaches the caller, only the fetches already under way on
+        the other threads (at most ``max_in_flight - 1``) are left."""
+        with self._counter_lock:
+            if pending is not self._pending or self._failed:
+                return None
+        try:
+            return self.backend.fetch(prompt)
+        except Exception:
+            with self._counter_lock:
+                if pending is self._pending:
+                    self._failed += 1
+            raise
+
+    def cancel_prefetch(self) -> None:
+        """Wait for the fetches under way; no prefetch starts once this is called. With a
+        cache, the answer of each prefetch that finished but was never taken by
+        ``generate`` is written to it: it was paid for."""
+        with self._counter_lock:
+            pending, self._pending, self._failed = self._pending, {}, 0
+        wait(pending.values())
+        if self.cache_dir is not None:
+            for key, future in pending.items():
+                text = None if future.exception() else future.result()
+                if text is not None:
+                    _write_cache_entry(self._cache_path(key), text)
+
+    def generate(self, prompt: Prompt) -> str:
+        with self._counter_lock:
+            self.calls += 1
+        if self.cache_dir is None and not self._pending:  # nothing to read: no key needed
+            return self.backend.fetch(prompt)
+        key = self.backend.cache_key(prompt)
+        cache_path = self._cache_path(key)
+        cached = _read_cache_entry(cache_path) if cache_path is not None else None
+        if cached is not None:
+            with self._counter_lock:
+                self.cache_hits += 1
+            return cached
+
+        future = self._pending.pop(key, None)
+        try:
+            text = None if future is None else future.result()
+        except Exception:
+            with self._counter_lock:
+                self._failed -= 1
+            raise
+        if text is None:  # not prefetched, or skipped while a failure was pending
+            text = self.backend.fetch(prompt)
+        if cache_path is not None:
+            _write_cache_entry(cache_path, text)
+        return text
 
 
 @dataclass(frozen=True)
@@ -186,8 +292,8 @@ def mock_generate(
     return golds[0] if answered else UNKNOWN_ANSWER
 
 
-class MockOracleClient:
-    """GeneratorClient over mock_generate, bound to a corpus's gold answers.
+class MockOracleBackend:
+    """Generator backend over mock_generate, bound to a corpus's gold answers.
 
     ``closed_book_ids`` lists the examples the simulated model can answer
     with no context at all (label-0 candidates).
@@ -202,15 +308,11 @@ class MockOracleClient:
         self.config = config
         self.golds_by_id = {k: tuple(v) for k, v in golds_by_id.items()}
         self.closed_book_ids = frozenset(closed_book_ids)
-        self.calls = 0
-        self._lock = threading.Lock()
 
-    def generate(self, prompt: Prompt) -> str:
+    def fetch(self, prompt: Prompt) -> str:
         golds = self.golds_by_id.get(prompt.query_id)
         if golds is None:
             raise DataError(f"mock oracle has no gold answers for query {prompt.query_id!r}")
-        with self._lock:
-            self.calls += 1
         return mock_generate(
             self.config,
             prompt,
@@ -313,7 +415,7 @@ class HttpSession:
     """Keep-alive HTTP/1.1 connections for JSON POSTs, pooled per (scheme, host, port).
 
     Each POST in flight holds its own connection; the caller bounds how many
-    there are (HttpGeneratorClient: ``max_in_flight``). The proxy settings are
+    there are (GeneratorClient: ``max_in_flight``). The proxy settings are
     read once, here, and each host's route once (see proxy_for): a plain HTTP
     proxy gets an absolute-form target for ``http`` and a CONNECT tunnel for
     ``https``. TLS uses ssl.create_default_context(). ``post`` sends its request
@@ -441,114 +543,26 @@ def post_json(
     return body
 
 
-class HttpGeneratorClient:
-    """GeneratorClient speaking plain JSON over HTTP POST, with retries and a disk cache.
-
-    ``prefetch`` starts the POSTs of prompts that ``generate`` will be asked for
-    next, at most ``max_in_flight`` at once on a pool of threads. Only the POST
-    and its retries run there. ``generate`` counts every call and cache hit,
-    reads and writes the cache, and takes a pending answer or fetches one
-    inline, all on the caller's thread, so the requests, retries and counters
-    of a run are those of a serial run.
-    """
+class HttpGeneratorBackend:
+    """Generator backend speaking plain JSON over HTTP POST, with retries (see post_json)."""
 
     def __init__(self, config: HttpGeneratorConfig, session: HttpSession | None = None):
         self.config = config
         self.session = session or HttpSession()
-        self.calls = 0
-        self.cache_hits = 0
-        self._counter_lock = threading.Lock()
-        self._pending: dict[str, Future[str]] = {}  # request key -> its prefetched answer
-        self._failed = 0  # prefetches of _pending that failed and generate has not raised
-        self._pool: ThreadPoolExecutor | None = None
-        if config.cache_dir:
-            Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    @property
-    def max_in_flight(self) -> int:
-        return self.config.max_in_flight
+    def cache_key(self, prompt: Prompt) -> str:
+        """A hash of the endpoint and every payload field of ``prompt``'s request."""
+        request = json.dumps([self.config.endpoint_url, _request_payload(self.config, prompt)],
+                             sort_keys=True)
+        return hashlib.sha256(request.encode("utf-8")).hexdigest()
 
-    def _request(self, prompt: Prompt) -> tuple[dict, str, Path | None]:
-        """The payload of ``prompt``, its key (a hash of the endpoint and every payload
-        field) and the cache entry under that key."""
-        payload = _request_payload(self.config, prompt)
-        request = json.dumps([self.config.endpoint_url, payload], sort_keys=True)
-        key = hashlib.sha256(request.encode("utf-8")).hexdigest()
-        return payload, key, self._cache_path(key)
-
-    def _cache_path(self, key: str) -> Path | None:
-        cache_dir = self.config.cache_dir
-        return Path(cache_dir) / f"{key}.json" if cache_dir else None
-
-    def prefetch(self, prompts: Iterable[Prompt]) -> None:
-        """Start fetching each prompt that has no cache entry and is not already pending."""
-        for prompt in prompts:
-            payload, key, cache_path = self._request(prompt)
-            if key in self._pending or (cache_path is not None and cache_path.exists()):
-                continue
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self.config.max_in_flight, "ragtrim-post")
-            self._pending[key] = self._pool.submit(self._prefetched, self._pending, payload)
-
-    def _prefetched(self, pending: dict, payload: dict) -> str | None:
-        """The POST of a prefetch; or None, with no POST, once cancel_prefetch has
-        dropped ``pending`` or while a failed prefetch's error waits for ``generate``.
-        So when that error reaches the caller, only the POSTs already under way on
-        the other threads (at most ``max_in_flight - 1``) are left."""
-        with self._counter_lock:
-            if pending is not self._pending or self._failed:
-                return None
-        try:
-            return self._fetch(payload)
-        except Exception:
-            with self._counter_lock:
-                if pending is self._pending:
-                    self._failed += 1
-            raise
-
-    def cancel_prefetch(self) -> None:
-        """Wait for the POSTs under way; no prefetch starts once this is called. With a
-        cache, the answer of each prefetch that finished but was never taken by
-        ``generate`` is written to it: it was paid for."""
-        with self._counter_lock:
-            pending, self._pending, self._failed = self._pending, {}, 0
-        wait(pending.values())
-        if self.config.cache_dir:
-            for key, future in pending.items():
-                text = None if future.exception() else future.result()
-                if text is not None:
-                    _write_cache_entry(self._cache_path(key), text)
-
-    def generate(self, prompt: Prompt) -> str:
-        with self._counter_lock:
-            self.calls += 1
-        payload, key, cache_path = self._request(prompt)
-        cached = _read_cache_entry(cache_path) if cache_path is not None else None
-        if cached is not None:
-            with self._counter_lock:
-                self.cache_hits += 1
-            return cached
-
-        future = self._pending.pop(key, None)
-        try:
-            text = None if future is None else future.result()
-        except Exception:
-            with self._counter_lock:
-                self._failed -= 1
-            raise
-        if text is None:  # not prefetched, or skipped while a failure was pending
-            text = self._fetch(payload)
-        if cache_path is not None:
-            _write_cache_entry(cache_path, text)
-        return text
-
-    def _fetch(self, payload: dict) -> str:
+    def fetch(self, prompt: Prompt) -> str:
         headers = {}
         if self.config.api_key_env_var:
             key = os.environ.get(self.config.api_key_env_var)
             if key:
                 headers["Authorization"] = f"Bearer {key}"
-        body = post_json(self.session, self.config, payload, headers)
+        body = post_json(self.session, self.config, _request_payload(self.config, prompt), headers)
         if "text" not in body:
             raise ProtocolError(f"response missing 'text' field: {str(body)[:200]}")
         return str(body["text"])
@@ -559,25 +573,6 @@ class HttpGeneratorClient:
             f"http:{c.model_name}@{c.endpoint_url}"
             f"|temperature={c.temperature}|max_tokens={c.max_tokens}"
         )
-
-
-@contextmanager
-def prefetching(client: GeneratorClient) -> Iterator[tuple[Callable[[Iterable[Prompt]], None], int]]:
-    """``client``'s ``prefetch`` and ``max_in_flight``; on exit, after an abort or an
-    error too, the prefetches still pending are cancelled.
-
-    Both are read as attributes, so a wrapper that passes unknown attributes
-    through keeps them. A client without ``prefetch`` (the mock) gets a no-op
-    and a width of 1.
-    """
-    prefetch = getattr(client, "prefetch", None)
-    if prefetch is None:
-        yield (lambda prompts: None), 1
-        return
-    try:
-        yield prefetch, client.max_in_flight
-    finally:
-        client.cancel_prefetch()
 
 
 def _read_cache_entry(path: Path) -> str | None:

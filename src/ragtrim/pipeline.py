@@ -42,12 +42,11 @@ from .data import (
 from .features import FeatureSpec
 from .generation import (
     GeneratorClient,
-    HttpGeneratorClient,
+    HttpGeneratorBackend,
     HttpGeneratorConfig,
     JudgeMode,
-    MockOracleClient,
+    MockOracleBackend,
     MockOracleConfig,
-    prefetching,
 )
 from .metrics import (
     EvalReport,
@@ -303,11 +302,12 @@ def build_generator(config: PipelineConfig, dataset: JoinedDataset) -> Generator
         golds = {ex.id: ex.gold_answers for ex, _ in dataset}
         plan = load_plan(plan_path) if plan_path else []
         closed_book = [e.example_id for e in plan if e.closed_book]
-        return MockOracleClient(mock_config, golds_by_id=golds, closed_book_ids=closed_book)
+        return GeneratorClient(MockOracleBackend(mock_config, golds, closed_book))
     if gen_type == "http":
         if not gen.get("endpoint_url"):
             raise ConfigError("http generator requires endpoint_url")
-        return HttpGeneratorClient(parse_config(HttpGeneratorConfig, gen, "generator"))
+        http = parse_config(HttpGeneratorConfig, gen, "generator")
+        return GeneratorClient(HttpGeneratorBackend(http), http.cache_dir, http.max_in_flight)
     raise ConfigError(f"unknown generator type {gen_type!r}")
 
 
@@ -406,9 +406,9 @@ def _evaluate(
     Each example is planned and its prompts prefetched while the
     ``LOOKAHEAD_PER_SLOT * max_in_flight`` examples before it are generated, so
     the client's ``max_in_flight`` requests overlap and stay busy while one of
-    them backs off; a client without ``prefetch`` or at width 1 plans each
-    example only after the one before it is generated. Every ``generate`` call
-    runs on this thread, in dataset order. Within one example, a prompt goes to
+    them backs off; at width 1 (the mock's) each example is planned only after
+    the one before it is generated. Every ``generate`` call runs on this
+    thread, in dataset order. Within one example, a prompt goes to
     the client only the first time a row produces it; later rows with the same
     prompt text reuse that output. An output is scored only the first time a row
     of the example returns it: the example's gold answers fix every metric, so
@@ -439,11 +439,11 @@ def _evaluate(
                     example, retrieval, label, config.fallback, config.template_id
                 )
             planned.append(contexts.get(label))
-        prefetch(ctx.prompt for ctx in planned if ctx is not None)
+        client.prefetch(ctx.prompt for ctx in planned if ctx is not None)
         return example, planned
 
-    with prefetching(client) as (prefetch, width):
-        ahead = LOOKAHEAD_PER_SLOT * width if width > 1 else 0
+    ahead = LOOKAHEAD_PER_SLOT * client.max_in_flight if client.max_in_flight > 1 else 0
+    try:
         for example, planned in _ahead(map(plan, dataset), ahead):
             outputs: dict[str, str] = {}  # prompt text -> output, for this example only
             scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
@@ -454,10 +454,10 @@ def _evaluate(
                     continue
                 output = outputs.get(ctx.prompt.text)
                 if output is None:
-                    hits_before = getattr(client, "cache_hits", 0)
+                    hits_before = client.cache_hits
                     output = outputs[ctx.prompt.text] = client.generate(ctx.prompt)
                     m.generator_calls += 1
-                    m.cache_hits += getattr(client, "cache_hits", 0) - hits_before
+                    m.cache_hits += client.cache_hits - hits_before
                 else:
                     m.reused += 1
                 result = scored.get(output)
@@ -471,6 +471,8 @@ def _evaluate(
                 m.results.append(result)
                 if config.export_contexts:
                     m.contexts.append(ctx)
+    finally:
+        client.cancel_prefetch()
     for m in methods:
         m.report = aggregate(m.results)
     return methods

@@ -28,7 +28,7 @@ from .data import (
     save_examples,
     save_retrievals,
 )
-from .generation import MockOracleClient, MockOracleConfig
+from .generation import GeneratorClient, MockOracleBackend, MockOracleConfig
 
 NONE_DEPTH = "none"
 
@@ -223,8 +223,8 @@ def make_synthetic_corpus(spec: CorpusSpec, seed: int) -> SyntheticCorpus:
 
 def mock_client_for(
     corpus: SyntheticCorpus, config: MockOracleConfig = MockOracleConfig()
-) -> MockOracleClient:
+) -> GeneratorClient:
     """Mock generator wired to the corpus's gold answers and closed-book set."""
-    return MockOracleClient(
+    return GeneratorClient(MockOracleBackend(
         config, golds_by_id=corpus.golds_by_id(), closed_book_ids=corpus.closed_book_ids()
-    )
+    ))

@@ -29,17 +29,15 @@ def make_retrieval(query_id="q1", texts=None, scores=None):
     return RetrievalSet(query_id=query_id, docs=docs)
 
 
-class ScriptedClient:
-    """GeneratorClient returning canned outputs keyed by (query_id, len(context))."""
+class ScriptedBackend:
+    """Generator backend returning canned outputs keyed by (query_id, len(context))."""
 
     def __init__(self, outputs, default="UNKNOWN"):
         self.outputs = outputs
         self.default = default
-        self.calls = 0
         self.prompts = []
 
-    def generate(self, prompt):
-        self.calls += 1
+    def fetch(self, prompt):
         self.prompts.append(prompt)
         return self.outputs.get((prompt.query_id, len(prompt.context_docs)), self.default)
 
@@ -47,21 +45,27 @@ class ScriptedClient:
         return "scripted:test"
 
 
-class FailingClient:
-    """GeneratorClient that always raises a transport error."""
+class FailingBackend:
+    """Generator backend that always raises a transport error."""
 
     def __init__(self):
         from ragtrim.generation import TransportError
 
         self.error = TransportError("simulated outage")
-        self.calls = 0
 
-    def generate(self, prompt):
-        self.calls += 1
+    def fetch(self, prompt):
         raise self.error
 
     def fingerprint(self):
         return "failing:test"
+
+
+def http_client(config, session=None):
+    """A GeneratorClient over an HTTP backend, with ``config``'s cache_dir and width."""
+    from ragtrim.generation import GeneratorClient, HttpGeneratorBackend
+
+    return GeneratorClient(HttpGeneratorBackend(config, session), config.cache_dir,
+                           config.max_in_flight)
 
 
 # 200 response bodies that are not a JSON object: JSON array, number, null and

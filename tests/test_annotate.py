@@ -14,19 +14,20 @@ from ragtrim.annotate import (
 from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
-    HttpGeneratorClient,
+    GeneratorClient,
     HttpGeneratorConfig,
     JudgeMode,
-    MockOracleClient,
+    MockOracleBackend,
     MockOracleConfig,
     TransportError,
     judge_correct,
 )
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
 from helpers import (
-    FailingClient,
+    FailingBackend,
     MockEndpoint,
-    ScriptedClient,
+    ScriptedBackend,
+    http_client,
     make_example,
     make_retrieval,
     mock_answers,
@@ -48,15 +49,15 @@ def endpoint_client(endpoint, max_in_flight, **config):
     """An HTTP client posting to ``endpoint`` (a MockEndpoint) with no backoff sleeps."""
     config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
                                  backoff_base_s=0, max_in_flight=max_in_flight, **config)
-    return HttpGeneratorClient(config, session=endpoint)
+    return http_client(config, session=endpoint)
 
 
 def oracle_for(example, closed_book=False):
-    return MockOracleClient(
+    return GeneratorClient(MockOracleBackend(
         MockOracleConfig(),
         {example.id: example.gold_answers},
         closed_book_ids=[example.id] if closed_book else [],
-    )
+    ))
 
 
 class TestSelectTopK:
@@ -121,25 +122,28 @@ class TestFindOptimalK:
         example = make_example()
         retrieval = make_retrieval()
         with pytest.raises(TransportError):
-            search(example, retrieval, FailingClient())
+            search(example, retrieval, GeneratorClient(FailingBackend()))
 
 
-class SometimesFailingClient:
-    """Delegates to a mock oracle except for the listed example ids."""
+class SometimesFailingBackend:
+    """Delegates to a mock oracle backend except for the listed example ids."""
 
     def __init__(self, inner, failing_ids):
         self.inner = inner
         self.failing_ids = set(failing_ids)
-        self.calls = 0
 
-    def generate(self, prompt):
-        self.calls += 1
+    def fetch(self, prompt):
         if prompt.query_id in self.failing_ids:
             raise TransportError(f"outage for {prompt.query_id}")
-        return self.inner.generate(prompt)
+        return self.inner.fetch(prompt)
 
     def fingerprint(self):
         return self.inner.fingerprint()
+
+
+def sometimes_failing(corpus, failing_ids):
+    """The corpus's mock client, failing every probe of ``failing_ids``."""
+    return GeneratorClient(SometimesFailingBackend(mock_client_for(corpus).backend, failing_ids))
 
 
 class TestAnnotateDataset:
@@ -200,14 +204,14 @@ class TestAnnotateDataset:
     def test_abort_at_total_failure(self):
         corpus, dataset = self.make_corpus(size=1)
         with pytest.raises(AnnotationAborted) as excinfo:
-            annotate_dataset(dataset, FailingClient())
+            annotate_dataset(dataset, GeneratorClient(FailingBackend()))
         assert excinfo.value.stats.failed == 1
         assert excinfo.value.triplets == []
 
     def test_failures_below_limit_are_skipped_not_fatal(self):
         corpus, dataset = self.make_corpus(size=40)
         failing_id = dataset.pairs[3][0].id
-        client = SometimesFailingClient(mock_client_for(corpus), [failing_id])
+        client = sometimes_failing(corpus, [failing_id])
         triplets, stats = annotate_dataset(dataset, client)
         assert stats.failed == 1
         assert stats.annotated == 39
@@ -216,7 +220,7 @@ class TestAnnotateDataset:
     def test_abort_above_limit_keeps_partial_results(self):
         corpus, dataset = self.make_corpus(size=20)
         failing = [e.id for e, _ in dataset.pairs[:5]]
-        client = SometimesFailingClient(mock_client_for(corpus), failing)
+        client = sometimes_failing(corpus, failing)
         with pytest.raises(AnnotationAborted) as excinfo:
             annotate_dataset(dataset, client, AnnotationOptions(failure_limit=0.10))
         assert excinfo.value.stats.failed >= 3  # 3/20 is the first point past 10%
@@ -244,11 +248,11 @@ class TestAnnotateDataset:
     def test_only_rank_prefixes_are_evaluated(self):
         example = make_example(id="p1", query="what is it", answers=("zz",))
         retrieval = make_retrieval(query_id="p1", texts=["alpha", "beta", "gamma", "delta"])
-        client = ScriptedClient({})
+        backend = ScriptedBackend({})
         dataset = join_dataset([example], {"p1": retrieval})
-        annotate_dataset(dataset, client)
+        annotate_dataset(dataset, GeneratorClient(backend))
         all_texts = [d.text for d in retrieval.docs]
-        for prompt in client.prompts:
+        for prompt in backend.prompts:
             size = len(prompt.context_docs)
             assert list(prompt.context_docs) == all_texts[:size]
 
@@ -280,7 +284,7 @@ class TestAnnotateDataset:
             config = HttpGeneratorConfig(
                 endpoint_url="http://generator.test/", model_name="m", cache_dir=str(tmp_path)
             )
-            client = HttpGeneratorClient(config, session=CountingSession())
+            client = http_client(config, session=CountingSession())
             options = AnnotationOptions(judge_mode=JudgeMode.parse(judge))
             return annotate_dataset(dataset, client, options)
 

@@ -494,7 +494,7 @@ def test_ints_for_float_fields_keep_hashes(generator, config_hash, fingerprint):
     client = build_generator(config, ONE_EXAMPLE)
     assert client.fingerprint() == fingerprint
     float_fields = {"temperature", "backoff_base_s", "noise_rate"} & generator.keys()
-    assert all(type(getattr(client.config, key)) is float for key in float_fields)
+    assert all(type(getattr(client.backend.config, key)) is float for key in float_fields)
 
 
 def test_int_temperature_keeps_the_cache_file_name(tmp_path, posts):

@@ -8,6 +8,7 @@ that attempt; retries that run out raise TransportError.
 from __future__ import annotations
 
 import http.client
+import json
 import threading
 import time
 
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
+from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
-    HttpGeneratorClient,
+    GeneratorClient,
     HttpGeneratorConfig,
     Prompt,
     ProtocolError,
@@ -28,7 +30,9 @@ from ragtrim.generation import (
 from ragtrim.pipeline import PipelineConfig, run_pipeline, sweep_document_count
 from ragtrim.predictor import RemotePredictorClient, RemotePredictorConfig
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus
-from helpers import MockEndpoint, http_response, make_example, make_retrieval, mock_answers, serve
+from helpers import (
+    MockEndpoint, http_client, http_response, make_example, make_retrieval, mock_answers, serve,
+)
 
 RETRIED = ("timeout", "reset", "dropped", 500, 503)
 ENDS_THE_CALL = (400, 401, "not-json", "not-object")
@@ -84,7 +88,7 @@ def test_generator_follows_the_failure_policy(outcomes):
         max_retries=len(outcomes) - 1, backoff_base_s=0,
     )
     posts, expected = prescribed(outcomes)
-    client = HttpGeneratorClient(config, session=session)
+    client = http_client(config, session=session)
     if expected == "valid":
         assert client.generate(PROMPT) == "the answer"
     else:
@@ -130,7 +134,7 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypa
     config = HttpGeneratorConfig(
         endpoint_url="http://generator.test/", model_name="m", backoff_base_s=0
     )
-    client = HttpGeneratorClient(config, session=session)
+    client = http_client(config, session=session)
     triplets, stats = annotate_dataset(dataset, client)
     intended = corpus.intended_labels()
     assert [t.label for t in triplets] == [intended[ex.id] for ex, _ in dataset]
@@ -206,7 +210,7 @@ def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
 
     serve(monkeypatch, Releasing())
     at_raise = []  # (POSTs in flight, POSTs started) when generate raises
-    generate = HttpGeneratorClient.generate
+    generate = GeneratorClient.generate
 
     def recorded_generate(self, prompt):
         try:
@@ -216,7 +220,7 @@ def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
             time.sleep(0.01)
             raise
 
-    monkeypatch.setattr(HttpGeneratorClient, "generate", recorded_generate)
+    monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
     with pytest.raises(TransportError):
         run_pipeline(config)
     posts = endpoint.posts
@@ -231,8 +235,101 @@ def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
     assert len(list(cache.glob("*.json"))) == len(answered)
     rerun = MockEndpoint(answers)
     serve(monkeypatch, rerun)
-    monkeypatch.setattr(HttpGeneratorClient, "generate", generate)
+    monkeypatch.setattr(GeneratorClient, "generate", generate)
     manifest = run_pipeline(config).manifest
     assert rerun.seen.isdisjoint(answered)
     assert manifest["cache_hits"] == len(answered)
     assert rerun.posts == manifest["generator_calls"] - len(answered)
+
+
+def warm(cache, answers, prompts) -> None:
+    """Write the cache entries of ``prompts`` under ``cache``, fetched from a clean endpoint."""
+    config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                 cache_dir=str(cache))
+    client = http_client(config, session=MockEndpoint(answers))
+    for prompt in prompts:
+        client.generate(prompt)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_one_client_reconciles_with_the_endpoint_over_annotate_run_and_sweep(
+    tmp_path, monkeypatch, width
+):
+    """One client over an endpoint that fails the first attempt of 5% of prompts, with a
+    cache warmed with half the prompts, serves annotation, a run and a sweep. In each
+    stage every POST is a lookup that missed the cache or a retried fault; annotation's
+    generator_calls + cache_hits are its lookups, and the run manifest's totals are the
+    sums of its rows, its generator_calls the run's lookups."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    prompts = [assemble_prompt(example, retrieval.docs[:k])
+               for example, retrieval in dataset for k in range(retrieval.n + 1)]
+    cache = tmp_path / "cache"
+    warm(cache, answers, prompts[::2])
+    endpoint = MockEndpoint(answers, fault_rate=0.05)
+    config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                 backoff_base_s=0, cache_dir=str(cache), max_in_flight=width)
+    client = http_client(config, session=endpoint)
+    monkeypatch.setattr(ragtrim.pipeline, "build_generator", lambda config, data: client)
+    paths = corpus.write(tmp_path / "corpus")
+    run_config = PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        triplets_path=str(tmp_path / "triplets.jsonl"),
+        methods=["no_retrieval", "top_1", "top_3", "top_random", "oracle"], seed=9,
+    )
+
+    def counts():
+        return client.calls, client.cache_hits, endpoint.posts, endpoint.faults
+
+    def stage(work):
+        before = counts()
+        result = work()
+        calls, hits, posts, faults = (after - b for after, b in zip(counts(), before))
+        assert posts == (calls - hits) + faults
+        return result, calls, hits
+
+    (triplets, stats), calls, hits = stage(lambda: annotate_dataset(dataset, client))
+    assert stats.failed == 0 and stats.cache_hits == hits > 0
+    assert stats.generator_calls + stats.cache_hits == calls
+    save_triplets(run_config.triplets_path, triplets)
+    run, calls, hits = stage(lambda: run_pipeline(run_config))
+    manifest = run.manifest
+    for key in ("generator_calls", "cache_hits", "reused", "skipped"):
+        assert manifest[key] == sum(entry[key] for entry in manifest["per_method"].values())
+    assert manifest["generator_calls"] == calls and manifest["cache_hits"] == hits > 0
+    stage(lambda: sweep_document_count(run_config))
+    assert endpoint.faults > 0 and endpoint.doubled == []
+    assert endpoint.peak_in_flight <= width
+
+
+def test_generator_calls_excludes_hits_in_stats_and_includes_them_in_the_manifest(
+    tmp_path, monkeypatch
+):
+    """Two output contracts name a count generator_calls. On a warm cache, stats.json's
+    is the requests that reached the endpoint (none), and manifest.json's is the
+    prompts each row sent to the client, cache hits included (generator_calls + reused
+    == n)."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=30), seed=6)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    endpoint = MockEndpoint(mock_answers(corpus, dataset))
+    serve(monkeypatch, endpoint)
+    paths = corpus.write(tmp_path / "corpus")
+    config = PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        generator={"type": "http", "endpoint_url": "http://generator.test/",
+                   "cache_dir": str(tmp_path / "cache")},
+        methods=["top_1", "top_3"], seed=6, output_dir=str(tmp_path / "out"),
+    )
+    _, cold_stats = annotate_dataset(dataset, ragtrim.pipeline.build_generator(config, dataset))
+    run_pipeline(config)
+    posts = endpoint.posts
+    _, warm_stats = annotate_dataset(dataset, ragtrim.pipeline.build_generator(config, dataset))
+    run_pipeline(config)
+    assert endpoint.posts == posts
+    assert warm_stats.to_dict()["generator_calls"] == 0
+    assert warm_stats.to_dict()["cache_hits"] == cold_stats.to_dict()["generator_calls"] > 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["generator_calls"] == manifest["cache_hits"] > 0
+    for entry in manifest["per_method"].values():
+        assert entry["generator_calls"] + entry["reused"] == manifest["n_examples"]

@@ -12,10 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ragtrim.generation import (
-    HttpGeneratorClient,
+    GeneratorClient,
     HttpGeneratorConfig,
     JudgeMode,
-    MockOracleClient,
+    MockOracleBackend,
     MockOracleConfig,
     Prompt,
     ProtocolError,
@@ -32,6 +32,7 @@ from helpers import (
     ScriptedServer,
     clear_proxy_env,
     free_port,
+    http_client,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -91,11 +92,11 @@ class TestMockOracle:
 
     def test_client_lookup_and_fingerprint_stability(self):
         config = MockOracleConfig(seed=3)
-        client = MockOracleClient(config, {"q1": ("Paris",)}, closed_book_ids=["q1"])
+        client = GeneratorClient(MockOracleBackend(config, {"q1": ("Paris",)}, ["q1"]))
         assert client.generate(make_prompt(docs=())) == "Paris"
         assert client.calls == 1
-        same = MockOracleClient(config, {"q1": ("Paris",)}, closed_book_ids=["q1"])
-        other = MockOracleClient(config, {"q1": ("London",)}, closed_book_ids=["q1"])
+        same = MockOracleBackend(config, {"q1": ("Paris",)}, closed_book_ids=["q1"])
+        other = MockOracleBackend(config, {"q1": ("London",)}, closed_book_ids=["q1"])
         assert client.fingerprint() == same.fingerprint()
         assert client.fingerprint() != other.fingerprint()
 
@@ -136,7 +137,7 @@ class TestMockOracle:
         assert set(expected) == {"Paris", "Rome", UNKNOWN_ANSWER}
 
     def test_unknown_query_id_raises(self):
-        client = MockOracleClient(MockOracleConfig(), {"q1": ("x",)})
+        client = GeneratorClient(MockOracleBackend(MockOracleConfig(), {"q1": ("x",)}))
         with pytest.raises(DataError, match="no gold answers for query 'q9'"):
             client.generate(make_prompt(query_id="q9"))
 
@@ -182,7 +183,7 @@ def http_config(url, **kwargs):
 class TestHttpClient:
     def test_success_and_payload_shape(self):
         with ScriptedServer([(200, {"text": "the answer"})]) as server:
-            client = HttpGeneratorClient(http_config(server.url))
+            client = http_client(http_config(server.url))
             assert client.generate(make_prompt()) == "the answer"
             payload = server.bodies[0]
             assert set(payload) == {"model", "prompt", "temperature", "max_tokens"}
@@ -191,14 +192,14 @@ class TestHttpClient:
     def test_cache_hit_bypasses_network(self, tmp_path):
         prompt = make_prompt()
         with ScriptedServer([(200, {"text": "cached value"})]) as server:
-            client = HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path)))
+            client = http_client(http_config(server.url, cache_dir=str(tmp_path)))
             first = client.generate(prompt)
             second = client.generate(prompt)
             assert (first, second) == ("cached value", "cached value")
             assert len(server.bodies) == 1
             assert client.cache_hits == 1
         # Warm cache works with the server gone entirely (the key names the endpoint).
-        offline = HttpGeneratorClient(
+        offline = http_client(
             http_config(server.url, cache_dir=str(tmp_path), max_retries=0)
         )
         assert offline.generate(prompt) == "cached value"
@@ -221,7 +222,7 @@ class TestHttpClient:
         config = HttpGeneratorConfig(
             endpoint_url="http://generator.test/gen", model_name="m", cache_dir=str(tmp_path)
         )
-        HttpGeneratorClient(config, session=session).generate(make_prompt())
+        http_client(config, session=session).generate(make_prompt())
         assert session.payload == {
             "model": "m",
             "prompt": "\nQuestion: who wrote Hamlet\nAnswer:",
@@ -233,33 +234,33 @@ class TestHttpClient:
 
     def test_retry_on_500_then_success(self):
         with ScriptedServer([(500, {"error": "boom"}), (200, {"text": "ok"})]) as server:
-            client = HttpGeneratorClient(http_config(server.url))
+            client = http_client(http_config(server.url))
             assert client.generate(make_prompt()) == "ok"
             assert len(server.bodies) == 2
 
     def test_401_is_protocol_error(self):
         with ScriptedServer([(401, {"error": "no key"})]) as server:
-            client = HttpGeneratorClient(http_config(server.url))
+            client = http_client(http_config(server.url))
             with pytest.raises(ProtocolError, match="unauthorized"):
                 client.generate(make_prompt())
             assert len(server.bodies) == 1  # no retries on 4xx
 
     def test_transport_error_after_retries(self):
         url = f"http://127.0.0.1:{free_port()}/"
-        client = HttpGeneratorClient(http_config(url, max_retries=1))
+        client = http_client(http_config(url, max_retries=1))
         with pytest.raises(TransportError):
             client.generate(make_prompt())
 
     def test_missing_text_field_is_protocol_error(self):
         with ScriptedServer([(200, {"output": "oops"})]) as server:
-            client = HttpGeneratorClient(http_config(server.url))
+            client = http_client(http_config(server.url))
             with pytest.raises(ProtocolError, match="text"):
                 client.generate(make_prompt())
 
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
     def test_body_that_is_not_an_object_is_protocol_error(self, body):
         session = BodySession(body)
-        client = HttpGeneratorClient(http_config("http://127.0.0.1:9/"), session=session)
+        client = http_client(http_config("http://127.0.0.1:9/"), session=session)
         with pytest.raises(ProtocolError):
             client.generate(make_prompt())
         assert session.posts == 1  # a malformed answer is not retried
@@ -267,14 +268,14 @@ class TestHttpClient:
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("TEST_GEN_KEY", "sekret")
         with ScriptedServer([(200, {"text": "ok"})]) as server:
-            client = HttpGeneratorClient(
+            client = http_client(
                 http_config(server.url, api_key_env_var="TEST_GEN_KEY")
             )
             client.generate(make_prompt())
             assert server.headers_seen[0].get("Authorization") == "Bearer sekret"
 
     def test_fingerprint_identifies_endpoint_and_model(self):
-        client = HttpGeneratorClient(http_config("http://host/gen"))
+        client = http_client(http_config("http://host/gen"))
         assert client.fingerprint() == (
             "http:test-model@http://host/gen|temperature=0.0|max_tokens=256"
         )
@@ -282,8 +283,8 @@ class TestHttpClient:
     def test_sampling_settings_key_cache_and_fingerprint(self, tmp_path):
         prompt = make_prompt()
         with ScriptedServer([(200, {"text": "greedy"}), (200, {"text": "sampled"})]) as server:
-            greedy = HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path)))
-            sampled = HttpGeneratorClient(
+            greedy = http_client(http_config(server.url, cache_dir=str(tmp_path)))
+            sampled = http_client(
                 http_config(server.url, cache_dir=str(tmp_path), temperature=1.0, max_tokens=5)
             )
             assert greedy.generate(prompt) == "greedy"
@@ -296,10 +297,10 @@ class TestHttpClient:
     def test_corrupt_cache_entry_is_a_counted_miss(self, tmp_path, caplog):
         prompt = make_prompt()
         with ScriptedServer([(200, {"text": "first"}), (200, {"text": "refetched"})]) as server:
-            HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path))).generate(prompt)
+            http_client(http_config(server.url, cache_dir=str(tmp_path))).generate(prompt)
             [entry] = tmp_path.glob("*.json")
             entry.write_text('{"text": "fir', encoding="utf-8")  # truncated write
-            client = HttpGeneratorClient(http_config(server.url, cache_dir=str(tmp_path)))
+            client = http_client(http_config(server.url, cache_dir=str(tmp_path)))
             with caplog.at_level("WARNING", logger="ragtrim.generation"):
                 assert client.generate(prompt) == "refetched"
             assert (client.calls, client.cache_hits) == (1, 0)
@@ -329,7 +330,7 @@ class TestHttpClient:
                 return Response()
 
         clients = [
-            HttpGeneratorClient(
+            http_client(
                 http_config("http://host/gen", cache_dir=str(tmp_path)),
                 session=InLockstepSession(),
             )
@@ -368,7 +369,7 @@ class TestHttpClient:
         before reusing it, so no POST fails."""
         server = ScriptedServer([(200, {"text": "ok"})], keep_alive=True, close_after_reply=True)
         with server, caplog.at_level("WARNING", logger="ragtrim.generation"):
-            client = HttpGeneratorClient(http_config(server.url))
+            client = http_client(http_config(server.url))
             for i in range(3):
                 assert client.generate(make_prompt(query=f"question {i}")) == "ok"
                 assert server.closed.acquire(timeout=5)
@@ -380,7 +381,7 @@ class TestHttpClient:
     def test_dropped_connection_is_one_retry_on_a_new_connection(self, caplog):
         script = [(200, {"text": "first"}), ("drop", None), (200, {"text": "second"})]
         with ScriptedServer(script, keep_alive=True) as server:
-            client = HttpGeneratorClient(http_config(server.url, backoff_base_s=0))
+            client = http_client(http_config(server.url, backoff_base_s=0))
             assert client.generate(make_prompt(query="one")) == "first"
             with caplog.at_level("WARNING", logger="ragtrim.generation"):
                 assert client.generate(make_prompt(query="two")) == "second"
@@ -398,7 +399,7 @@ class TestHttpClient:
         prompts = [make_prompt(query=f"prompt {i}") for i in range(200)]
         echo = [(200, lambda request: {"text": request["prompt"]})]
         with ScriptedServer(echo, keep_alive=True) as server:
-            client = HttpGeneratorClient(http_config(server.url, max_in_flight=4))
+            client = http_client(http_config(server.url, max_in_flight=4))
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -415,7 +416,7 @@ class TestHttpClient:
         prompts = [make_prompt(query=f"question {i}") for i in range(2)]
         endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts})
         config = http_config("http://generator.test/", cache_dir=str(tmp_path))
-        client = HttpGeneratorClient(config, session=endpoint)
+        client = http_client(config, session=endpoint)
         client.generate(prompts[0])
         client.prefetch([prompts[0], prompts[1], prompts[1]])
         assert [client.generate(p) for p in prompts] == ["a", "a"]
@@ -427,7 +428,7 @@ class TestHttpClient:
         prompts = [make_prompt(query=f"question {i}") for i in range(6)]
         endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts}, delay_s=0.05)
         config = http_config("http://generator.test/", max_in_flight=2)
-        client = HttpGeneratorClient(config, session=endpoint)
+        client = http_client(config, session=endpoint)
         client.prefetch(prompts)
         deadline = time.monotonic() + 10
         while endpoint.peak_in_flight < 2 and time.monotonic() < deadline:
@@ -436,27 +437,42 @@ class TestHttpClient:
         assert endpoint.in_flight == []  # it waited for the two POSTs under way
         assert endpoint.posts == 2
 
+    def test_prefetch_at_width_1_sends_nothing(self):
+        prompts = [make_prompt(query=f"question {i}") for i in range(3)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts})
+        client = http_client(http_config("http://generator.test/", max_in_flight=1), endpoint)
+        client.prefetch(prompts)
+        client.cancel_prefetch()
+        assert endpoint.posts == 0
+        assert [client.generate(p) for p in prompts] == ["a"] * 3
+        assert (endpoint.posts, endpoint.peak_in_flight) == (3, 1)
+
     def test_a_failed_prefetch_holds_the_queue_until_generate_raises_it(self):
-        """At width 1, the prefetches queued behind one that failed for good do not POST
-        while that failure waits for generate; generate fetches them inline. Once the
-        failure is raised, prefetches POST again."""
+        """At width 2, with the other thread's POST held in flight, the prefetches queued
+        behind one that failed for good do not POST while that failure waits for generate;
+        generate fetches them inline. Once the failure is raised, prefetches POST again."""
         import time
 
-        bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(5)]
+        bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(6)]
         endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (bad, *good)},
                                 failing=["q0"])
-        config = http_config("http://generator.test/", max_retries=0, max_in_flight=1)
-        client = HttpGeneratorClient(config, session=endpoint)
-        client.prefetch([bad, *good[:2]])
+        fail, answer = threading.Event(), threading.Event()
+        endpoint.gates = {bad.text: fail, good[0].text: answer}
+        config = http_config("http://generator.test/", max_retries=0, max_in_flight=2)
+        client = http_client(config, session=endpoint)
+        client.prefetch([good[0], bad, *good[1:3]])
         time.sleep(0.05)
-        assert endpoint.posts == 1
+        fail.set()
+        time.sleep(0.05)
+        assert endpoint.posts == 2
+        answer.set()
         with pytest.raises(TransportError):
             client.generate(bad)
-        client.prefetch(good[2:])
+        client.prefetch(good[3:])
         time.sleep(0.05)
-        assert endpoint.posts == 3
-        assert [client.generate(p) for p in good] == ["a"] * 4
-        assert endpoint.posts == 5 and endpoint.doubled == []
+        assert endpoint.posts == 4
+        assert [client.generate(p) for p in good] == ["a"] * 5
+        assert endpoint.posts == 6 and endpoint.doubled == []
 
     def test_cancel_under_contention_keeps_every_answer_and_starts_nothing_after(
         self, tmp_path
@@ -475,7 +491,7 @@ class TestHttpClient:
                 prompts = [make_prompt(query=f"question {round_} {i}") for i in range(300)]
                 endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts})
                 cache = tmp_path / str(round_)
-                client = HttpGeneratorClient(
+                client = http_client(
                     http_config("http://generator.test/", cache_dir=str(cache)),
                     session=endpoint)
                 client.prefetch(prompts)
@@ -494,7 +510,7 @@ class TestHttpClient:
         with ScriptedServer([(200, {"text": "via proxy"})]) as proxy:
             monkeypatch.setenv("http_proxy", proxy.url)
             # Nothing listens on localhost:9, so only the proxy can answer.
-            client = HttpGeneratorClient(http_config("http://localhost:9/v1/gen?x=1"))
+            client = http_client(http_config("http://localhost:9/v1/gen?x=1"))
             assert client.generate(make_prompt()) == "via proxy"
         assert proxy.paths == ["http://localhost:9/v1/gen?x=1"]
         assert proxy.headers_seen[0]["Host"] == "localhost:9"
@@ -513,7 +529,7 @@ class TestHttpClient:
         with server, ConnectProxy() as proxy:
             monkeypatch.setenv("https_proxy", proxy.url)
             port = server.server.server_port
-            client = HttpGeneratorClient(http_config(f"https://localhost:{port}/v1/gen"))
+            client = http_client(http_config(f"https://localhost:{port}/v1/gen"))
             for i in range(2):
                 assert client.generate(make_prompt(query=f"question {i}")) == "tunnelled"
             client.session.close()
@@ -525,7 +541,7 @@ class TestHttpClient:
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{free_port()}")
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         with ScriptedServer([(200, {"text": "direct"})]) as server:
-            client = HttpGeneratorClient(http_config(server.url, max_retries=0))
+            client = http_client(http_config(server.url, max_retries=0))
             assert client.generate(make_prompt()) == "direct"
         assert server.paths == ["/"]
 
@@ -534,7 +550,7 @@ class TestHttpClient:
 
         prompts = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(16)]
         with ScriptedServer([(200, {"text": "ok"})]) as server:
-            client = HttpGeneratorClient(
+            client = http_client(
                 http_config(server.url, cache_dir=str(tmp_path))
             )
             with ThreadPoolExecutor(max_workers=8) as pool:
@@ -547,7 +563,7 @@ def test_mock_client_concurrent_calls():
     from concurrent.futures import ThreadPoolExecutor
 
     golds = {f"q{i}": ("Paris",) for i in range(8)}
-    client = MockOracleClient(MockOracleConfig(), golds)
+    client = GeneratorClient(MockOracleBackend(MockOracleConfig(), golds))
     prompts = [make_prompt(query_id=f"q{i}", docs=["the answer is Paris"]) for i in range(8)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         outputs = list(pool.map(client.generate, prompts * 10))

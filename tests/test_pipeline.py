@@ -18,7 +18,7 @@ from ragtrim.data import (
     load_triplets,
     save_triplets,
 )
-from ragtrim.generation import MockOracleClient
+from ragtrim.generation import GeneratorClient, MockOracleBackend
 from ragtrim.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -79,7 +79,7 @@ def base_config(prepared, out_dir=None, methods=None, generator=None):
 class TestConfigValidation:
     def test_missing_file_fails_before_generation(self, prepared, monkeypatch):
         """Each file the run reads is opened before the first generator call."""
-        monkeypatch.setattr(MockOracleClient, "generate", None)  # a call would raise TypeError
+        monkeypatch.setattr(MockOracleBackend, "fetch", None)  # a call would raise TypeError
         for key in ("examples", "retrievals", "triplets", "plan", "model"):
             config = base_config({**prepared, key: str(prepared["root"] / f"nope_{key}")})
             with pytest.raises(DataError, match=f"nope_{key}"):
@@ -219,7 +219,8 @@ class TestRunPipeline:
 
 
 class CountingClient:
-    """Generator client wrapper recording every prompt it is asked to generate."""
+    """Generator client wrapper recording every prompt it is asked to generate; other
+    attributes (counters, prefetch, width) read through to the client it wraps."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -229,8 +230,8 @@ class CountingClient:
         self.seen.append((prompt.query_id, prompt.text))
         return self.inner.generate(prompt)
 
-    def fingerprint(self):
-        return self.inner.fingerprint()
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 @pytest.fixture
@@ -392,8 +393,7 @@ def http_run_config(paths, out, width):
 
 def record_plans_and_generates(monkeypatch) -> list[tuple[str, str]]:
     """("plan", example id) for each FixedKPredictor label and ("generate", query id) for
-    each generate of the mock or the HTTP client, in call order."""
-    from ragtrim.generation import HttpGeneratorClient
+    each generate, in call order."""
     from ragtrim.predictor import FixedKPredictor
 
     events: list[tuple[str, str]] = []
@@ -404,12 +404,13 @@ def record_plans_and_generates(monkeypatch) -> list[tuple[str, str]]:
         return label(self, example, retrieval)
 
     monkeypatch.setattr(FixedKPredictor, "predict_label", recorded_label)
-    for cls in (MockOracleClient, HttpGeneratorClient):
-        def recorded_generate(self, prompt, generate=cls.generate):
-            events.append(("generate", prompt.query_id))
-            return generate(self, prompt)
+    generate = GeneratorClient.generate
 
-        monkeypatch.setattr(cls, "generate", recorded_generate)
+    def recorded_generate(self, prompt):
+        events.append(("generate", prompt.query_id))
+        return generate(self, prompt)
+
+    monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
     return events
 
 
@@ -499,13 +500,13 @@ class TestGeneratorSeam:
         self, prepared, built_clients, monkeypatch
     ):
         mock_generations = []
-        mock_generate = MockOracleClient.generate
+        mock_fetch = MockOracleBackend.fetch
 
-        def counted_generate(self, prompt):
+        def counted_fetch(self, prompt):
             mock_generations.append(prompt.text)
-            return mock_generate(self, prompt)
+            return mock_fetch(self, prompt)
 
-        monkeypatch.setattr(MockOracleClient, "generate", counted_generate)
+        monkeypatch.setattr(MockOracleBackend, "fetch", counted_fetch)
         run = run_pipeline(base_config(prepared))
         assert len(built_clients) == 1
         assert len(built_clients[0].seen) == len(mock_generations)
@@ -757,13 +758,13 @@ class TestCli:
 
     def test_annotate_goes_through_build_generator(self, tmp_path, built_clients, monkeypatch):
         mock_generations = []
-        mock_generate = MockOracleClient.generate
+        mock_fetch = MockOracleBackend.fetch
 
-        def counted_generate(self, prompt):
+        def counted_fetch(self, prompt):
             mock_generations.append(prompt.text)
-            return mock_generate(self, prompt)
+            return mock_fetch(self, prompt)
 
-        monkeypatch.setattr(MockOracleClient, "generate", counted_generate)
+        monkeypatch.setattr(MockOracleBackend, "fetch", counted_fetch)
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "20", "--seed", "3"])
         generator = {"type": "mock", "closed_book_plan": str(corpus_dir / "plan.jsonl")}
@@ -773,7 +774,7 @@ class TestCli:
         assert len(built_clients[0].seen) == len(mock_generations) > 0
 
     def test_annotate_mock_flags_match_across_runs_and_library(self, tmp_path, monkeypatch):
-        """The mock's flags reach it from the CLI. The mock has no prefetch, so
+        """The mock's flags reach it from the CLI. The mock's width is 1, so
         annotation probes one example at a time, exactly as the library call does."""
         corpus_dir = tmp_path / "corpus"
         cli_main(["make-corpus", "--out-dir", str(corpus_dir), "--size", "60", "--seed", "4"])
@@ -781,13 +782,13 @@ class TestCli:
         generator = {"type": "mock", "closed_book_plan": plan, "seed": 5,
                      "confusion_threshold": 3, "noise_rate": 0.1}
         probed = []
-        generate = MockOracleClient.generate
+        fetch = MockOracleBackend.fetch
 
-        def recorded_generate(client, prompt):
+        def recorded_fetch(backend, prompt):
             probed.append(prompt.query_id)
-            return generate(client, prompt)
+            return fetch(backend, prompt)
 
-        monkeypatch.setattr(MockOracleClient, "generate", recorded_generate)
+        monkeypatch.setattr(MockOracleBackend, "fetch", recorded_fetch)
         outputs = []
         for run in ("first", "second"):
             out = tmp_path / f"triplets_{run}.jsonl"

@@ -12,10 +12,10 @@ from pathlib import Path
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
 from ragtrim.data import join_dataset, save_triplets
-from ragtrim.generation import HttpGeneratorClient, HttpGeneratorConfig, Prompt
-from ragtrim.pipeline import PipelineConfig, run_pipeline, sweep_document_count
-from ragtrim.synth import CorpusSpec, make_synthetic_corpus
-from helpers import MockEndpoint, ScriptedServer, mock_answers, serve
+from ragtrim.generation import GeneratorClient, HttpGeneratorConfig, Prompt
+from ragtrim.pipeline import PipelineConfig, build_generator, run_pipeline, sweep_document_count
+from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
+from helpers import MockEndpoint, ScriptedServer, http_client, mock_answers, serve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,11 +48,27 @@ def test_metered_http_client_counts_one_retry():
     prompt = Prompt("q1", "who wrote Hamlet", (), "qa_default", text)
     with ScriptedServer([(503, {"error": "busy"}), (200, {"text": "a"})]) as server:
         config = HttpGeneratorConfig(endpoint_url=server.url, model_name="m", backoff_base_s=0)
-        meter = tracing.MeteredClient(HttpGeneratorClient(config), "annotate")
+        meter = tracing.MeteredClient(http_client(config), "annotate")
         assert meter.generate(prompt) == "a"
     counters = meter.counters()
     assert (counters["retries"], counters["backend_requests"]) == (1, 1)
     assert counters["billed_tokens"] == len(prompt.text.split()) == 5
+
+
+def test_metered_mock_client_has_no_session_and_no_retries():
+    """The meter installs its attempt counter only on a client with a ``session``; on the
+    mock, from build_generator or from mock_client_for, none may show, or the meter would
+    count the mock's lookups as missing POSTs and report negative retries."""
+    tracing = load_tracing()
+    corpus = make_synthetic_corpus(CorpusSpec(size=20), seed=5)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    config = PipelineConfig("", "", [], generator={"type": "mock"})
+    for client in (build_generator(config, dataset), mock_client_for(corpus)):
+        meter = tracing.MeteredClient(client, "annotate")
+        annotate_dataset(dataset, meter)
+        counters = meter.counters()
+        assert meter.attempts is None and counters["retries"] == 0
+        assert counters["client_calls"] == counters["lookups"] > 0
 
 
 def test_metered_study_generates_on_the_calling_thread(tmp_path, monkeypatch):
@@ -66,13 +82,13 @@ def test_metered_study_generates_on_the_calling_thread(tmp_path, monkeypatch):
     endpoint = MockEndpoint(mock_answers(corpus, dataset), delay_s=0.001, fault_rate=0.05)
     serve(monkeypatch, endpoint)
     callers = set()
-    generate = HttpGeneratorClient.generate
+    generate = GeneratorClient.generate
 
     def recorded_generate(client, prompt):
         callers.add(threading.get_ident())
         return generate(client, prompt)
 
-    monkeypatch.setattr(HttpGeneratorClient, "generate", recorded_generate)
+    monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
     meters, stage = [], ["annotate"]
     build = ragtrim.pipeline.build_generator
 
