@@ -8,7 +8,7 @@ one generator call. Only rank prefixes are ever evaluated.
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Searches that take turns per POST slot of a client at max_in_flight > 1. Each holds
+# one prefetched probe, so while one probe sleeps a retry's backoff (0.25 s) and
+# generate waits for it, the other slots work through the later searches' probes.
+# Traced http-flaky-400 annotation on 2 vCPUs took 3.1-3.4 s at 16 per slot,
+# 2.4-3.0 s at 32 and 2.2-2.7 s at 64 (three rounds each).
+SEARCHES_PER_SLOT = 64
 
 
 class AnnotationAborted(RuntimeError):
@@ -114,6 +121,15 @@ def _histogram_key(label: CompressionLabel) -> str:
     return "unanswerable" if label.is_unanswerable else str(label.k)
 
 
+def _abort_point(failed: list[int], total: int, failure_limit: float) -> int:
+    """The position of the failed example at which annotating one example at a time
+    would abort, given the failed positions known so far; ``total`` if there is none."""
+    for count, position in enumerate(sorted(failed), 1):
+        if count / total > failure_limit:
+            return position
+    return total
+
+
 def annotate_dataset(
     dataset: JoinedDataset,
     client: GeneratorClient,
@@ -121,65 +137,80 @@ def annotate_dataset(
 ) -> tuple[list[AnnotatedTriplet], AnnotationStats]:
     """Annotate every example in the dataset; returns triplets sorted by example id.
 
-    The searches of the client's ``max_in_flight`` examples take turns, and
-    each search's next probe is prefetched while the others are generated;
-    every ``generate`` call runs on this thread. Generator failures skip the
-    example and are logged. When failures exceed ``failure_limit`` of the
-    dataset, the run aborts with partial results attached to the exception,
-    and no probe is sent after that but the prefetches already started.
-    ``cache_hits`` is how far the client's ``cache_hits`` counter rose, and
-    ``generator_calls`` is the rise in its ``calls`` less those hits: the
-    requests that reached the backend.
+    The searches of ``SEARCHES_PER_SLOT * max_in_flight`` examples (one at
+    width 1, the mock's) take turns in a fixed order, and each search's next
+    probe is prefetched while the others are generated; every ``generate`` call
+    runs on this thread, in that order. Generator failures skip the example and
+    are logged. When failures exceed ``failure_limit`` of the dataset, the run
+    aborts where annotating one example at a time would: at the first failed
+    example, in dataset order, past the limit. No example after it starts, the
+    searches of the examples before it finish, and then the exception carries
+    their triplets and stats, the same as at width 1 but for the counts of
+    requests. ``cache_hits`` is how far the client's ``cache_hits`` counter
+    rose, and ``generator_calls`` is the rise in its ``calls`` less those
+    hits: the requests that reached the backend.
     """
     fingerprint = client.fingerprint()
-    stats = AnnotationStats(total_examples=len(dataset))
     calls_before, hits_before = client.calls, client.cache_hits
-    triplets: list[AnnotatedTriplet] = []
-    # (example id, its search, the probe it waits on), in turn order.
-    searches: deque[tuple[str, Generator, Prompt]] = deque()
+    labels: dict[int, tuple[str, CompressionLabel]] = {}  # position -> (example id, label)
+    failed: list[int] = []  # positions of the examples whose search failed
+    end = len(dataset)  # the abort point, once failures past the limit show one
+    # (position in the dataset, example id, its search, the probe it waits on), in turn order.
+    searches: deque[tuple[int, str, Generator, Prompt]] = deque()
 
-    def step(example_id: str, search: Generator, output: str | None = None) -> None:
-        """Give ``search`` its output: queue and prefetch its next probe, or record its label."""
+    def step(position: int, example_id: str, search: Generator, output: str | None = None):
+        """Give ``search`` its output: queue and prefetch its next probe, or keep its label."""
         probe = _advance(search, output)
         if isinstance(probe, Prompt):
             client.prefetch([probe])
-            searches.append((example_id, search, probe))
-            return
-        stats.annotated += 1
-        key = _histogram_key(probe)
-        stats.label_histogram[key] = stats.label_histogram.get(key, 0) + 1
-        if probe.is_unanswerable:
-            stats.unanswerable_count += 1
-        triplets.append(AnnotatedTriplet(example_id, example_id, probe, fingerprint))
+            searches.append((position, example_id, search, probe))
+        else:
+            labels[position] = (example_id, probe)
 
-    pairs, width = iter(dataset.pairs), client.max_in_flight
+    pairs = enumerate(dataset.pairs)
+    window = SEARCHES_PER_SLOT * client.max_in_flight if client.max_in_flight > 1 else 1
     try:
         while True:
-            while len(searches) < width and (pair := next(pairs, None)) is not None:
-                example, retrieval = pair
-                step(example.id, find_optimal_k(example, retrieval, options.judge_mode,
-                                                 options.include_k0, options.template_id))
+            while len(searches) < window and (item := next(pairs, None)) is not None:
+                position, (example, retrieval) = item
+                if position >= end:
+                    break
+                step(position, example.id, find_optimal_k(
+                    example, retrieval, options.judge_mode, options.include_k0,
+                    options.template_id))
             if not searches:
                 break
-            example_id, search, probe = searches.popleft()
+            position, example_id, search, probe = searches.popleft()
             try:
                 output = client.generate(probe)
             except (TransportError, ProtocolError) as exc:
-                stats.failed += 1
                 logger.warning("generator failed for example %s: %s", example_id, exc)
-                if stats.failed / stats.total_examples > options.failure_limit:
-                    raise AnnotationAborted(
-                        f"aborting: {stats.failed}/{stats.total_examples} examples failed "
-                        f"(limit {options.failure_limit:.0%})",
-                        triplets,
-                        stats,
-                    )
+                failed.append(position)
+                end = _abort_point(failed, len(dataset), options.failure_limit)
+                searches = deque(s for s in searches if s[0] < end)
                 continue
-            step(example_id, search, output)
+            step(position, example_id, search, output)
     finally:
         client.cancel_prefetch()
-        # Also on abort: the exception carries these same objects.
-        triplets.sort(key=lambda t: t.example_id)
-        stats.cache_hits = client.cache_hits - hits_before
-        stats.generator_calls = client.calls - calls_before - stats.cache_hits
+    kept = sorted((pair for position, pair in labels.items() if position < end),
+                  key=lambda pair: pair[0])
+    triplets = [AnnotatedTriplet(id_, id_, label, fingerprint) for id_, label in kept]
+    histogram = Counter(_histogram_key(label) for _, label in kept)
+    cache_hits = client.cache_hits - hits_before
+    stats = AnnotationStats(
+        total_examples=len(dataset),
+        annotated=len(triplets),
+        failed=sum(position <= end for position in failed),
+        label_histogram=dict(histogram),
+        unanswerable_count=histogram["unanswerable"],
+        generator_calls=client.calls - calls_before - cache_hits,
+        cache_hits=cache_hits,
+    )
+    if end < len(dataset):
+        raise AnnotationAborted(
+            f"aborting: {stats.failed}/{stats.total_examples} examples failed "
+            f"(limit {options.failure_limit:.0%})",
+            triplets,
+            stats,
+        )
     return triplets, stats

@@ -70,12 +70,13 @@ class GeneratorClient:
     ``cache_key(prompt)`` (a cache entry's name) for a ``cache_dir`` or a
     width above 1. ``calls`` counts every lookup, cache hits included.
     ``prefetch`` starts the fetches of prompts that ``generate`` will be asked
-    for next, at most ``max_in_flight`` at once on a pool of threads; at width
-    1 it does nothing. Only the fetch and its retries run there. ``generate``
-    counts, reads and writes the cache, and takes a pending answer or fetches
-    one inline, all on the caller's thread, so the requests, retries and
-    counters of a run are those of a serial run. A caller that prefetches
-    calls ``cancel_prefetch`` once done, after an error too.
+    for next on a pool of threads; at width 1 it does nothing. Only the fetch
+    and its retries run there. ``generate`` counts, reads and writes the cache,
+    and takes a pending answer or fetches one inline, all on the caller's
+    thread, so the requests, retries and counters of a run are those of a
+    serial run. The pool's fetches and an inline one share ``max_in_flight``
+    slots, so no more requests than that are under way at once. A caller that
+    prefetches calls ``cancel_prefetch`` once done, after an error too.
     """
 
     def __init__(self, backend, cache_dir: str | None = None, max_in_flight: int = 1):
@@ -87,6 +88,8 @@ class GeneratorClient:
         self._counter_lock = threading.Lock()
         self._pending: dict[str, Future[str]] = {}  # cache key -> its prefetched answer
         self._failed = 0  # prefetches of _pending that failed and generate has not raised
+        self._raised = 0  # failures generate has raised; a prefetch queued before one is dropped
+        self._slots = threading.Semaphore(max_in_flight)
         self._pool: ThreadPoolExecutor | None = None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -118,18 +121,22 @@ class GeneratorClient:
                 continue
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(self.max_in_flight, "ragtrim-post")
-            self._pending[key] = self._pool.submit(self._prefetched, self._pending, prompt)
+            self._pending[key] = self._pool.submit(
+                self._prefetched, self._pending, self._raised, prompt)
 
-    def _prefetched(self, pending: dict, prompt: Prompt) -> str | None:
+    def _prefetched(self, pending: dict, raised: int, prompt: Prompt) -> str | None:
         """The fetch of a prefetch; or None, with no fetch, once cancel_prefetch has
-        dropped ``pending`` or while a failed prefetch's error waits for ``generate``.
-        So when that error reaches the caller, only the fetches already under way on
-        the other threads (at most ``max_in_flight - 1``) are left."""
+        dropped ``pending``, while a failed prefetch's error waits for ``generate``, or
+        once ``generate`` has raised a failure since this prefetch was queued (it had
+        ``raised`` failures then). So when an error reaches the caller, only the
+        fetches already under way on the other threads (at most ``max_in_flight - 1``)
+        are left, and the prompts queued before it are fetched inline in their turn."""
         with self._counter_lock:
-            if pending is not self._pending or self._failed:
+            if pending is not self._pending or self._failed or raised != self._raised:
                 return None
         try:
-            return self.backend.fetch(prompt)
+            with self._slots:
+                return self.backend.fetch(prompt)
         except Exception:
             with self._counter_lock:
                 if pending is self._pending:
@@ -165,12 +172,15 @@ class GeneratorClient:
         future = self._pending.pop(key, None)
         try:
             text = None if future is None else future.result()
+            if text is None:  # not prefetched, or dropped or held by a failure
+                with self._slots:
+                    text = self.backend.fetch(prompt)
         except Exception:
             with self._counter_lock:
-                self._failed -= 1
+                self._raised += 1
+                if future is not None and future.exception() is not None:
+                    self._failed -= 1
             raise
-        if text is None:  # not prefetched, or skipped while a failure was pending
-            text = self.backend.fetch(prompt)
         if cache_path is not None:
             _write_cache_entry(cache_path, text)
         return text
@@ -256,6 +266,13 @@ def _doc_has_evidence(doc_text: str, norm_golds: tuple[str, ...]) -> bool:
     return any(g and g in norm_doc for g in norm_golds)
 
 
+@functools.lru_cache(maxsize=256)
+def _normalized_golds(golds: tuple[str, ...]) -> tuple[str, ...]:
+    # Bounded memo, as above: an example's prompts are generated one after another,
+    # so its golds are normalized once, not on every call.
+    return tuple(normalize_answer(g) for g in golds)
+
+
 def mock_generate(
     config: MockOracleConfig,
     prompt: Prompt,
@@ -271,7 +288,7 @@ def mock_generate(
     """
     if not golds:
         raise ValueError("mock_generate requires at least one gold answer")
-    norm_golds = tuple(normalize_answer(g) for g in golds)
+    norm_golds = _normalized_golds(tuple(golds))
 
     if prompt.context_docs:
         evidence = [_doc_has_evidence(doc, norm_golds) for doc in prompt.context_docs]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from ragtrim.annotate import (
+    SEARCHES_PER_SLOT,
     AnnotationAborted,
     AnnotationOptions,
     annotate_dataset,
@@ -28,6 +31,7 @@ from helpers import (
     MockEndpoint,
     ScriptedBackend,
     http_client,
+    http_response,
     make_example,
     make_retrieval,
     mock_answers,
@@ -201,6 +205,51 @@ class TestAnnotateDataset:
         assert posts[1:] == [stats[0]["generator_calls"]] * 3
         assert endpoint.peak_in_flight > 1 and endpoint.doubled == []
 
+    def test_lookahead_keeps_the_other_slots_busy_while_one_probe_is_held(self):
+        """The endpoint holds example 0's first probe until a probe of example 8 or later
+        arrives, so at width 4 the other slots must work through the probes of searches
+        beyond the first 2 × 4 while it is held. No more than 4 POSTs or one prompt twice
+        are in flight, and the triplets, stats and POSTs equal width 1's."""
+        corpus, dataset = self.make_corpus(size=30)
+        answers = mock_answers(corpus, dataset)
+        index = {example.id: i for i, (example, _) in enumerate(dataset)}
+        example, retrieval = dataset.pairs[0]
+        held = assemble_prompt(example, select_top_k(retrieval, 0)).text
+        results = {}
+        for width in (1, 4):
+            endpoint = MockEndpoint(answers)
+            release = threading.Event()
+            if width > 1:  # width 1 would wait for example 8 until the gate times out
+                endpoint.gates[held] = release
+
+            class Releasing:
+                def post(self, url, json, **kwargs):
+                    if index[answers[json["prompt"]][0]] >= 8:
+                        release.set()
+                    return endpoint.post(url, json=json, **kwargs)
+
+            triplets, stats = annotate_dataset(dataset, endpoint_client(Releasing(), width))
+            results[width] = (triplets, stats.to_dict(), endpoint.posts)
+            assert endpoint.peak_in_flight <= width and endpoint.doubled == []
+            assert endpoint.gate_timeouts == []
+        assert results[1] == results[4]
+
+    def test_the_window_refills_in_the_turn_order_of_width_1(self):
+        """200 examples at width 2, more than its window of searches, through an endpoint
+        that fails the first attempt of 5% of prompts: the same triplets, stats, POSTs and
+        faults as at width 1, and never one prompt twice in flight."""
+        corpus, dataset = self.make_corpus(size=200)
+        assert len(dataset) > SEARCHES_PER_SLOT * 2
+        answers = mock_answers(corpus, dataset)
+        results = {}
+        for width in (1, 2):
+            endpoint = MockEndpoint(answers, fault_rate=0.05)
+            triplets, stats = annotate_dataset(dataset, endpoint_client(endpoint, width))
+            results[width] = (triplets, stats.to_dict(), endpoint.posts, endpoint.faults)
+            assert endpoint.peak_in_flight <= width and endpoint.doubled == []
+        assert results[1] == results[2]
+        assert results[2][3] > 0
+
     def test_abort_at_total_failure(self):
         corpus, dataset = self.make_corpus(size=1)
         with pytest.raises(AnnotationAborted) as excinfo:
@@ -244,6 +293,45 @@ class TestAnnotateDataset:
             posts[width] = endpoint.posts
         assert posts[1] == 21
         assert posts[4] <= posts[1] + (4 - 1)
+
+    def test_a_wide_abort_stops_where_width_1_does(self):
+        """The k=2 probes of 12 examples among the first 100 fail, and so does every probe
+        of examples 100 to 129, so the 21st failure in dataset order is example 108's. At
+        width 4 the turns reach the later failures first, yet the abort keeps width 1's
+        triplets (those of the first 100 examples that did not fail), message and stats,
+        but for the counts of requests."""
+        corpus, dataset = self.make_corpus(size=200)
+        answers = mock_answers(corpus, dataset)
+        intended = corpus.intended_labels()
+        deep = [(example, retrieval) for example, retrieval in dataset.pairs[:100]
+                if intended[example.id].is_unanswerable or intended[example.id].k >= 2][:12]
+        assert len(deep) == 12
+        failing = {assemble_prompt(example, select_top_k(retrieval, 2)).text
+                   for example, retrieval in deep}
+
+        class Failing:
+            def __init__(self):
+                self.endpoint = MockEndpoint(
+                    answers, failing=[example.id for example, _ in dataset.pairs[100:130]])
+
+            def post(self, url, json, **kwargs):
+                if json["prompt"] in failing:
+                    return http_response(503, b'{"error": "injected fault"}')
+                return self.endpoint.post(url, json=json, **kwargs)
+
+        outcomes = {}
+        for width in (1, 4):
+            with pytest.raises(AnnotationAborted) as excinfo:
+                annotate_dataset(dataset, endpoint_client(Failing(), width, max_retries=0))
+            stats = excinfo.value.stats.to_dict()
+            for count in ("generator_calls", "cache_hits", "cache_hit_rate"):
+                del stats[count]
+            outcomes[width] = (str(excinfo.value), excinfo.value.triplets, stats)
+        assert outcomes[1] == outcomes[4]
+        kept = {example.id for example, _ in dataset.pairs[:100]}
+        kept -= {example.id for example, _ in deep}
+        assert {t.example_id for t in outcomes[4][1]} == kept
+        assert outcomes[4][2]["failed"] == 21
 
     def test_only_rank_prefixes_are_evaluated(self):
         example = make_example(id="p1", query="what is it", answers=("zz",))

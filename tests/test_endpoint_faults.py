@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ragtrim.pipeline
-from ragtrim.annotate import annotate_dataset
+from ragtrim.annotate import AnnotationAborted, AnnotationOptions, annotate_dataset
 from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
@@ -240,6 +240,53 @@ def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):
     assert rerun.seen.isdisjoint(answered)
     assert manifest["cache_hits"] == len(answered)
     assert rerun.posts == manifest["generator_calls"] - len(answered)
+
+
+def test_an_aborted_annotation_keeps_the_answers_it_paid_for(tmp_path):
+    """Every probe of example 10 of 60 fails for good and the failure limit is 0, so
+    annotation aborts at that example. The endpoint holds its first probe until a probe
+    of example 30 arrives, so at width 4 later searches' probes have been sent.
+    Once the abort returns, no POST is under way, every answered probe has a cache entry,
+    and a rerun with the fault lifted POSTs only the probes left unanswered."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=4)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    index = {example.id: i for i, (example, _) in enumerate(dataset)}
+    bad = dataset.pairs[10][0].id
+    cache = tmp_path / "cache"
+    endpoint = MockEndpoint(answers, failing=[bad])
+    release = threading.Event()
+    endpoint.gates = {text: release for text, (id_, _) in answers.items() if id_ == bad}
+
+    class Releasing:
+        def post(self, url, json, **kwargs):
+            if index[answers[json["prompt"]][0]] >= 30:
+                release.set()
+            return endpoint.post(url, json=json, **kwargs)
+
+    def annotate(session):
+        config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                     max_retries=0, cache_dir=str(cache), max_in_flight=4)
+        return annotate_dataset(dataset, http_client(config, session=session),
+                                AnnotationOptions(failure_limit=0.0))
+
+    with pytest.raises(AnnotationAborted):
+        annotate(Releasing())
+    posts = endpoint.posts
+    assert endpoint.in_flight == [] and endpoint.gate_timeouts == []
+    time.sleep(0.05)
+    assert endpoint.posts == posts
+
+    answered = {text for text in endpoint.seen if answers[text][0] != bad}
+    assert any(index[answers[text][0]] >= 30 for text in answered)
+    assert len(list(cache.glob("*.json"))) == len(answered)
+    rerun = MockEndpoint(answers)
+    triplets, stats = annotate(rerun)
+    assert rerun.seen.isdisjoint(answered)
+    assert stats.cache_hits == len(answered)
+    assert rerun.posts == stats.generator_calls
+    intended = corpus.intended_labels()
+    assert [t.label for t in triplets] == [intended[ex.id] for ex, _ in dataset]
 
 
 def warm(cache, answers, prompts) -> None:

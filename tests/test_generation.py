@@ -141,6 +141,22 @@ class TestMockOracle:
         with pytest.raises(DataError, match="no gold answers for query 'q9'"):
             client.generate(make_prompt(query_id="q9"))
 
+    def test_each_examples_golds_are_normalized_once(self, monkeypatch):
+        import ragtrim.generation
+
+        normalized = []
+        normalize = ragtrim.generation.normalize_answer
+        monkeypatch.setattr(ragtrim.generation, "normalize_answer",
+                            lambda text: normalized.append(text) or normalize(text))
+        golds = {"q1": ("Paris of the North",), "q2": ("Venice", "Venezia of the North")}
+        client = GeneratorClient(MockOracleBackend(MockOracleConfig(), golds))
+        prompts = [make_prompt(query_id=query_id, docs=(f"doc {i}: {text}",))
+                   for query_id in golds for i in range(5) for text in (golds[query_id][-1], "x")]
+        outputs = [client.generate(prompt) for prompt in prompts]
+        assert outputs == (["Paris of the North", UNKNOWN_ANSWER] * 5
+                           + ["Venice", UNKNOWN_ANSWER] * 5)
+        assert [normalized.count(gold) for answers in golds.values() for gold in answers] == [1] * 3
+
 
 class TestJudge:
     def test_article_normalized_match(self):
@@ -473,6 +489,67 @@ class TestHttpClient:
         assert endpoint.posts == 4
         assert [client.generate(p) for p in good] == ["a"] * 5
         assert endpoint.posts == 6 and endpoint.doubled == []
+
+    @pytest.mark.parametrize("failure", ["prefetched", "inline"])
+    def test_a_raised_failure_drops_the_prefetches_queued_before_it(self, monkeypatch, failure):
+        """At width 2, two prefetches reach the pool only after generate has raised a
+        failure, of a prefetched prompt or of one fetched inline. They never POST from
+        the pool: generate fetches each inline, on the caller's thread, when asked for
+        it. A prefetch queued after the raise POSTs from the pool."""
+        bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(4)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (bad, *good)},
+                                failing=["q0"])
+        caller, posts = threading.current_thread(), []
+
+        class Recording:
+            def post(self, url, json, **kwargs):
+                posts.append((json["prompt"], threading.current_thread() is caller))
+                return endpoint.post(url, json=json, **kwargs)
+
+        raised = threading.Event()
+        prefetched = GeneratorClient._prefetched
+
+        def late(self, *args):  # the last argument is the prompt
+            if args[-1] in good[:2]:
+                raised.wait(10)
+            return prefetched(self, *args)
+
+        monkeypatch.setattr(GeneratorClient, "_prefetched", late)
+        config = http_config("http://generator.test/", max_retries=0, max_in_flight=2)
+        client = http_client(config, session=Recording())
+        client.prefetch([bad, *good[:2]] if failure == "prefetched" else good[:2])
+        with pytest.raises(TransportError):
+            client.generate(bad)
+        raised.set()
+        client.prefetch(good[2:])
+        assert [client.generate(p) for p in good] == ["a"] * 3
+        client.cancel_prefetch()
+        assert len(posts) == 4 and dict(posts) == {
+            bad.text: failure == "inline", good[0].text: True, good[1].text: True,
+            good[2].text: False}
+
+    def test_an_inline_fetch_waits_for_a_free_slot(self):
+        """At width 2, with both pool threads' POSTs held in flight, generate of a prompt
+        that was not prefetched POSTs only once one of them has finished: the pool and
+        the caller together keep at most max_in_flight requests under way."""
+        import time
+
+        held, inline = [make_prompt(query=f"question {i}") for i in range(2)], make_prompt()
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (*held, inline)})
+        release = threading.Event()
+        endpoint.gates = {p.text: release for p in held}
+        client = http_client(http_config("http://generator.test/", max_in_flight=2), endpoint)
+        client.prefetch(held)
+        deadline = time.monotonic() + 10
+        while len(endpoint.in_flight) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        timer = threading.Timer(0.05, release.set)
+        timer.start()
+        assert client.generate(inline) == "a"
+        assert [client.generate(p) for p in held] == ["a", "a"]
+        timer.join(10)
+        assert not timer.is_alive()
+        assert (endpoint.posts, endpoint.peak_in_flight, endpoint.gate_timeouts) == (3, 2, [])
 
     def test_cancel_under_contention_keeps_every_answer_and_starts_nothing_after(
         self, tmp_path
