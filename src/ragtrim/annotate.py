@@ -8,9 +8,9 @@ one generator call. Only rank prefixes are ever evaluated.
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import Generator, Iterator
 
 from .compress import assemble_prompt, select_top_k
 from .data import AnnotatedTriplet, CompressionLabel, JoinedDataset, QAExample, RetrievalSet
@@ -19,8 +19,10 @@ from .generation import (
     JudgeMode,
     Prompt,
     ProtocolError,
+    Search,
     TransportError,
     judge_correct,
+    take_turns,
 )
 
 __all__ = [
@@ -33,13 +35,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Searches that take turns per POST slot of a client at max_in_flight > 1. Each holds
-# one prefetched probe, so while one probe sleeps a retry's backoff (0.25 s) and
-# generate waits for it, the other slots work through the later searches' probes.
-# Traced http-flaky-400 annotation on 2 vCPUs took 3.1-3.4 s at 16 per slot,
-# 2.4-3.0 s at 32 and 2.2-2.7 s at 64 (three rounds each).
-SEARCHES_PER_SLOT = 64
 
 
 class AnnotationAborted(RuntimeError):
@@ -57,6 +52,10 @@ class AnnotationOptions:
     include_k0: bool = True
     template_id: str = "qa_default"
     failure_limit: float = 0.10
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.failure_limit <= 1.0:  # NaN too
+            raise ValueError(f"failure_limit must be in [0, 1], got {self.failure_limit}")
 
 
 @dataclass
@@ -109,14 +108,6 @@ def find_optimal_k(
     return CompressionLabel.unanswerable()
 
 
-def _advance(search: Generator[Prompt, str, CompressionLabel], output: str | None):
-    """Send ``output`` to ``search``: its next probe, or its label once it has one."""
-    try:
-        return search.send(output)
-    except StopIteration as done:
-        return done.value
-
-
 def _histogram_key(label: CompressionLabel) -> str:
     return "unanswerable" if label.is_unanswerable else str(label.k)
 
@@ -137,61 +128,52 @@ def annotate_dataset(
 ) -> tuple[list[AnnotatedTriplet], AnnotationStats]:
     """Annotate every example in the dataset; returns triplets sorted by example id.
 
-    The searches of ``SEARCHES_PER_SLOT * max_in_flight`` examples (one at
-    width 1, the mock's) take turns in a fixed order, and each search's next
-    probe is prefetched while the others are generated; every ``generate`` call
-    runs on this thread, in that order. Generator failures skip the example and
-    are logged. When failures exceed ``failure_limit`` of the dataset, the run
-    aborts where annotating one example at a time would: at the first failed
-    example, in dataset order, past the limit. No example after it starts, the
-    searches of the examples before it finish, and then the exception carries
-    their triplets and stats, the same as at width 1 but for the counts of
-    requests. ``cache_hits`` is how far the client's ``cache_hits`` counter
-    rose, and ``generator_calls`` is the rise in its ``calls`` less those
-    hits: the requests that reached the backend.
+    The examples' label searches take turns in ``generation.take_turns``.
+    Generator failures skip the example and are logged. When failures exceed
+    ``failure_limit`` of the dataset, the run aborts where annotating one
+    example at a time would: at the first failed example, in dataset order,
+    past the limit. No example after it starts and the searches after it are
+    closed; those before it finish, and then the exception carries their
+    triplets and stats, width 1's but for the counts of requests. ``cache_hits``
+    is how far the client's ``cache_hits`` counter rose, and ``generator_calls``
+    is the rise in its ``calls`` less those hits: the requests that reached the
+    backend.
     """
     fingerprint = client.fingerprint()
     calls_before, hits_before = client.calls, client.cache_hits
     labels: dict[int, tuple[str, CompressionLabel]] = {}  # position -> (example id, label)
     failed: list[int] = []  # positions of the examples whose search failed
     end = len(dataset)  # the abort point, once failures past the limit show one
-    # (position in the dataset, example id, its search, the probe it waits on), in turn order.
-    searches: deque[tuple[int, str, Generator, Prompt]] = deque()
+    searching: dict[int, Search] = {}  # position -> its search, while it goes on
 
-    def step(position: int, example_id: str, search: Generator, output: str | None = None):
-        """Give ``search`` its output: queue and prefetch its next probe, or keep its label."""
-        probe = _advance(search, output)
-        if isinstance(probe, Prompt):
-            client.prefetch([probe])
-            searches.append((position, example_id, search, probe))
-        else:
-            labels[position] = (example_id, probe)
+    def search(position: int, example: QAExample, retrieval: RetrievalSet) -> Search:
+        """``find_optimal_k`` for one example, keeping its label or counting its failure."""
+        nonlocal end
+        probes = find_optimal_k(example, retrieval, options.judge_mode, options.include_k0,
+                                options.template_id)
+        try:
+            probe = next(probes)
+            while True:
+                output, _ = yield probe
+                probe = probes.send(output)
+        except StopIteration as done:
+            labels[position] = (example.id, done.value)
+        except (TransportError, ProtocolError) as exc:
+            logger.warning("generator failed for example %s: %s", example.id, exc)
+            failed.append(position)
+            end = _abort_point(failed, len(dataset), options.failure_limit)
+            for later in [s for p, s in searching.items() if p > end]:
+                later.close()
+        finally:
+            del searching[position]
 
-    pairs = enumerate(dataset.pairs)
-    window = SEARCHES_PER_SLOT * client.max_in_flight if client.max_in_flight > 1 else 1
-    try:
-        while True:
-            while len(searches) < window and (item := next(pairs, None)) is not None:
-                position, (example, retrieval) = item
-                if position >= end:
-                    break
-                step(position, example.id, find_optimal_k(
-                    example, retrieval, options.judge_mode, options.include_k0,
-                    options.template_id))
-            if not searches:
-                break
-            position, example_id, search, probe = searches.popleft()
-            try:
-                output = client.generate(probe)
-            except (TransportError, ProtocolError) as exc:
-                logger.warning("generator failed for example %s: %s", example_id, exc)
-                failed.append(position)
-                end = _abort_point(failed, len(dataset), options.failure_limit)
-                searches = deque(s for s in searches if s[0] < end)
-                continue
-            step(position, example_id, search, output)
-    finally:
-        client.cancel_prefetch()
+    def searches() -> Iterator[Search]:
+        for position, pair in enumerate(dataset.pairs):
+            if position >= end:
+                return
+            yield searching.setdefault(position, search(position, *pair))
+
+    take_turns(client, searches())
     kept = sorted((pair for position, pair in labels.items() if position < end),
                   key=lambda pair: pair[0])
     triplets = [AnnotatedTriplet(id_, id_, label, fingerprint) for id_, label in kept]

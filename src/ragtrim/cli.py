@@ -49,14 +49,17 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     config = load_pipeline_config(args.config)
+    try:
+        options = AnnotationOptions(
+            judge_mode=JudgeMode.parse(config.judge),
+            include_k0=args.k0 == "on",
+            template_id=config.template_id,
+            failure_limit=args.failure_limit,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     dataset, _ = load_inputs(config)
     client = pipeline.build_generator(config, dataset)
-    options = AnnotationOptions(
-        judge_mode=JudgeMode.parse(config.judge),
-        include_k0=args.k0 == "on",
-        template_id=config.template_id,
-        failure_limit=args.failure_limit,
-    )
     try:
         triplets, stats = annotate_dataset(dataset, client, options)
     except AnnotationAborted as exc:

@@ -80,10 +80,6 @@ class RetrievalSet:
     def n(self) -> int:
         return len(self.docs)
 
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(d.score for d in self.docs)
-
 
 @dataclass(frozen=True)
 class CompressionLabel:

@@ -14,10 +14,9 @@ import logging
 import re
 import types
 import typing
-from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .compress import (
     FALLBACK_TO_N,
@@ -30,7 +29,6 @@ from .compress import (
 )
 from .data import (
     AnnotatedTriplet,
-    CompressionLabel,
     JoinedDataset,
     QAExample,
     RetrievalSet,
@@ -47,6 +45,8 @@ from .generation import (
     JudgeMode,
     MockOracleBackend,
     MockOracleConfig,
+    Search,
+    take_turns,
 )
 from .metrics import (
     EvalReport,
@@ -366,14 +366,6 @@ class MethodResult:
 # predictor's row also records its ``fallbacks`` (calls answered with k=N).
 _RUN_COUNTERS = ("generator_calls", "cache_hits", "reused", "skipped")
 
-# Examples that run and sweep plan and prefetch ahead of the one being generated, per
-# POST slot of a client at max_in_flight > 1: while one slot holds a retry's backoff
-# (0.25 s) and generate waits for it in dataset order, the other slots need planned
-# work. On http-flaky-400, 16, 32 and 64 measured alike, and 8 lost to 32 in most
-# alternating pairs, as did 8 per slot beyond the first (24 examples at width 4).
-LOOKAHEAD_PER_SLOT = 16
-
-
 @dataclass
 class RunResult:
     methods: list[MethodResult]
@@ -383,97 +375,74 @@ class RunResult:
         return {m.name: m for m in self.methods}
 
 
-def _ahead(items: Iterable, n: int) -> Iterator:
-    """``items`` in order, each yielded once the ``n`` items after it have been drawn."""
-    window: deque = deque()
-    for item in items:
-        window.append(item)
-        if len(window) > n:
-            yield window.popleft()
-    while window:
-        yield window.popleft()
-
-
 def _evaluate(
     rows: Sequence[tuple[str, Callable | None, str]],
     dataset: JoinedDataset,
     client: GeneratorClient,
     config: PipelineConfig,
-    splits: dict[str, str] | None = None,
+    split_by_answer_relevance: bool = False,
 ) -> list[MethodResult]:
-    """Generate and score every (row_name, labeler, fingerprint) row, example-major.
+    """Generate and score every (row_name, labeler, fingerprint) row, one search per example.
 
-    Each example is planned and its prompts prefetched while the
-    ``LOOKAHEAD_PER_SLOT * max_in_flight`` examples before it are generated, so
-    the client's ``max_in_flight`` requests overlap and stay busy while one of
-    them backs off; at width 1 (the mock's) each example is planned only after
-    the one before it is generated. Every ``generate`` call runs on this
-    thread, in dataset order. Within one example, a prompt goes to
-    the client only the first time a row produces it; later rows with the same
-    prompt text reuse that output. An output is scored only the first time a row
-    of the example returns it: the example's gold answers fix every metric, so
-    later rows copy the metrics and keep their own token_count and k. Each
-    labeler still runs once per example in dataset order (seeded draws keep
-    their sequence) and each row's results keep dataset order.
+    The searches take turns in ``generation.take_turns``. Each runs every row's
+    labeler when it starts, so labelers run once per example in dataset order and
+    seeded draws keep their sequence; a labeler of None selects the only_doc
+    context. Then, label by label in the order the rows first return them, it
+    compresses the label, sends its prompt to the client unless an earlier label
+    of the example produced the same text, and scores the output unless an earlier
+    label returned it (the gold answers fix every metric; token_count and k are
+    the label's own). Each row's results are kept by dataset position.
     """
-    methods = [
-        MethodResult(name, report=None, results=[], generator_calls=0, cache_hits=0,
-                     fingerprint=fingerprint)  # report: aggregated once every example is scored
+    methods = [  # results and contexts by position; report: once every example is scored
+        MethodResult(name, report=None, results=[None] * len(dataset), generator_calls=0,
+                     cache_hits=0, fingerprint=fingerprint,
+                     contexts=[None] * len(dataset) if config.export_contexts else [])
         for name, _, fingerprint in rows
     ]
 
-    def plan(pair: tuple[QAExample, RetrievalSet]):
-        """The example and each row's context for it, None where the row's label skips
-        it; the contexts' prompts are prefetched. A labeler of None selects the only_doc
-        context, and a label is compressed only the first time a row returns it."""
-        example, retrieval = pair
-        contexts: dict[CompressionLabel, CompressedContext] = {}
-        planned: list[CompressedContext | None] = []
-        for _, labeler, _ in rows:
-            if labeler is None:
-                planned.append(only_doc_select(example, retrieval, config.template_id))
-                continue
-            label = labeler(example, retrieval)
-            if label is not None and label not in contexts:
-                contexts[label] = compress(
-                    example, retrieval, label, config.fallback, config.template_id
-                )
-            planned.append(contexts.get(label))
-        client.prefetch(ctx.prompt for ctx in planned if ctx is not None)
-        return example, planned
-
-    ahead = LOOKAHEAD_PER_SLOT * client.max_in_flight if client.max_in_flight > 1 else 0
-    try:
-        for example, planned in _ahead(map(plan, dataset), ahead):
-            outputs: dict[str, str] = {}  # prompt text -> output, for this example only
-            scored: dict[str, ExampleResult] = {}  # output -> its scores, for this example only
-            split = splits.get(example.id) if splits else None
-            for ctx, m in zip(planned, methods):
-                if ctx is None:
-                    m.skipped += 1
-                    continue
-                output = outputs.get(ctx.prompt.text)
-                if output is None:
-                    hits_before = client.cache_hits
-                    output = outputs[ctx.prompt.text] = client.generate(ctx.prompt)
-                    m.generator_calls += 1
-                    m.cache_hits += client.cache_hits - hits_before
-                else:
-                    m.reused += 1
-                result = scored.get(output)
-                if result is None:
-                    result = scored[output] = score_output(
-                        example.id, output, example.gold_answers, ctx.token_count, ctx.k,
-                        split=split,
-                    )
-                else:
-                    result = replace(result, token_count=ctx.token_count, k=ctx.k)
-                m.results.append(result)
+    def search(position: int, example: QAExample, retrieval: RetrievalSet) -> Search:
+        split = None
+        if split_by_answer_relevance:
+            texts = [d.text for d in retrieval.docs]
+            split = specificity_split(answer_relevance_scores(texts, example.gold_answers))
+        labelled: dict[object, list[MethodResult]] = {}  # label -> its rows, in row order
+        for (_, labeler, _), m in zip(rows, methods):
+            label = METHOD_ONLY_DOC if labeler is None else labeler(example, retrieval)
+            if label is None:
+                m.skipped += 1
+            else:
+                labelled.setdefault(label, []).append(m)
+        outputs: dict[str, str] = {}  # prompt text -> output
+        scored: dict[str, ExampleResult] = {}  # output -> its scores
+        for label, (first, *others) in labelled.items():
+            ctx = (only_doc_select(example, retrieval, config.template_id)
+                   if label == METHOD_ONLY_DOC
+                   else compress(example, retrieval, label, config.fallback, config.template_id))
+            output = outputs.get(ctx.prompt.text)
+            if output is None:
+                output, hits = yield ctx.prompt
+                outputs[ctx.prompt.text] = output
+                first.generator_calls += 1
+                first.cache_hits += hits
+            else:
+                first.reused += 1
+            result = scored.get(output)
+            if result is None:
+                result = scored[output] = score_output(example.id, output, example.gold_answers,
+                                                       ctx.token_count, ctx.k, split=split)
+            else:
+                result = replace(result, token_count=ctx.token_count, k=ctx.k)
+            for m in (first, *others):
+                m.results[position] = result
                 if config.export_contexts:
-                    m.contexts.append(ctx)
-    finally:
-        client.cancel_prefetch()
+                    m.contexts[position] = ctx
+            for m in others:
+                m.reused += 1
+
+    take_turns(client, (search(position, *pair) for position, pair in enumerate(dataset.pairs)))
     for m in methods:
+        m.results = [result for result in m.results if result is not None]
+        m.contexts = [ctx for ctx in m.contexts if ctx is not None]
         m.report = aggregate(m.results)
     return methods
 
@@ -489,21 +458,12 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     client = build_generator(config, dataset)
     oracle_labels = {t.example_id: t.label for t in triplets or ()}
 
-    splits = None
-    if config.split_by_answer_relevance:
-        splits = {}
-        for example, retrieval in dataset:
-            scores = answer_relevance_scores(
-                [d.text for d in retrieval.docs], example.gold_answers
-            )
-            splits[example.id] = specificity_split(scores)
-
     rows = [
         row
         for m in config.methods
         for row in _method_rows(m, config, dataset, oracle_labels, predictors)
     ]
-    method_results = _evaluate(rows, dataset, client, config, splits)
+    method_results = _evaluate(rows, dataset, client, config, config.split_by_answer_relevance)
     per_method = {m.name: {key: getattr(m, key) for key in _RUN_COUNTERS} for m in method_results}
     for name, predictor in predictors:
         if name in per_method and isinstance(predictor, RemotePredictorClient):

@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from ragtrim.annotate import (
-    SEARCHES_PER_SLOT,
     AnnotationAborted,
     AnnotationOptions,
     annotate_dataset,
@@ -17,6 +16,7 @@ from ragtrim.annotate import (
 from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
+    SEARCHES_PER_SLOT,
     GeneratorClient,
     HttpGeneratorConfig,
     JudgeMode,

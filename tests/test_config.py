@@ -142,6 +142,11 @@ def annotate(run_args):
     return args
 
 
+def failure_limit(value):
+    """CLI args of `ragtrim annotate` on the valid config with ``--failure-limit value``."""
+    return lambda paths, tmp_path: [*annotate(top())(paths, tmp_path), "--failure-limit", value]
+
+
 def with_text(verb_args, flag, text):
     """CLI args of a verb that reads the file holding ``text`` through ``flag``."""
 
@@ -278,6 +283,12 @@ DEFECTS = [
     # annotate reads the same config file, so each defect stops it too.
     *[(f"annotate-{name}", annotate(make_args), message)
       for name, make_args, message in RUN_DEFECTS if name not in MODEL_SIZE_DEFECTS],
+    ("annotate-failure-limit-nan", failure_limit("nan"),
+     "failure_limit must be in [0, 1], got nan"),
+    ("annotate-failure-limit-negative", failure_limit("-1"),
+     "failure_limit must be in [0, 1], got -1.0"),
+    ("annotate-failure-limit-above-1", failure_limit("1.5"),
+     "failure_limit must be in [0, 1], got 1.5"),
     ("annotate-missing-examples",
      annotate(run(lambda config, paths: config["datasets"].update(examples="nope.json"))),
      NO_FILE),

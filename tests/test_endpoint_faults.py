@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import shutil
 import threading
 import time
 
@@ -124,8 +125,9 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypa
     """The flaky HTTP workload in miniature: 1% of prompts fail their first attempt.
 
     Annotation, then a run and a sweep at max_in_flight 1 and 4, each width
-    through a fresh endpoint: the same tables and manifest at both widths, and
-    every POST is a backend request or a retried fault.
+    through a fresh endpoint and a cache warmed with the same half of the
+    prompts: the same tables and manifest at both widths (so the same cache_hits
+    in every row), and every POST is a backend request or a retried fault.
     """
     corpus = make_synthetic_corpus(CorpusSpec(size=400), seed=42)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
@@ -153,13 +155,18 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypa
         return built[-1]
 
     monkeypatch.setattr(ragtrim.pipeline, "build_generator", recorded_build)
+    prompts = [assemble_prompt(example, retrieval.docs[:k])
+               for example, retrieval in dataset for k in range(retrieval.n + 1)]
+    cache = tmp_path / "cache"
     outputs = {}
     for width in (1, 4):
+        shutil.rmtree(cache, ignore_errors=True)
+        warm(cache, answers, prompts[::2])
         endpoint = MockEndpoint(answers, fault_rate=0.01)
         serve(monkeypatch, endpoint)
         out = tmp_path / f"out{width}"
         generator = {"type": "http", "endpoint_url": "http://generator.test/", "model_name": "m",
-                     "backoff_base_s": 0, "max_in_flight": width}
+                     "backoff_base_s": 0, "max_in_flight": width, "cache_dir": str(cache)}
         config = PipelineConfig(
             examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
             triplets_path=str(tmp_path / "triplets.jsonl"), generator=generator,
@@ -176,6 +183,7 @@ def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypa
         assert endpoint.posts == backend_requests + endpoint.faults
         assert endpoint.peak_in_flight <= width and endpoint.doubled == []
     assert outputs[1] == outputs[4]
+    assert json.loads(outputs[4][1])["cache_hits"] > 0
 
 
 def test_an_abort_keeps_the_answers_it_paid_for(tmp_path, monkeypatch):

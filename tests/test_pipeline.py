@@ -316,14 +316,14 @@ class TestRequestsInFlight:
         self, tmp_path, monkeypatch
     ):
         """The endpoint holds the first example's prompt until a prompt of the last
-        example the look-ahead reaches arrives. At width 4 with 2 examples per slot,
-        that is example 8, beyond max_in_flight - 1: no more than 9 planned examples
-        are alive at once, no more than 4 POSTs or one prompt twice are in flight,
-        and table.csv, manifest.json and sweep.csv equal those of width 1."""
-        import ragtrim.pipeline
+        example the window of searches reaches arrives. At width 4 with 2 searches per
+        slot, that is example 7, beyond max_in_flight - 1: no more than 8 searches are
+        alive at once, no more than 4 POSTs or one prompt twice are in flight, and
+        table.csv, manifest.json and sweep.csv equal those of width 1."""
+        import ragtrim.generation
         from ragtrim.compress import assemble_prompt
 
-        monkeypatch.setattr(ragtrim.pipeline, "LOOKAHEAD_PER_SLOT", 2)
+        monkeypatch.setattr(ragtrim.generation, "SEARCHES_PER_SLOT", 2)
         corpus = make_synthetic_corpus(CorpusSpec(size=30), seed=8)
         paths = corpus.write(tmp_path / "corpus")
         dataset = join_dataset(corpus.examples, corpus.retrievals)
@@ -331,13 +331,13 @@ class TestRequestsInFlight:
         ids = [example.id for example, _ in dataset]
         example, retrieval = dataset.pairs[0]
         held = assemble_prompt(example, retrieval.docs[:1]).text
-        far = {text for text, (query_id, _) in answers.items() if query_id == ids[8]}
+        far = {text for text, (query_id, _) in answers.items() if query_id == ids[7]}
         events = record_plans_and_generates(monkeypatch)
         outputs = {}
         for width in (1, 4):
             endpoint = MockEndpoint(answers)
             release = threading.Event()
-            if width > 1:  # width 1 would wait for example 8 until the gate times out
+            if width > 1:  # width 1 would wait for example 7 until the gate times out
                 endpoint.gates[held] = release
 
             class Releasing:
@@ -351,13 +351,13 @@ class TestRequestsInFlight:
             config = http_run_config(paths, out, width)
             events.clear()
             run_pipeline(config)
-            alive = planned_alive(events, ids)
+            alive = searches_alive(events)
             sweep_document_count(config)
             outputs[width] = [(out / name).read_bytes()
                               for name in ("table.csv", "manifest.json", "sweep.csv")]
             assert endpoint.peak_in_flight <= width and endpoint.doubled == []
             assert endpoint.gate_timeouts == []
-            assert max(alive) == (1 if width == 1 else 2 * width + 1)
+            assert max(alive) == (1 if width == 1 else 2 * width)
         assert outputs[1] == outputs[4]
 
     @pytest.mark.parametrize("generator", ["mock", "http-width-1"])
@@ -414,18 +414,16 @@ def record_plans_and_generates(monkeypatch) -> list[tuple[str, str]]:
     return events
 
 
-def planned_alive(events, ids) -> list[int]:
-    """At each example's planning: the examples planned and not yet generated, itself
-    included. The example of the latest generate is done by then: the next example
-    is planned only once the driver asks for it."""
-    index = {id_: i for i, id_ in enumerate(ids)}
-    latest, planned, alive = -1, set(), []
-    for kind, id_ in events:
-        if kind == "generate":
-            latest = index[id_]
-        elif id_ not in planned:
-            planned.add(id_)
-            alive.append(index[id_] - latest)
+def searches_alive(events) -> list[int]:
+    """At each example's planning: the examples planned whose last generate is still to
+    come, itself included. An example's search ends with its last generate, and a
+    search starts (its labelers run) only while the window has room."""
+    last = {id_: i for i, (kind, id_) in enumerate(events) if kind == "generate"}
+    planned, alive = [], []
+    for i, (kind, id_) in enumerate(events):
+        if kind == "plan" and id_ not in planned:
+            planned.append(id_)
+            alive.append(sum(last.get(other, -1) > i for other in planned))
     return alive
 
 

@@ -1,4 +1,5 @@
-"""The ragtrim seams that perfbench's tracer patches and wraps still hold."""
+"""The ragtrim seams that perfbench's tracer patches and wraps, and the names the README
+cites, still hold."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import ast
 import json
 import importlib
 import importlib.util
+import re
 import threading
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
 from helpers import MockEndpoint, ScriptedServer, http_client, mock_answers, serve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = TRACING.parents[1] / "README.md"
 
 
 def load_tracing():
@@ -38,6 +41,17 @@ def test_traced_names_exist():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert len(names) > 1 and missing == []
+
+
+def test_readme_names_exist():
+    """Each `module.NAME` the README cites, for a ragtrim module, is an attribute of it."""
+    modules = {path.stem for path in Path(ragtrim.pipeline.__file__).parent.glob("*.py")}
+    cited = {(module, name) for module, name in
+             re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+             if module in modules}
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"ragtrim.{module}"), name)]
+    assert len(cited) > 1 and missing == []
 
 
 def test_metered_http_client_counts_one_retry():
