@@ -14,9 +14,13 @@ and its pair is left out of the summary.
 ``BENCH_<pr>_before.json`` (PARENT) and ``BENCH_<pr>_after.json`` (CHANGE)
 get one entry, keyed ``"<workload> --seed S"``, that holds the pair count,
 the failed runs and, for each end-to-end metric, every run's value, the
-median, the quartiles and the wins: the pairs in which that side was strictly
-better, in the direction BENCHMARK.json gives. Entries for other workloads or
-seeds already in the files are kept, so one pair of files can carry several.
+median, the quartiles, their distance (``iqr``) and the wins: the pairs in
+which that side was strictly better, in the direction BENCHMARK.json gives.
+The CHANGE side also records ``median_gap``, how far its median is better than
+PARENT's, and ``claim_holds``: whether a gain may be claimed, that is, it won at
+least nine tenths of the pairs and ``median_gap`` exceeds PARENT's ``iqr``.
+Entries for other workloads or seeds already in the files are kept, so one
+pair of files can carry several.
 """
 
 from __future__ import annotations
@@ -54,11 +58,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
 
 
 def _spread(values: list[float]) -> dict:
-    """Median and quartiles of ``values``."""
+    """Median, quartiles and interquartile range of ``values``."""
     if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
+        return {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
 def summarise(pairs: list[tuple[dict | None, dict | None]],
@@ -67,6 +71,8 @@ def summarise(pairs: list[tuple[dict | None, dict | None]],
 
     ``better`` maps each metric to "lower" or "higher". A pair with a failed
     run on either side is counted in ``failed_runs`` and otherwise left out.
+    The after side's metrics also get ``median_gap`` and ``claim_holds`` (see
+    the module docstring); ties count as wins for neither side.
     """
     whole = [(b, a) for b, a in pairs if b is not None and a is not None]
     sides = []
@@ -88,7 +94,14 @@ def summarise(pairs: list[tuple[dict | None, dict | None]],
         sides.append({"pairs": len(whole), "failed_runs": failed,
                       "failed_operations": sum(pair[side]["failed"] for pair in whole),
                       "metrics": metrics})
-    return sides[0], sides[1]
+    before, after = sides
+    for name, mine in after["metrics"].items():
+        theirs = before["metrics"][name]
+        gap = (theirs["median"] - mine["median"] if better[name] == "lower"
+               else mine["median"] - theirs["median"])
+        mine["median_gap"] = gap
+        mine["claim_holds"] = mine["wins"] * 10 >= 9 * len(whole) and gap > theirs["iqr"]
+    return before, after
 
 
 def _merge(path: Path, machine: dict, key: str, entry: dict) -> None:
@@ -130,9 +143,15 @@ def main() -> int:
     command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
                f"--seconds {seconds:g} --trace 0")
     key = f"{args.workload} --seed {args.seed}"
-    for name, checkout, summary in zip(("before", "after"), checkouts, summarise(pairs, better)):
+    summaries = summarise(pairs, better)
+    for name, checkout, summary in zip(("before", "after"), checkouts, summaries):
         _merge(args.out / f"BENCH_{args.pr}_{name}.json", machine, key,
                {"checkout": checkout.name, "command": command, **summary})
+    after = summaries[1]
+    if "study_s" in after["metrics"]:
+        study = after["metrics"]["study_s"]
+        print(f"study_s: change won {study['wins']}/{after['pairs']} pairs, median gap "
+              f"{study['median_gap']:.3f} s, claim holds: {study['claim_holds']}")
     return 0
 
 

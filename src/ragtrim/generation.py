@@ -17,10 +17,10 @@ import logging
 import os
 import select
 import ssl
-import tempfile
 import threading
 import time
 import urllib.request
+import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .data import DataError
-from .metrics import exact_match, normalize_answer, token_f1
+from .metrics import normalize_answer, token_f1
 
 if TYPE_CHECKING:
     from .predictor import RemotePredictorConfig
@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNKNOWN_ANSWER = "UNKNOWN"
+CACHE_LOG = "answers.jsonl"  # a cache_dir's answers: one {"key", "text"} object per line
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
@@ -68,8 +69,11 @@ class GeneratorClient:
     """Answers prompts through a backend, with the counters, a disk cache and prefetching.
 
     A backend has ``fetch(prompt) -> str`` and ``fingerprint()``, and
-    ``cache_key(prompt)`` (a cache entry's name) for a ``cache_dir`` or a
-    width above 1. ``calls`` counts every lookup, cache hits included.
+    ``cache_key(prompt)`` (the key of a cached answer) for a ``cache_dir`` or a
+    width above 1. ``calls`` counts every lookup, cache hits included. The cache
+    is one append-only log per ``cache_dir`` (``CACHE_LOG``), read into a dict
+    when the client is built; each answer fetched is added to the dict and
+    appended to the log as one line, so a client built later sees it.
     ``prefetch`` starts the fetches of prompts that ``generate`` will be asked
     for next on a pool of threads; at width 1 it does nothing. Only the fetch
     and its retries run there. ``generate`` counts, reads and writes the cache,
@@ -92,8 +96,15 @@ class GeneratorClient:
         self._raised = 0  # failures generate has raised; a prefetch queued before one is dropped
         self._slots = threading.Semaphore(max_in_flight)
         self._pool: ThreadPoolExecutor | None = None
+        self._answers: dict[str, str] = {}  # cache key -> answer: the log's and this client's
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
+            log = self.cache_dir / CACHE_LOG
+            self._log = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            weakref.finalize(self, os.close, self._log)  # closed when the client is collected
+            self._answers, torn = _read_log(log)
+            if torn:  # end the line an append left cut short, so the next one is whole
+                os.write(self._log, b"\n")
 
     @property
     def session(self):
@@ -107,9 +118,6 @@ class GeneratorClient:
     def fingerprint(self) -> str:
         return self.backend.fingerprint()
 
-    def _cache_path(self, key: str) -> Path | None:
-        return self.cache_dir / f"{key}.json" if self.cache_dir is not None else None
-
     def prefetch(self, prompts: Iterable[Prompt]) -> None:
         """Start fetching each prompt that has no cache entry and is not already pending;
         at width 1, nothing."""
@@ -117,8 +125,7 @@ class GeneratorClient:
             return
         for prompt in prompts:
             key = self.backend.cache_key(prompt)
-            cache_path = self._cache_path(key)
-            if key in self._pending or (cache_path is not None and cache_path.exists()):
+            if key in self._pending or key in self._answers:
                 continue
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(self.max_in_flight, "ragtrim-post")
@@ -147,7 +154,7 @@ class GeneratorClient:
     def cancel_prefetch(self) -> None:
         """Wait for the fetches under way; no prefetch starts once this is called. With a
         cache, the answer of each prefetch that finished but was never taken by
-        ``generate`` is written to it: it was paid for."""
+        ``generate`` is appended to it: it was paid for."""
         with self._counter_lock:
             pending, self._pending, self._failed = self._pending, {}, 0
         wait(pending.values())
@@ -155,7 +162,7 @@ class GeneratorClient:
             for key, future in pending.items():
                 text = None if future.exception() else future.result()
                 if text is not None:
-                    _write_cache_entry(self._cache_path(key), text)
+                    self._keep(key, text)
 
     def generate(self, prompt: Prompt) -> str:
         with self._counter_lock:
@@ -163,8 +170,7 @@ class GeneratorClient:
         if self.cache_dir is None and not self._pending:  # nothing to read: no key needed
             return self.backend.fetch(prompt)
         key = self.backend.cache_key(prompt)
-        cache_path = self._cache_path(key)
-        cached = _read_cache_entry(cache_path) if cache_path is not None else None
+        cached = self._answers.get(key)
         if cached is not None:
             with self._counter_lock:
                 self.cache_hits += 1
@@ -182,9 +188,18 @@ class GeneratorClient:
                 if future is not None and future.exception() is not None:
                     self._failed -= 1
             raise
-        if cache_path is not None:
-            _write_cache_entry(cache_path, text)
+        if self.cache_dir is not None:
+            self._keep(key, text)
         return text
+
+    def _keep(self, key: str, text: str) -> None:
+        """Cache ``text``: in the dict, and as one line appended to the log."""
+        line = json_dumps({"key": key, "text": text}).encode("utf-8") + b"\n"
+        with self._counter_lock:
+            self._answers[key] = text
+            view = memoryview(line)
+            while view:  # a short write leaves the rest to write
+                view = view[os.write(self._log, view):]
 
 
 # Searches that take turns per POST slot of a client at max_in_flight > 1. Each holds
@@ -276,11 +291,12 @@ class JudgeMode:
 
 
 def judge_correct(output: str, golds: Sequence[str], mode: JudgeMode = JudgeMode()) -> bool:
-    """Decide whether a generated answer counts as correct."""
+    """Decide whether a generated answer counts as correct. In ``em`` mode the golds
+    are normalized once per example (see _normalized_golds), not once per probe."""
     if not golds:
         raise ValueError("judge_correct requires at least one gold answer")
     if mode.kind == "em":
-        return bool(exact_match(output, golds))
+        return normalize_answer(output) in _normalized_golds(tuple(golds))
     return token_f1(output, golds) >= mode.threshold
 
 
@@ -418,7 +434,8 @@ class HttpGeneratorConfig:
     """Connection settings for a plain JSON-over-POST generation endpoint.
 
     Request shape: {"model", "prompt", "temperature", "max_tokens"} -> {"text"}.
-    Responses are cached under cache_dir keyed by hash(endpoint, request payload).
+    Responses are cached in cache_dir's log (see GeneratorClient), keyed by
+    hash(endpoint, request payload).
     ``max_in_flight`` bounds the POSTs that prefetching keeps in flight; it
     changes no answer, so it is in neither the cache key nor the fingerprint.
     """
@@ -649,24 +666,23 @@ class HttpGeneratorBackend:
         )
 
 
-def _read_cache_entry(path: Path) -> str | None:
-    """The cached text, or None when the entry is missing or unreadable (a miss)."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))["text"]
-    except FileNotFoundError:
-        return None
-    except (ValueError, KeyError, TypeError) as exc:
-        logger.warning("unreadable cache entry %s (%s); refetching", path, exc)
-        return None
-
-
-def _write_cache_entry(path: Path, text: str) -> None:
-    """Write through a temp file unique to this writer, then rename it into place."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"text": text}, fh, ensure_ascii=False)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+def _read_log(path: Path) -> tuple[dict[str, str], bool]:
+    """The answers of the cache log at ``path`` by key, and whether its last line is torn
+    (has no newline). A line that does not parse, or has no ``key`` or a ``text`` that
+    is not a string, is logged and skipped, so its prompt is a miss; of two lines with
+    one key, the later wins."""
+    data = path.read_bytes()
+    answers = {}
+    for number, line in enumerate(data.split(b"\n"), 1):
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+            key, text = entry["key"], entry["text"]
+            if not isinstance(key, str) or not isinstance(text, str):
+                raise TypeError("key and text must be strings")
+        except (ValueError, KeyError, TypeError) as exc:
+            logger.warning("unreadable cache line %s:%d (%s); refetching", path, number, exc)
+            continue
+        answers[key] = text
+    return answers, bool(data) and not data.endswith(b"\n")

@@ -11,8 +11,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json import dumps as json_dumps
+from pathlib import Path
 
 from ragtrim.data import QAExample, RankedDocument, RetrievalSet
+from ragtrim.generation import CACHE_LOG
 
 
 def make_example(id="q1", query="who wrote Hamlet", answers=("William Shakespeare",), history=None):
@@ -66,6 +68,13 @@ def http_client(config, session=None):
 
     return GeneratorClient(HttpGeneratorBackend(config, session), config.cache_dir,
                            config.max_in_flight)
+
+
+def cache_log_keys(cache_dir) -> list[str]:
+    """The key of each line of ``cache_dir``'s answer log, in order; a line that does
+    not parse fails the test."""
+    return [json.loads(line)["key"]
+            for line in (Path(cache_dir) / CACHE_LOG).read_bytes().splitlines()]
 
 
 # 200 response bodies that are not a JSON object: JSON array, number, null and

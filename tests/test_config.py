@@ -39,7 +39,9 @@ from ragtrim.predictor import (
     train,
 )
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
-from helpers import clear_proxy_env, http_response, make_example, make_retrieval
+from helpers import (
+    cache_log_keys, clear_proxy_env, http_response, make_example, make_retrieval,
+)
 
 GENERATOR_URL = "http://generator.test/gen"
 PREDICTOR_URL = "http://predictor.test/k"
@@ -447,7 +449,7 @@ def test_cache_dir_is_relative_to_the_config_file(corpus, tmp_path, posts, monke
     config["generator"]["cache_dir"] = "cache"
     (tmp_path / "sub" / "c.json").write_text(json.dumps(config))
     assert cli_main(["run", "--config", "sub/c.json"]) == 0
-    assert posts and list((tmp_path / "sub" / "cache").glob("*.json"))
+    assert posts and cache_log_keys(tmp_path / "sub" / "cache")
     assert not (tmp_path / "cache").exists()
 
 
@@ -515,9 +517,9 @@ def test_int_temperature_keeps_the_cache_file_name(tmp_path, posts):
     client = build_generator(config, ONE_EXAMPLE)
     text = "\nQuestion: who wrote Hamlet\nAnswer:"
     client.generate(Prompt("q1", "who wrote Hamlet", (), "qa_default", text))
-    [entry] = tmp_path.glob("*.json")
-    # The name test_payload_and_cache_key_are_stable pins for "temperature": 0.0.
-    assert entry.name == "67da8eee340a01919de88f53d6576e5e2a8ee0d4ea8c4423e519084b14b98c61.json"
+    [key] = cache_log_keys(tmp_path)
+    # The key test_payload_and_cache_key_are_stable pins for "temperature": 0.0.
+    assert key == "67da8eee340a01919de88f53d6576e5e2a8ee0d4ea8c4423e519084b14b98c61"
 
 
 def test_backoff_reaches_the_clients(corpus, tmp_path, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import socket
 import ssl
 import threading
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ragtrim.generation import (
+    CACHE_LOG,
     GeneratorClient,
     HttpGeneratorConfig,
     JudgeMode,
@@ -30,9 +33,12 @@ from helpers import (
     BodySession,
     MockEndpoint,
     ScriptedServer,
+    cache_log_keys,
     clear_proxy_env,
     free_port,
     http_client,
+    make_example,
+    make_retrieval,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -157,6 +163,30 @@ class TestMockOracle:
                            + ["Venice", UNKNOWN_ANSWER] * 5)
         assert [normalized.count(gold) for answers in golds.values() for gold in answers] == [1] * 3
 
+    def test_each_examples_golds_are_normalized_once_over_its_probes(self, monkeypatch):
+        """Judging the five probes of one example's label search in em mode normalizes
+        each of its golds once, and each output once."""
+        import ragtrim.generation
+        import ragtrim.metrics
+        from ragtrim.annotate import find_optimal_k
+
+        normalized = []
+        normalize = ragtrim.metrics.normalize_answer
+        for module in (ragtrim.generation, ragtrim.metrics):
+            monkeypatch.setattr(module, "normalize_answer",
+                                lambda text: normalized.append(text) or normalize(text))
+        golds = ("Lyon of the Rhone", "Lugdunum")
+        search = find_optimal_k(make_example(answers=golds),
+                                make_retrieval(texts=[f"doc {i}" for i in range(5)]))
+        outputs = []
+        prompt = next(search)
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                outputs.append("the Lugdunum" if len(prompt.context_docs) == 4 else "Lyon")
+                prompt = search.send(outputs[-1])
+        assert stop.value.value.k == 4 and len(outputs) == 5
+        assert [normalized.count(text) for text in (*golds, "Lyon", "the Lugdunum")] == [1, 1, 4, 1]
+
 
 class TestJudge:
     def test_article_normalized_match(self):
@@ -245,8 +275,8 @@ class TestHttpClient:
             "temperature": 0.0,
             "max_tokens": 256,
         }
-        [entry] = tmp_path.glob("*.json")
-        assert entry.name == "67da8eee340a01919de88f53d6576e5e2a8ee0d4ea8c4423e519084b14b98c61.json"
+        [key] = cache_log_keys(tmp_path)
+        assert key == "67da8eee340a01919de88f53d6576e5e2a8ee0d4ea8c4423e519084b14b98c61"
 
     def test_retry_on_500_then_success(self):
         with ScriptedServer([(500, {"error": "boom"}), (200, {"text": "ok"})]) as server:
@@ -314,16 +344,95 @@ class TestHttpClient:
         prompt = make_prompt()
         with ScriptedServer([(200, {"text": "first"}), (200, {"text": "refetched"})]) as server:
             http_client(http_config(server.url, cache_dir=str(tmp_path))).generate(prompt)
-            [entry] = tmp_path.glob("*.json")
-            entry.write_text('{"text": "fir', encoding="utf-8")  # truncated write
+            log = tmp_path / CACHE_LOG
+            log.write_text(log.read_text(encoding="utf-8")[:-5] + "\n")  # '..."text": "fir'
             client = http_client(http_config(server.url, cache_dir=str(tmp_path)))
             with caplog.at_level("WARNING", logger="ragtrim.generation"):
                 assert client.generate(prompt) == "refetched"
             assert (client.calls, client.cache_hits) == (1, 0)
             assert len(server.bodies) == 2
-            assert entry.name in caplog.text
-            assert client.generate(prompt) == "refetched"  # entry was overwritten
+            assert f"{CACHE_LOG}:1" in caplog.text
+            assert client.generate(prompt) == "refetched"  # the refetched entry was appended
             assert client.cache_hits == 1
+
+    @pytest.mark.parametrize("entry", [{"text": 5}, {"text": None}, {"text": ["a"]}, {},
+                                       "not an object"], ids=["int", "null", "list", "no-text",
+                                                              "string"])
+    def test_cache_line_without_string_text_is_a_counted_miss(self, tmp_path, caplog, entry):
+        """A log line whose text is not a string is logged with its line number, and its
+        prompt is a miss: refetched, appended, and a hit for a client built after."""
+        prompt, other = make_prompt(), make_prompt(query="who wrote Macbeth")
+        endpoint = MockEndpoint({p.text: (p.query_id, "fetched") for p in (prompt, other)})
+        config = http_config("http://generator.test/", cache_dir=str(tmp_path))
+        key = http_client(config).backend.cache_key(prompt)
+        bad = dict(entry, key=key) if isinstance(entry, dict) else [key, entry]
+        (tmp_path / CACHE_LOG).write_text(
+            json.dumps({"key": http_client(config).backend.cache_key(other), "text": "kept"})
+            + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="ragtrim.generation"):
+            client = http_client(config, session=endpoint)
+        assert f"{CACHE_LOG}:2" in caplog.text
+        assert [client.generate(p) for p in (prompt, other)] == ["fetched", "kept"]
+        assert (client.calls, client.cache_hits, endpoint.posts) == (2, 1, 1)
+        later = http_client(config, session=endpoint)
+        assert later.generate(prompt) == "fetched" and later.cache_hits == 1
+        assert endpoint.posts == 1
+
+    def test_torn_last_cache_line_is_a_counted_miss(self, tmp_path, caplog):
+        """A last line with no newline (an append cut short) is logged and its prompt
+        refetched; the answer appended after it starts on a line of its own and reads
+        back."""
+        prompts = [make_prompt(query=f"question {i}") for i in range(2)]
+        endpoint = MockEndpoint({p.text: (p.query_id, f"answer {p.query}") for p in prompts})
+        config = http_config("http://generator.test/", cache_dir=str(tmp_path))
+        http_client(config, session=endpoint).generate(prompts[0])
+        key = http_client(config).backend.cache_key(prompts[1])
+        log = tmp_path / CACHE_LOG
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": key, "text": "answer question 1"})[:-9])
+        with caplog.at_level("WARNING", logger="ragtrim.generation"):
+            client = http_client(config, session=endpoint)
+        assert f"{CACHE_LOG}:2" in caplog.text
+        assert [client.generate(p) for p in prompts] == ["answer question 0", "answer question 1"]
+        assert (client.calls, client.cache_hits, endpoint.posts) == (2, 1, 2)
+        assert json.loads(log.read_bytes().split(b"\n")[2])["key"] == key
+        later = http_client(config, session=endpoint)
+        assert [later.generate(p) for p in prompts] == ["answer question 0", "answer question 1"]
+        assert (later.cache_hits, endpoint.posts) == (2, 2)
+
+    def test_a_short_write_is_followed_by_the_rest_of_the_line(self, tmp_path, monkeypatch):
+        """A write to the log that takes only part of a line is followed by writes of the
+        rest, so the line reads back whole."""
+        prompt = make_prompt()
+        endpoint = MockEndpoint({prompt.text: (prompt.query_id, "a long enough answer")})
+        config = http_config("http://generator.test/", cache_dir=str(tmp_path))
+        client = http_client(config, session=endpoint)
+        write = os.write
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: write(fd, data[:7] if fd == client._log else data))
+        assert client.generate(prompt) == "a long enough answer"
+        monkeypatch.undo()
+        assert cache_log_keys(tmp_path) == [client.backend.cache_key(prompt)]
+        later = http_client(config, session=endpoint)
+        assert later.generate(prompt) == "a long enough answer" and later.cache_hits == 1
+
+    def test_a_client_built_later_hits_the_answers_appended_before(self, tmp_path):
+        """The annotate then run path: a second client over the same cache_dir, built
+        after the first appended its answers, answers them from the log, prefetching
+        nothing."""
+        prompts = [make_prompt(query=f"question {i}") for i in range(6)]
+        endpoint = MockEndpoint({p.text: (p.query_id, p.query) for p in prompts})
+        config = http_config("http://generator.test/", cache_dir=str(tmp_path), max_in_flight=4)
+        first = http_client(config, session=endpoint)
+        first.prefetch(prompts)
+        assert [first.generate(p) for p in prompts[:4]] == [p.query for p in prompts[:4]]
+        first.cancel_prefetch()
+        assert endpoint.posts == 6
+        second = http_client(config, session=endpoint)
+        second.prefetch(prompts)
+        assert [second.generate(p) for p in prompts] == [p.query for p in prompts]
+        assert (second.calls, second.cache_hits, endpoint.posts) == (6, 6, 6)
+        assert sorted(cache_log_keys(tmp_path)) == sorted(map(second.backend.cache_key, prompts))
 
     def test_two_clients_write_one_key_concurrently(self, tmp_path):
         import sys
@@ -377,7 +486,7 @@ class TestHttpClient:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert len(list(tmp_path.glob("*.json"))) == rounds
+        assert len(set(cache_log_keys(tmp_path))) == rounds  # and every line parses
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_connection_closed_after_each_reply_is_not_reused(self, caplog):
@@ -578,7 +687,7 @@ class TestHttpClient:
                 posts = endpoint.posts
                 time.sleep(0.01)
                 assert endpoint.in_flight == [] and endpoint.posts == posts <= before + 4
-                assert len(list(cache.glob("*.json"))) == posts
+                assert len(set(cache_log_keys(cache))) == posts
         finally:
             sys.setswitchinterval(interval)
 

@@ -34,7 +34,7 @@ from ragtrim.pipeline import (
 )
 from ragtrim.predictor import PredictorReport, RandomKPredictor, TrainConfig, save_model, train
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
-from helpers import MockEndpoint, mock_answers, serve
+from helpers import MockEndpoint, cache_log_keys, mock_answers, serve
 
 WEIGHTS = {"0": 0.10, "1": 0.30, "2": 0.20, "3": 0.15, "4": 0.10, "5": 0.05, "none": 0.10}
 ALL_METHODS = ["no_retrieval", "top_1", "top_5", "top_random", "only_doc", "adaptive", "oracle"]
@@ -312,6 +312,24 @@ class TestRequestsInFlight:
         assert outputs[1] == outputs[4]
         assert seconds[4] <= seconds[1] / 2, seconds
 
+    def test_the_cache_log_holds_the_same_keys_at_widths_1_and_4(self, tmp_path, monkeypatch):
+        """A 400-example run and sweep through one cache_dir per width: the log gets one
+        line per POST, no key twice, and the same keys at widths 1 and 4."""
+        corpus = make_synthetic_corpus(CorpusSpec(size=400), seed=5)
+        paths = corpus.write(tmp_path / "corpus")
+        answers = mock_answers(corpus, join_dataset(corpus.examples, corpus.retrievals))
+        keys = {}
+        for width in (1, 4):
+            endpoint = MockEndpoint(answers)
+            serve(monkeypatch, endpoint)
+            cache = tmp_path / f"cache{width}"
+            config = http_run_config(paths, None, width, str(cache))
+            run_pipeline(config)
+            sweep_document_count(config)
+            keys[width] = cache_log_keys(cache)
+            assert len(keys[width]) == len(set(keys[width])) == endpoint.posts
+        assert set(keys[1]) == set(keys[4])
+
     def test_lookahead_keeps_the_other_slots_busy_while_one_prompt_is_held(
         self, tmp_path, monkeypatch
     ):
@@ -381,12 +399,12 @@ class TestRequestsInFlight:
         assert steps == [(kind, id_) for id_ in ids for kind in ("plan", "generate")]
 
 
-def http_run_config(paths, out, width):
+def http_run_config(paths, out, width, cache_dir=None):
     """A run of top_1 and top_random through an http generator at ``width``."""
     return PipelineConfig(
         examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
         generator={"type": "http", "endpoint_url": "http://generator.test/",
-                   "max_in_flight": width},
+                   "max_in_flight": width, "cache_dir": cache_dir},
         methods=["top_1", "top_random"], seed=3, output_dir=str(out) if out else None,
     )
 

@@ -140,8 +140,9 @@ def test_metered_study_generates_on_the_calling_thread(tmp_path, monkeypatch):
 
 def test_bench_pairs_summary_of_canned_result_lines():
     """scripts/bench_pairs.py reads each run's last stdout line and summarises each side:
-    per-metric medians, quartiles and wins over the pairs in which both runs printed a
-    result."""
+    per-metric medians, quartiles, interquartile ranges and wins over the pairs in which
+    both runs printed a result, and for the change whether a gain may be claimed: wins
+    in at least nine tenths of the pairs and a median gap above the parent's IQR."""
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -162,6 +163,22 @@ def test_bench_pairs_summary_of_canned_result_lines():
     b, a = bench_pairs.summarise(pairs, {"study_s": "lower", "adaptive_em": "higher"})
     assert (b["pairs"], b["failed_runs"], a["failed_runs"]) == (5, 1, 0)
     assert b["metrics"]["study_s"] == {"unit": "s", "median": 21.0, "q1": 20.0, "q3": 22.0,
-                                       "wins": 1, "runs": [20.0, 22.0, 21.0, 30.0, 19.0]}
+                                       "iqr": 2.0, "wins": 1,
+                                       "runs": [20.0, 22.0, 21.0, 30.0, 19.0]}
     assert (a["metrics"]["study_s"]["median"], a["metrics"]["study_s"]["wins"]) == (13.0, 4)
     assert b["metrics"]["adaptive_em"]["wins"] == a["metrics"]["adaptive_em"]["wins"] == 0
+    # 4 wins of 5 pairs fall short of nine tenths, though the gap (8) exceeds the IQR (2).
+    assert (a["metrics"]["study_s"]["median_gap"], a["metrics"]["study_s"]["claim_holds"]) \
+        == (8.0, False)
+    assert "claim_holds" not in b["metrics"]["study_s"]
+    assert a["metrics"]["adaptive_em"]["claim_holds"] is False  # every pair a tie
+
+    def claim(before_runs, after_runs):
+        pairs = [(bench_pairs.result_of(line(x, 0.9)), bench_pairs.result_of(line(y, 0.9)))
+                 for x, y in zip(before_runs, after_runs)]
+        summary = bench_pairs.summarise(pairs, {"study_s": "lower"})[1]["metrics"]["study_s"]
+        return summary["median_gap"], summary["claim_holds"]
+
+    assert claim([20.0, 22.0, 21.0], [12.0, 13.0, 11.0]) == (9.0, True)  # IQR 1.0
+    # 10 wins of 10, but the gap (1.0) is inside the parent's IQR (10.0).
+    assert claim([10.0, 20.0] * 5, [9.0, 19.0] * 5) == (1.0, False)
