@@ -50,7 +50,6 @@ class AnnotationAborted(RuntimeError):
 class AnnotationOptions:
     judge_mode: JudgeMode = JudgeMode()
     include_k0: bool = True
-    template_id: str = "qa_default"
     failure_limit: float = 0.10
 
     def __post_init__(self) -> None:
@@ -91,7 +90,6 @@ def find_optimal_k(
     retrieval: RetrievalSet,
     judge_mode: JudgeMode = JudgeMode(),
     include_k0: bool = True,
-    template_id: str = "qa_default",
 ) -> Generator[Prompt, str, CompressionLabel]:
     """Search for the smallest k whose rank-prefix yields a judged-correct answer.
 
@@ -102,7 +100,7 @@ def find_optimal_k(
     """
     ks = range(0 if include_k0 else 1, retrieval.n + 1)
     for k in ks:
-        output = yield assemble_prompt(example, select_top_k(retrieval, k), template_id)
+        output = yield assemble_prompt(example, select_top_k(retrieval, k))
         if judge_correct(output, example.gold_answers, judge_mode):
             return CompressionLabel.keep(k)
     return CompressionLabel.unanswerable()
@@ -149,8 +147,7 @@ def annotate_dataset(
     def search(position: int, example: QAExample, retrieval: RetrievalSet) -> Search:
         """``find_optimal_k`` for one example, keeping its label or counting its failure."""
         nonlocal end
-        probes = find_optimal_k(example, retrieval, options.judge_mode, options.include_k0,
-                                options.template_id)
+        probes = find_optimal_k(example, retrieval, options.judge_mode, options.include_k0)
         try:
             probe = next(probes)
             while True:

@@ -53,7 +53,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         options = AnnotationOptions(
             judge_mode=JudgeMode.parse(config.judge),
             include_k0=args.k0 == "on",
-            template_id=config.template_id,
             failure_limit=args.failure_limit,
         )
     except ValueError as exc:
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         required=True,
         help="the run config; annotation reads its datasets.examples, datasets.retrievals, "
-        "datasets.format, generator, judge, template and seed",
+        "datasets.format, generator, judge and seed",
     )
     p.add_argument("--out", required=True)
     p.add_argument("--stats")

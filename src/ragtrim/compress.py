@@ -12,14 +12,11 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .data import CompressionLabel, QAExample, RankedDocument, RetrievalSet
 from .generation import Prompt
 from .metrics import tokenize
-
-History = tuple[tuple[str, str], ...]
-TemplateFn = Callable[[str, History | None, Sequence[str]], str]
 
 FALLBACK_TO_N = "to_N"
 FALLBACK_TO_ZERO = "to_zero"
@@ -30,57 +27,32 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-def _doc_blocks(doc_texts: Sequence[str]) -> list[str]:
-    return [f"Document {i}: {text}" for i, text in enumerate(doc_texts, 1)]
-
-
-def _render_qa(query: str, history: History | None, doc_texts: Sequence[str]) -> str:
-    lines = _doc_blocks(doc_texts)
-    if lines:
-        lines.append("")
-        lines.append("Answer the question based on the documents above.")
-    else:
-        lines.append("Answer the question using your own knowledge.")
-    lines.append(f"Question: {query}")
-    lines.append("Answer:")
-    return "\n".join(lines)
-
-
-def _render_conversational(query: str, history: History | None, doc_texts: Sequence[str]) -> str:
-    lines = [f"{role}: {utterance}" for role, utterance in (history or ())]
-    if lines:
-        lines.append("")
-    lines.append(_render_qa(query, None, doc_texts))
-    return "\n".join(lines)
-
-
-TEMPLATES: dict[str, TemplateFn] = {
-    "qa_default": _render_qa,
-    "conversational": _render_conversational,
-}
-
-
-def assemble_prompt(
-    example: QAExample,
-    kept_docs: Sequence[RankedDocument],
-    template_id: str = "qa_default",
-) -> Prompt:
-    """Render the generation prompt for an example over the kept documents.
+def assemble_prompt(example: QAExample, kept_docs: Sequence[RankedDocument]) -> Prompt:
+    """Render the generation prompt for an example over the kept documents: the
+    example's dialogue history when it has one, then the numbered documents, then
+    the question.
 
     Output bytes are a pure function of the inputs; identical inputs always
     produce identical prompts.
     """
-    template = TEMPLATES.get(template_id)
-    if template is None:
-        raise ValueError(f"unknown template {template_id!r}")
     doc_texts = tuple(d.text for d in kept_docs)
-    text = template(example.query, example.history, doc_texts)
+    lines = [f"{role}: {utterance}" for role, utterance in example.history or ()]
+    if lines:
+        lines.append("")
+    lines += [f"Document {i}: {text}" for i, text in enumerate(doc_texts, 1)]
+    if doc_texts:
+        lines.append("")
+        lines.append("Answer the question based on the documents above.")
+    else:
+        lines.append("Answer the question using your own knowledge.")
+    lines.append(f"Question: {example.query}")
+    lines.append("Answer:")
     return Prompt(
         query_id=example.id,
         query=example.query,
         context_docs=doc_texts,
-        template_id=template_id,
-        text=text,
+        template_id="conversational" if example.history else "qa_default",
+        text="\n".join(lines),
     )
 
 
@@ -102,12 +74,24 @@ class CompressedContext:
     token_count: int
 
 
+def _compressed(
+    example: QAExample, retrieval: RetrievalSet, kept: Sequence[RankedDocument]
+) -> CompressedContext:
+    prompt = assemble_prompt(example, kept)
+    return CompressedContext(
+        query_id=retrieval.query_id,
+        kept_docs=tuple(kept),
+        k=len(kept),
+        prompt=prompt,
+        token_count=count_tokens(prompt.text),
+    )
+
+
 def compress(
     example: QAExample,
     retrieval: RetrievalSet,
     label: CompressionLabel,
     fallback: str = FALLBACK_TO_N,
-    template_id: str = "qa_default",
 ) -> CompressedContext:
     """Truncate the ranked list per the label and assemble the prompt.
 
@@ -123,15 +107,7 @@ def compress(
             raise ValueError(f"unknown fallback policy {fallback!r}")
     else:
         k = label.k
-    kept = select_top_k(retrieval, k)
-    prompt = assemble_prompt(example, kept, template_id)
-    return CompressedContext(
-        query_id=retrieval.query_id,
-        kept_docs=tuple(kept),
-        k=k,
-        prompt=prompt,
-        token_count=count_tokens(prompt.text),
-    )
+    return _compressed(example, retrieval, select_top_k(retrieval, k))
 
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
@@ -149,11 +125,7 @@ def _overlap_with_query(sentence: str, query_tokens: frozenset[str]) -> float:
     return len(sentence_tokens & query_tokens) / len(query_tokens)
 
 
-def only_doc_select(
-    example: QAExample,
-    retrieval: RetrievalSet,
-    template_id: str = "qa_default",
-) -> CompressedContext:
+def only_doc_select(example: QAExample, retrieval: RetrievalSet) -> CompressedContext:
     """Keep only the document containing the sentence most relevant to the query.
 
     Sentences are scored by normalized token overlap with the query; ties go
@@ -169,14 +141,7 @@ def only_doc_select(
             if score > best_score:
                 best_score = score
                 best_doc = doc
-    prompt = assemble_prompt(example, [best_doc], template_id)
-    return CompressedContext(
-        query_id=retrieval.query_id,
-        kept_docs=(best_doc,),
-        k=1,
-        prompt=prompt,
-        token_count=count_tokens(prompt.text),
-    )
+    return _compressed(example, retrieval, [best_doc])
 
 
 def save_contexts(path: str | Path, contexts: Iterable[CompressedContext]) -> None:

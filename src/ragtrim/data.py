@@ -227,6 +227,18 @@ def save_examples(path: str | Path, examples: Iterable[QAExample]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+def _ranked_document(obj: object, rank: int, line_no: int) -> RankedDocument:
+    if not isinstance(obj, dict):
+        raise DataError(f"document {rank} must be a JSON object at line {line_no}")
+    doc_id = str(_require(obj, "doc_id", line_no))
+    text, score = _require(obj, "text", line_no), _require(obj, "score", line_no)
+    if not isinstance(text, str):
+        raise DataError(f"field 'text' of document {rank} must be a string at line {line_no}")
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise DataError(f"field 'score' of document {rank} must be a number at line {line_no}")
+    return RankedDocument(doc_id=doc_id, text=text, score=float(score), rank=rank)
+
+
 def load_retrievals(path: str | Path) -> dict[str, RetrievalSet]:
     """Load retrieval sets from JSONL; list position becomes rank 1..N."""
     retrievals: dict[str, RetrievalSet] = {}
@@ -239,15 +251,7 @@ def load_retrievals(path: str | Path) -> dict[str, RetrievalSet]:
             raise DataError(f"empty retrieval set for query {query_id} at line {line_no}")
         if query_id in retrievals:
             raise DataError(f"duplicate query_id {query_id} at line {line_no}")
-        docs = tuple(
-            RankedDocument(
-                doc_id=str(_require(d, "doc_id", line_no)),
-                text=str(_require(d, "text", line_no)),
-                score=float(_require(d, "score", line_no)),
-                rank=rank,
-            )
-            for rank, d in enumerate(raw_docs, 1)
-        )
+        docs = tuple(_ranked_document(d, rank, line_no) for rank, d in enumerate(raw_docs, 1))
         scores = [d.score for d in docs]
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             logger.warning(

@@ -56,6 +56,7 @@ class Prompt:
 
     ``text`` is the fully rendered prompt (see compress.assemble_prompt);
     clients send it verbatim, so caching and mock noise key on it.
+    ``template_id`` names the layout rendered; nothing reads it.
     """
 
     query_id: str
@@ -285,9 +286,6 @@ class JudgeMode:
         if spec.startswith("f1:"):
             return cls(kind="f1", threshold=float(spec.split(":", 1)[1]))
         raise ValueError(f"unknown judge mode spec {spec!r}")
-
-    def __str__(self) -> str:
-        return self.kind if self.kind == "em" else f"f1:{self.threshold}"
 
 
 def judge_correct(output: str, golds: Sequence[str], mode: JudgeMode = JudgeMode()) -> bool:
@@ -654,9 +652,9 @@ class HttpGeneratorBackend:
             if key:
                 headers["Authorization"] = f"Bearer {key}"
         body = post_json(self.session, self.config, _request_payload(self.config, prompt), headers)
-        if "text" not in body:
-            raise ProtocolError(f"response missing 'text' field: {str(body)[:200]}")
-        return str(body["text"])
+        if not isinstance(body.get("text"), str):
+            raise ProtocolError(f"response 'text' missing or not a string: {str(body)[:200]}")
+        return body["text"]
 
     def fingerprint(self) -> str:
         c = self.config

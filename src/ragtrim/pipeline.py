@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 from .compress import (
     FALLBACK_TO_N,
     FALLBACK_TO_ZERO,
-    TEMPLATES,
     CompressedContext,
     compress,
     only_doc_select,
@@ -152,7 +151,6 @@ _JSON_KEYS = {
     "retrievals_path": "datasets.retrievals",
     "triplets_path": "datasets.triplets",
     "example_format": "datasets.format",
-    "template_id": "template",
 }
 
 
@@ -166,7 +164,6 @@ class PipelineConfig:
     generator: dict = field(default_factory=lambda: {"type": "mock"})
     predictors: list[dict] = field(default_factory=list)
     judge: str = "em"
-    template_id: str = "qa_default"
     fallback: str = FALLBACK_TO_N
     seed: int = 0
     output_dir: str | None = None
@@ -181,8 +178,6 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
         if self.fallback not in (FALLBACK_TO_N, FALLBACK_TO_ZERO):
             raise ConfigError(f"unknown fallback policy {self.fallback!r}")
-        if self.template_id not in TEMPLATES:
-            raise ConfigError(f"unknown template {self.template_id!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -213,7 +208,10 @@ class PipelineConfig:
                 "predictors": self.predictors,
                 "methods": self.methods,
                 "judge": self.judge,
-                "template": self.template_id,
+                # The prompt layout follows the format. The entry stays so that every config
+                # that is still valid keeps its config_sha256, and so its manifest.json.
+                "template": "conversational" if self.example_format == "conversational"
+                else "qa_default",
                 "fallback": self.fallback,
                 "seed": self.seed,
             },
@@ -415,9 +413,8 @@ def _evaluate(
         outputs: dict[str, str] = {}  # prompt text -> output
         scored: dict[str, ExampleResult] = {}  # output -> its scores
         for label, (first, *others) in labelled.items():
-            ctx = (only_doc_select(example, retrieval, config.template_id)
-                   if label == METHOD_ONLY_DOC
-                   else compress(example, retrieval, label, config.fallback, config.template_id))
+            ctx = (only_doc_select(example, retrieval) if label == METHOD_ONLY_DOC
+                   else compress(example, retrieval, label, config.fallback))
             output = outputs.get(ctx.prompt.text)
             if output is None:
                 output, hits = yield ctx.prompt

@@ -148,15 +148,6 @@ class TrainReport:
     class_counts: dict[str, int]
     dropped_unanswerable: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "final_train_accuracy": self.final_train_accuracy,
-            "n_rows": self.n_rows,
-            "class_counts": self.class_counts,
-            "dropped_unanswerable": self.dropped_unanswerable,
-        }
-
 
 def _class_index(class_list: tuple, label: CompressionLabel, policy: str, n_docs: int) -> int | None:
     """Map a label to its class index under the unanswerable policy; None = drop row."""
@@ -545,6 +536,14 @@ def load_model(path: str | Path) -> PredictorModel:
             f"model file hash {spec_hash} does not match "
             f"feature layout {feature_spec.spec_hash()}"
         )
+    policy = payload.get("unanswerable_policy", POLICY_DROP)
+    if policy not in UNANSWERABLE_POLICIES:
+        raise DataError(f"model {path}: unknown unanswerable_policy {policy!r}")
+    if class_list != build_class_list(feature_spec, policy):
+        raise DataError(
+            f"model {path}: class_list {list(class_list)} does not match "
+            f"max_docs {feature_spec.max_docs} and unanswerable_policy {policy!r}"
+        )
     if weights.shape != (len(class_list), feature_spec.dim):
         raise DataError(
             f"model {path}: weight shape {weights.shape} does not match "
@@ -554,7 +553,7 @@ def load_model(path: str | Path) -> PredictorModel:
         weights=weights,
         class_list=class_list,
         feature_spec=feature_spec,
-        unanswerable_policy=payload.get("unanswerable_policy", POLICY_DROP),
+        unanswerable_policy=policy,
         train_config=train_config,
         metrics=payload.get("metrics", {}),
     )

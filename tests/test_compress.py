@@ -86,16 +86,28 @@ class TestAssemblePrompt:
         b = assemble_prompt(make_example(), five_docs.docs[:3])
         assert a.text.encode() == b.text.encode()
 
-    def test_unknown_template_rejected(self, five_docs):
-        with pytest.raises(ValueError, match="unknown template"):
-            assemble_prompt(make_example(), five_docs.docs, template_id="fancy")
+    @pytest.mark.parametrize("history, k, text", [
+        (None, 2, "Document 1: Hamlet was written by William Shakespeare.\n"
+                  "Document 2: It is a tragedy.\n\n"
+                  "Answer the question based on the documents above.\n"
+                  "Question: who wrote Hamlet\nAnswer:"),
+        ((("user", "tell me about the play"), ("assistant", "it is Danish")), 1,
+         "user: tell me about the play\nassistant: it is Danish\n\n"
+         "Document 1: Hamlet was written by William Shakespeare.\n\n"
+         "Answer the question based on the documents above.\n"
+         "Question: who wrote Hamlet\nAnswer:"),
+    ], ids=["qa", "conversational"])
+    def test_prompt_bytes_are_pinned(self, history, k, text):
+        docs = make_retrieval(texts=["Hamlet was written by William Shakespeare.",
+                                     "It is a tragedy."]).docs
+        assert assemble_prompt(make_example(history=history), docs[:k]).text == text
 
     def test_conversational_prepends_history(self, five_docs):
         example = make_example(
             query="and when did it sink",
             history=(("user", "tell me about the Titanic"), ("assistant", "a famous ship")),
         )
-        prompt = assemble_prompt(example, five_docs.docs[:1], template_id="conversational")
+        prompt = assemble_prompt(example, five_docs.docs[:1])
         text = prompt.text
         assert text.index("user: tell me about the Titanic") < text.index("Document 1:")
         assert "assistant: a famous ship" in text

@@ -230,7 +230,7 @@ def unused_remote(**keys):
 # (case id, CLI args built from the corpus paths and tmp_path, text the ERROR line carries)
 RUN_DEFECTS = [
     ("judge", top(judge="emm"), "unknown judge mode spec 'emm'"),
-    ("template", top(template="nope"), "unknown template 'nope'"),
+    ("template", top(template="conversational"), "unknown key template"),
     ("fallback", top(fallback="bogus"), "unknown fallback policy 'bogus'"),
     ("top-level-typo", top(jduge="f1"), "unknown key jduge"),
     ("datasets-typo", run(lambda config, paths: config["datasets"].update(triplet="t.jsonl")),
@@ -508,6 +508,14 @@ def test_ints_for_float_fields_keep_hashes(generator, config_hash, fingerprint):
     assert client.fingerprint() == fingerprint
     float_fields = {"temperature", "backoff_base_s", "noise_rate"} & generator.keys()
     assert all(type(getattr(client.backend.config, key)) is float for key in float_fields)
+
+
+def test_conversational_format_keeps_its_config_hash():
+    """The config_hash() this config had when it also had to set
+    "template": "conversational", so its manifest.json is unchanged."""
+    raw = {"datasets": {"examples": "e.jsonl", "retrievals": "r.jsonl", "format": "conversational"}}
+    assert PipelineConfig.from_dict(raw).config_hash() == (
+        "3e11cc044dc656c810e5c471b69c5bb494d3c9b8fb5af8d0ba21602b89788adb")
 
 
 def test_int_temperature_keeps_the_cache_file_name(tmp_path, posts):

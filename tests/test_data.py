@@ -163,6 +163,21 @@ class TestLoadRetrievals:
         with pytest.raises(DataError, match="duplicate query_id"):
             load_retrievals(p)
 
+    @pytest.mark.parametrize("doc, message", [
+        (5, "document 2 must be a JSON object at line 2"),
+        ({"doc_id": "d", "text": 5, "score": 0.5}, "'text' of document 2 must be a string at line 2"),
+        ({"doc_id": "d", "text": "t", "score": "high"},
+         "'score' of document 2 must be a number at line 2"),
+        ({"doc_id": "d", "text": "t", "score": True},
+         "'score' of document 2 must be a number at line 2"),
+    ], ids=["not-an-object", "text-not-a-string", "score-a-string", "score-a-bool"])
+    def test_malformed_document_names_its_line(self, tmp_path, doc, message):
+        p = tmp_path / "r.jsonl"
+        good = {"doc_id": "d", "text": "t", "score": 1.0}
+        write_jsonl(p, [{"query_id": "q1", "docs": [good]}, {"query_id": "q2", "docs": [good, doc]}])
+        with pytest.raises(DataError, match=message):
+            load_retrievals(p)
+
 
 class TestTypes:
     def test_ranks_must_be_contiguous(self):

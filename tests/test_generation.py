@@ -303,6 +303,15 @@ class TestHttpClient:
             with pytest.raises(ProtocolError, match="text"):
                 client.generate(make_prompt())
 
+    @pytest.mark.parametrize("text", [None, 5, ["ok"]], ids=["null", "number", "list"])
+    def test_text_that_is_not_a_string_is_protocol_error_and_not_cached(self, tmp_path, text):
+        with ScriptedServer([(200, {"text": text})]) as server:
+            client = http_client(http_config(server.url, cache_dir=str(tmp_path)))
+            with pytest.raises(ProtocolError, match="text"):
+                client.generate(make_prompt())
+            assert len(server.bodies) == 1  # not retried
+        assert cache_log_keys(tmp_path) == []
+
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
     def test_body_that_is_not_an_object_is_protocol_error(self, body):
         session = BodySession(body)

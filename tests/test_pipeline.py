@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from ragtrim.data import (
     load_examples,
     load_retrievals,
     load_triplets,
+    save_examples,
     save_triplets,
 )
 from ragtrim.generation import GeneratorClient, MockOracleBackend
@@ -695,6 +697,29 @@ class TestCli:
         assert (tmp_path / "confusion.json").exists()
         out = capsys.readouterr().out
         assert "true\\pred" in out
+
+    def test_conversational_run_prompts_start_with_the_history(self, tmp_path, monkeypatch):
+        """With ``datasets.format: conversational`` and no other key about the prompt,
+        every prompt of `ragtrim run` starts with its example's dialogue history."""
+        corpus = make_synthetic_corpus(CorpusSpec(size=6), seed=3)
+        paths = corpus.write(tmp_path)
+        history = lambda id_: (("user", f"an earlier question of {id_}"), ("assistant", "yes"))
+        save_examples(paths["examples"],
+                      [replace(e, history=history(e.id)) for e in corpus.examples])
+        prompts = []
+        fetch = MockOracleBackend.fetch
+        monkeypatch.setattr(MockOracleBackend, "fetch",
+                            lambda self, prompt: prompts.append(prompt) or fetch(self, prompt))
+        config = {"datasets": {"examples": str(paths["examples"]),
+                               "retrievals": str(paths["retrievals"]), "format": "conversational"},
+                  "methods": ["no_retrieval", "top_1"]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        assert len(prompts) == 2 * len(corpus.examples)
+        for prompt in prompts:
+            assert prompt.text.startswith(
+                f"user: an earlier question of {prompt.query_id}\nassistant: yes\n\n")
 
     def test_annotate_abort_writes_partial(self, tmp_path, monkeypatch):
         corpus_dir = tmp_path / "corpus"

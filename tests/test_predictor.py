@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ragtrim.data import (
     AnnotatedTriplet,
     CompressionLabel,
+    DataError,
     JoinedDataset,
     QAExample,
     RankedDocument,
@@ -438,6 +439,22 @@ class TestPersistence:
         payload["feature_spec_hash"] = "feedfacefeedface"
         path.write_text(json.dumps(payload))
         with pytest.raises(FeatureSpecMismatch):
+            load_model(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"unanswerable_policy": "bogus"}, "unknown unanswerable_policy 'bogus'"),
+        ({"unanswerable_policy": "own_class"}, "class_list .* does not match"),
+        ({"class_list": [1, 0, 2, 3, 4, 5]}, "class_list .* does not match"),
+    ], ids=["unknown-policy", "policy-without-its-class", "reordered-classes"])
+    def test_policy_and_class_list_checked(self, tmp_path, change, message):
+        ds, triplets = bucketed_dataset(n=24)
+        model, _ = train(triplets, ds, TrainConfig(epochs=2))
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload.update(change)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
             load_model(path)
 
     def test_model_file_schema(self, tmp_path):
