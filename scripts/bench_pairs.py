@@ -17,8 +17,12 @@ the failed runs and, for each end-to-end metric, every run's value, the
 median, the quartiles, their distance (``iqr``) and the wins: the pairs in
 which that side was strictly better, in the direction BENCHMARK.json gives.
 The CHANGE side also records ``median_gap``, how far its median is better than
-PARENT's, and ``claim_holds``: whether a gain may be claimed, that is, it won at
-least nine tenths of the pairs and ``median_gap`` exceeds PARENT's ``iqr``.
+PARENT's, ``claim_holds``: whether a gain may be claimed, that is, it won at
+least nine tenths of the pairs and ``median_gap`` exceeds PARENT's ``iqr``, and
+``regression``, from the metric's ``bound`` in BENCHMARK.json: ``worse`` if its
+median is worse than PARENT's by more than bound x PARENT's median; else
+``unresolved`` if PARENT's ``iqr`` exceeds bound x its median, unless every
+CHANGE run beats every PARENT run; else ``ok``.
 Entries for other workloads or seeds already in the files are kept, so one
 pair of files can carry several.
 """
@@ -65,14 +69,15 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(pairs: list[tuple[dict | None, dict | None]],
-              better: dict[str, str]) -> tuple[dict, dict]:
+def summarise(pairs: list[tuple[dict | None, dict | None]], better: dict[str, str],
+              bounds: dict[str, float]) -> tuple[dict, dict]:
     """The before and after summaries of (before result, after result) pairs.
 
-    ``better`` maps each metric to "lower" or "higher". A pair with a failed
-    run on either side is counted in ``failed_runs`` and otherwise left out.
-    The after side's metrics also get ``median_gap`` and ``claim_holds`` (see
-    the module docstring); ties count as wins for neither side.
+    ``better`` maps each metric to "lower" or "higher", ``bounds`` to its
+    regression bound. A pair with a failed run on either side is counted in
+    ``failed_runs`` and otherwise left out. The after side's metrics also get
+    ``median_gap``, ``claim_holds`` and ``regression`` (see the module
+    docstring); ties count as wins for neither side.
     """
     whole = [(b, a) for b, a in pairs if b is not None and a is not None]
     sides = []
@@ -101,6 +106,15 @@ def summarise(pairs: list[tuple[dict | None, dict | None]],
                else mine["median"] - theirs["median"])
         mine["median_gap"] = gap
         mine["claim_holds"] = mine["wins"] * 10 >= 9 * len(whole) and gap > theirs["iqr"]
+        allowed = bounds[name] * abs(theirs["median"])
+        sign = -1 if better[name] == "lower" else 1
+        if gap < -allowed:
+            mine["regression"] = "worse"
+        elif theirs["iqr"] > allowed and not all(
+                sign * (a - b) > 0 for a in mine["runs"] for b in theirs["runs"]):
+            mine["regression"] = "unresolved"
+        else:
+            mine["regression"] = "ok"
     return before, after
 
 
@@ -125,6 +139,7 @@ def main() -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     checkouts = (args.parent.resolve(), args.change.resolve())
     pairs = []
@@ -143,7 +158,7 @@ def main() -> int:
     command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
                f"--seconds {seconds:g} --trace 0")
     key = f"{args.workload} --seed {args.seed}"
-    summaries = summarise(pairs, better)
+    summaries = summarise(pairs, better, bounds)
     for name, checkout, summary in zip(("before", "after"), checkouts, summaries):
         _merge(args.out / f"BENCH_{args.pr}_{name}.json", machine, key,
                {"checkout": checkout.name, "command": command, **summary})
@@ -152,6 +167,9 @@ def main() -> int:
         study = after["metrics"]["study_s"]
         print(f"study_s: change won {study['wins']}/{after['pairs']} pairs, median gap "
               f"{study['median_gap']:.3f} s, claim holds: {study['claim_holds']}")
+    for name, metric in after["metrics"].items():
+        print(f"{name}: {metric['regression']} (median {metric['median']:g} against "
+              f"{summaries[0]['metrics'][name]['median']:g}, bound {bounds[name]:g})")
     return 0
 
 

@@ -1,10 +1,15 @@
-"""Domain types and JSONL persistence for QA examples, retrievals, and annotation triplets.
+"""Domain types, JSONL persistence, and the one type checker for every file ragtrim reads.
 
-File formats (one UTF-8 JSON object per line):
+File formats (one UTF-8 JSON object per line; keys not listed are ignored):
 
 - examples:   {"id": str, "query": str, "answers": [str, ...], "history": [[role, text], ...]?}
 - retrievals: {"query_id": str, "docs": [{"doc_id": str, "text": str, "score": float}, ...]}
 - triplets:   {"example_id": str, "query_id": str, "label": int | "unanswerable", "generator": str}
+
+Each line becomes its dataclass through ``parse_row``, which checks every
+value with the one field-type checker that ``parse_config`` applies to the run
+config: a wrong type is a DataError naming the file, the line and the key (in a
+config, a ConfigError naming the key path).
 
 Retrieval files are trusted on document order: rank is assigned by list
 position. A score increase with rank is logged as a warning, not rejected,
@@ -13,15 +18,23 @@ because real retriever dumps contain ties and re-scored lists.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
-from dataclasses import dataclass, field
+import types
+import typing
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
 UNANSWERABLE_TOKEN = "unanswerable"
+
+
+class ConfigError(ValueError):
+    """Bad or incomplete run configuration, raised before any generation call."""
 
 
 class DataError(ValueError):
@@ -34,7 +47,7 @@ class QAExample:
 
     id: str
     query: str
-    gold_answers: tuple[str, ...]
+    gold_answers: tuple[str, ...] = field(metadata={"json": "answers"})
     history: tuple[tuple[str, str], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -128,7 +141,7 @@ class AnnotatedTriplet:
     example_id: str
     query_id: str
     label: CompressionLabel
-    generator_fingerprint: str
+    generator_fingerprint: str = field(default="", metadata={"json": "generator"})
 
 
 @dataclass
@@ -148,7 +161,131 @@ class JoinedDataset:
         return {example.id: (example, retrieval) for example, retrieval in self.pairs}
 
 
-def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def parse_config(cls, raw, where: str):
+    """Build the config dataclass ``cls`` from the JSON object ``raw`` at key path ``where``.
+
+    An unknown or missing key, a wrong JSON type or a failed ``__post_init__``
+    check is a ConfigError naming the key path (``generator.max_retries``). An
+    int for a float field becomes that float, so hashes and cache keys stay put.
+    A field's JSON key is its name, unless its metadata names one under ``"json"``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {raw!r}")
+    prefix = f"{where}." if where else ""
+    known = {key for _, key, _, _ in _schema(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown key {prefix}{key}")
+    try:
+        return _build(cls, raw, prefix)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a failed __post_init__ check
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def parse_row(cls, row: dict, where: str):
+    """``cls`` from the JSON object ``row`` of a data file, checked as ``parse_config`` checks.
+
+    Keys that name no field are ignored, as real retriever dumps carry extra
+    fields. A bad value is a DataError naming ``where`` (the file and line).
+    """
+    try:
+        return _build(cls, row, "")
+    except ValueError as exc:  # a wrong type (a ConfigError) or a failed __post_init__ check
+        raise DataError(f"{where}: {exc}") from exc
+
+
+def _build(cls, raw: dict, prefix: str):
+    """``cls`` from the values that ``raw`` holds under its fields' JSON keys, each checked."""
+    values = {}
+    for name, key, hint, required in _schema(cls):
+        value = raw.get(key, MISSING)
+        if value is MISSING:
+            if required:
+                raise ConfigError(f"missing key {prefix}{key}")
+        else:  # the exact-type case builds no key path: data files run this per value
+            values[name] = value if type(value) is hint else _typed(value, hint, prefix + key)
+    return cls(**values)
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, str, object, bool], ...]:
+    """(name, JSON key, type, whether required) of each field of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("json", f.name), hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING) for f in fields(cls))
+
+
+def _typed(value, hint, path: str):
+    """``value`` checked against the field type ``hint``, with ints widened to float.
+
+    A JSON array is read as a ``list[T]``, a ``tuple[T, ...]`` or a fixed-length
+    ``tuple[A, B]``, and an int-keyed mapping from a JSON object whose keys are
+    decimal digits. The key path is built for an item only when it is not of its
+    type's exact class, so a file of well-typed values builds none.
+    """
+    if type(value) is hint:
+        return value
+    base, args = _shape(hint)
+    if base in (typing.Union, types.UnionType):
+        if type(value) in args:
+            return value
+        arms = [arm for arm in args if arm is not type(None)]
+        if len(arms) == 1:  # an optional value that is not null has its own type's message
+            return _typed(value, arms[0], path)
+        for arm in arms:
+            try:
+                return _typed(value, arm, path)
+            except ConfigError:
+                pass
+    elif hint is CompressionLabel:
+        try:
+            return CompressionLabel.from_json(value)
+        except DataError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    elif base is float and type(value) is int:
+        return float(value)
+    elif base in (list, tuple) and type(value) is list:
+        arms = args if base is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+        if len(arms) == len(value):
+            items = [v if type(v) is arm else _typed(v, arm, f"{path}[{i}]")
+                     for i, (v, arm) in enumerate(zip(value, arms))]
+            return items if base is list else tuple(items)
+    elif base in (dict, abc.Mapping) and type(value) is dict:
+        key_type, value_type = args
+        if key_type is int and not all(key.isdecimal() for key in value):
+            raise ConfigError(f"{path} keys must be int, got {json.dumps(list(value))[:40]}")
+        return {(int(k) if key_type is int else k):
+                v if type(v) is value_type else _typed(v, value_type, f"{path}.{k}")
+                for k, v in value.items()}
+    elif isinstance(value, base) and (base is bool or not isinstance(value, bool)):
+        return value
+    name = "list" if base is tuple else getattr(hint, "__name__", hint)
+    raise ConfigError(f"{path} must be {name}, got {json.dumps(value)}")
+
+
+@functools.cache
+def _shape(hint) -> tuple[object, tuple]:
+    """The origin of the type ``hint`` (the hint itself for a plain class) and its arguments."""
+    return typing.get_origin(hint) or hint, typing.get_args(hint)
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``; anything else is a ConfigError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {json.dumps(raw)[:40]}")
+    return raw
+
+
+def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """(``"<path> line <n>"``, object) for each non-blank line of the JSONL file at ``path``."""
     path = Path(path)
     try:
         fh = path.open("r", encoding="utf-8")
@@ -159,27 +296,14 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path} line {line_no}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"malformed JSON at line {line_no} in {path}: {exc}") from exc
+                raise DataError(f"{where} is not valid JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                raise DataError(f"expected a JSON object at line {line_no} in {path}")
-            yield line_no, obj
-
-
-def _require(obj: dict, key: str, line_no: int) -> object:
-    if key not in obj:
-        raise DataError(f"missing required field '{key}' at line {line_no}")
-    return obj[key]
-
-
-def _require_label(obj: dict, line_no: int) -> CompressionLabel:
-    value = _require(obj, "label", line_no)
-    try:
-        return CompressionLabel.from_json(value)
-    except DataError as exc:
-        raise DataError(f"{exc} at line {line_no}") from exc
+                raise DataError(f"{where} must hold a JSON object, got {line[:40]}")
+            yield where, obj
 
 
 def load_examples(path: str | Path, format: str = "qa") -> list[QAExample]:
@@ -190,32 +314,15 @@ def load_examples(path: str | Path, format: str = "qa") -> list[QAExample]:
     """
     if format not in ("qa", "conversational"):
         raise DataError(f"unknown example format {format!r}")
-    examples: list[QAExample] = []
-    seen: set[str] = set()
-    for line_no, obj in _iter_jsonl(path):
-        example_id = str(_require(obj, "id", line_no))
-        query = str(_require(obj, "query", line_no))
-        answers = _require(obj, "answers", line_no)
-        if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
-            raise DataError(f"field 'answers' must be a list of strings at line {line_no}")
-        if not answers:
-            raise DataError(f"gold_answers empty at line {line_no}")
-        if not query.strip():
-            raise DataError(f"query empty at line {line_no}")
-        if example_id in seen:
-            raise DataError(f"duplicate id {example_id} at line {line_no}")
-        seen.add(example_id)
-        history = None
-        if format == "conversational":
-            raw_history = obj.get("history") or []
-            try:
-                history = tuple((str(role), str(text)) for role, text in raw_history)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"malformed history at line {line_no}: {exc}") from exc
-        examples.append(
-            QAExample(id=example_id, query=query, gold_answers=tuple(answers), history=history)
-        )
-    return examples
+    examples: dict[str, QAExample] = {}
+    for where, obj in iter_jsonl(path):
+        if format == "qa":
+            obj.pop("history", None)
+        example = parse_row(QAExample, obj, where)
+        if example.id in examples:
+            raise DataError(f"{where}: duplicate id {example.id}")
+        examples[example.id] = example
+    return list(examples.values())
 
 
 def save_examples(path: str | Path, examples: Iterable[QAExample]) -> None:
@@ -227,40 +334,30 @@ def save_examples(path: str | Path, examples: Iterable[QAExample]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def _ranked_document(obj: object, rank: int, line_no: int) -> RankedDocument:
-    if not isinstance(obj, dict):
-        raise DataError(f"document {rank} must be a JSON object at line {line_no}")
-    doc_id = str(_require(obj, "doc_id", line_no))
-    text, score = _require(obj, "text", line_no), _require(obj, "score", line_no)
-    if not isinstance(text, str):
-        raise DataError(f"field 'text' of document {rank} must be a string at line {line_no}")
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise DataError(f"field 'score' of document {rank} must be a number at line {line_no}")
-    return RankedDocument(doc_id=doc_id, text=text, score=float(score), rank=rank)
+@dataclass
+class _RetrievalRow:
+    """A retrievals line, before its documents are ranked."""
+
+    query_id: str
+    docs: list[dict]
 
 
 def load_retrievals(path: str | Path) -> dict[str, RetrievalSet]:
     """Load retrieval sets from JSONL; list position becomes rank 1..N."""
     retrievals: dict[str, RetrievalSet] = {}
-    for line_no, obj in _iter_jsonl(path):
-        query_id = str(_require(obj, "query_id", line_no))
-        raw_docs = _require(obj, "docs", line_no)
-        if not isinstance(raw_docs, list):
-            raise DataError(f"field 'docs' must be a list at line {line_no}")
-        if not raw_docs:
-            raise DataError(f"empty retrieval set for query {query_id} at line {line_no}")
-        if query_id in retrievals:
-            raise DataError(f"duplicate query_id {query_id} at line {line_no}")
-        docs = tuple(_ranked_document(d, rank, line_no) for rank, d in enumerate(raw_docs, 1))
-        scores = [d.score for d in docs]
-        if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
-            logger.warning(
-                "retrieval scores increase with rank for query %s (line %d); "
-                "keeping listed order",
-                query_id,
-                line_no,
-            )
-        retrievals[query_id] = RetrievalSet(query_id=query_id, docs=docs)
+    for where, obj in iter_jsonl(path):
+        row = parse_row(_RetrievalRow, obj, where)
+        if row.query_id in retrievals:
+            raise DataError(f"{where}: duplicate query_id {row.query_id}")
+        try:
+            docs = tuple(_build(RankedDocument, {**doc, "rank": rank}, f"docs[{rank - 1}].")
+                         for rank, doc in enumerate(row.docs, 1))
+            retrievals[row.query_id] = RetrievalSet(query_id=row.query_id, docs=docs)
+        except ValueError as exc:  # a wrong type (a ConfigError) or a failed __post_init__ check
+            raise DataError(f"{where}: {exc}") from exc
+        if any(doc.score < next_doc.score for doc, next_doc in zip(docs, docs[1:])):
+            logger.warning("%s: retrieval scores increase with rank for query %s; "
+                           "keeping listed order", where, row.query_id)
     return retrievals
 
 
@@ -313,23 +410,13 @@ def load_triplets(
 ) -> list[AnnotatedTriplet]:
     """Load annotation triplets; when retrievals are given, labels are range-checked."""
     triplets: list[AnnotatedTriplet] = []
-    for line_no, obj in _iter_jsonl(path):
-        example_id = str(_require(obj, "example_id", line_no))
-        query_id = str(_require(obj, "query_id", line_no))
-        label = _require_label(obj, line_no)
-        if retrievals is not None and not label.is_unanswerable:
-            retrieval = retrievals.get(query_id)
-            if retrieval is not None and label.k > retrieval.n:
-                raise DataError(
-                    f"label exceeds N: k={label.k} > N={retrieval.n} "
-                    f"for query {query_id} at line {line_no}"
-                )
-        triplets.append(
-            AnnotatedTriplet(
-                example_id=example_id,
-                query_id=query_id,
-                label=label,
-                generator_fingerprint=str(obj.get("generator", "")),
-            )
-        )
+    retrievals = retrievals or {}
+    for where, obj in iter_jsonl(path):
+        triplet = parse_row(AnnotatedTriplet, obj, where)
+        retrieval = retrievals.get(triplet.query_id)
+        if retrieval is not None and not triplet.label.is_unanswerable \
+                and triplet.label.k > retrieval.n:
+            raise DataError(f"{where}: label exceeds N: k={triplet.label.k} > N={retrieval.n} "
+                            f"for query {triplet.query_id}")
+        triplets.append(triplet)
     return triplets

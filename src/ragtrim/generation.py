@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .data import DataError
-from .metrics import normalize_answer, token_f1
+from .metrics import _normalized_golds, normalize_answer, token_f1
 
 if TYPE_CHECKING:
     from .predictor import RemotePredictorConfig
@@ -335,13 +335,6 @@ def _doc_has_evidence(doc_text: str, norm_golds: tuple[str, ...]) -> bool:
     # examples are evaluated one after another, so recent documents recur.
     norm_doc = normalize_answer(doc_text)
     return any(g and g in norm_doc for g in norm_golds)
-
-
-@functools.lru_cache(maxsize=256)
-def _normalized_golds(golds: tuple[str, ...]) -> tuple[str, ...]:
-    # Bounded memo, as above: an example's prompts are generated one after another,
-    # so its golds are normalized once, not on every call.
-    return tuple(normalize_answer(g) for g in golds)
 
 
 def mock_generate(

@@ -8,6 +8,7 @@ convention for open-domain QA scoring.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +25,13 @@ def normalize_answer(s: str) -> str:
     s = _PUNCT_RE.sub(" ", s)
     s = _ARTICLE_RE.sub(" ", s)
     return " ".join(s.split())
+
+
+@functools.lru_cache(maxsize=256)
+def _normalized_golds(golds: tuple[str, ...]) -> tuple[str, ...]:
+    # Bounded memo: an example's prompts are generated, judged and scored one after
+    # another, so its golds are normalized once, not on every call.
+    return tuple(normalize_answer(g) for g in golds)
 
 
 def tokenize(s: str) -> list[str]:
@@ -220,20 +228,20 @@ def score_output(
 ) -> ExampleResult:
     """Score one generated answer against its gold answers.
 
-    The output and each gold are normalized and tokenized once, and every
-    metric is derived from those; each field equals what exact_match,
-    token_f1, rouge_n_best(.., 1/2).f and rouge_l_best(..).f return, bit for bit.
+    The output and each gold are tokenized once, the golds normalized once per
+    example (``_normalized_golds``), and every metric is derived from those;
+    each field equals what exact_match, token_f1, rouge_n_best(.., 1/2).f and
+    rouge_l_best(..).f return, bit for bit.
     """
     if not golds:
         raise ValueError("score_output requires at least one gold answer")
-    norm = normalize_answer(output)
+    em = int(normalize_answer(output) in _normalized_golds(tuple(golds)))
     tokens = tokenize(output)
     unigrams, bigrams = _ngrams(tokens, 1), _ngrams(tokens, 2)
-    em, f1, rouge_1, rouge_2, rouge_l = 0, 0.0, 0.0, 0.0, 0.0
+    f1, rouge_1, rouge_2, rouge_l = 0.0, 0.0, 0.0, 0.0
     for gold in golds:
         gold_tokens = tokenize(gold)
         gold_unigrams = _ngrams(gold_tokens, 1)
-        em = em or int(norm == normalize_answer(gold))
         f1 = max(f1, _counts_f1(unigrams, gold_unigrams))
         rouge_1 = max(rouge_1, _ngram_rouge(unigrams, gold_unigrams).f)
         rouge_2 = max(rouge_2, _ngram_rouge(bigrams, _ngrams(gold_tokens, 2)).f)

@@ -12,9 +12,7 @@ import hashlib
 import json
 import logging
 import re
-import types
-import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -28,6 +26,7 @@ from .compress import (
 )
 from .data import (
     AnnotatedTriplet,
+    ConfigError,
     JoinedDataset,
     QAExample,
     RetrievalSet,
@@ -35,6 +34,9 @@ from .data import (
     load_examples,
     load_retrievals,
     load_triplets,
+    _typed,
+    parse_config,
+    read_json_object,
 )
 from .features import FeatureSpec
 from .generation import (
@@ -79,88 +81,13 @@ METHOD_ADAPTIVE = "adaptive"
 METHOD_ORACLE = "oracle"
 
 
-class ConfigError(ValueError):
-    """Bad or incomplete run configuration, raised before any generation call."""
-
-
-def parse_config(cls, raw, where: str, keys: Mapping[str, str] | None = None):
-    """Build the config dataclass ``cls`` from the JSON object ``raw`` at key path ``where``.
-
-    An unknown or missing key, a wrong JSON type or a failed ``__post_init__``
-    check is a ConfigError naming the key path (``generator.max_retries``). An
-    int for a float field becomes that float, so hashes and cache keys stay put.
-    ``keys`` names the JSON key of each field whose key is not its name.
-    """
-    keys = keys or {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where or 'config'} must be a JSON object, got {raw!r}")
-    hints = typing.get_type_hints(cls)
-    prefix = f"{where}." if where else ""
-    values = {}
-    for key, value in raw.items():
-        if key not in hints:
-            raise ConfigError(f"unknown key {prefix}{key}")
-        values[key] = _typed(value, hints[key], prefix + keys.get(key, key))
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing key {prefix}{keys.get(f.name, f.name)}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where or 'config'}: {exc}") from exc
-
-
-def read_json_object(path: str | Path) -> dict:
-    """The JSON object in the file at ``path``; anything else is a ConfigError naming the file."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must hold a JSON object, got {json.dumps(raw)[:40]}")
-    return raw
-
-
-def _typed(value, hint, path: str):
-    """``value`` checked against the field type ``hint``, with ints widened to float."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        for arm in typing.get_args(hint):
-            try:
-                return _typed(value, arm, path)
-            except ConfigError:
-                pass
-    else:
-        base = typing.get_origin(hint) or hint
-        args = typing.get_args(hint)
-        if base is float and type(value) is int:
-            return float(value)
-        if isinstance(value, base) and (base is bool or not isinstance(value, bool)):
-            if base is list and args:
-                return [_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
-            if args:  # a mapping
-                return {k: _typed(v, args[1], f"{path}.{k}") for k, v in value.items()}
-            return value
-    raise ConfigError(f"{path} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
-
-
-# The run-config JSON key of each PipelineConfig field that has another name.
-_JSON_KEYS = {
-    "examples_path": "datasets.examples",
-    "retrievals_path": "datasets.retrievals",
-    "triplets_path": "datasets.triplets",
-    "example_format": "datasets.format",
-}
-
-
 @dataclass
 class PipelineConfig:
-    examples_path: str
-    retrievals_path: str
+    examples_path: str = field(metadata={"json": "datasets.examples"})
+    retrievals_path: str = field(metadata={"json": "datasets.retrievals"})
     methods: list[str] = field(default_factory=list)
-    triplets_path: str | None = None
-    example_format: str = "qa"
+    triplets_path: str | None = field(default=None, metadata={"json": "datasets.triplets"})
+    example_format: str = field(default="qa", metadata={"json": "datasets.format"})
     generator: dict = field(default_factory=lambda: {"type": "mock"})
     predictors: list[dict] = field(default_factory=list)
     judge: str = "em"
@@ -186,13 +113,7 @@ class PipelineConfig:
             raise ConfigError("the config and its datasets section must be JSON objects")
         flat = {f"datasets.{key}": value for key, value in raw.get("datasets", {}).items()}
         flat.update((key, value) for key, value in raw.items() if key != "datasets")
-        names = {key: name for name, key in _JSON_KEYS.items()}
-        values = {}
-        for key, value in flat.items():
-            if key in _JSON_KEYS:
-                raise ConfigError(f"unknown key {key}")
-            values[names.get(key, key)] = value
-        return parse_config(cls, values, "", _JSON_KEYS)
+        return parse_config(cls, flat, "")
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -452,14 +373,13 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         raise ConfigError("adaptive method requires at least one configured predictor")
     dataset, triplets = load_inputs(config, with_triplets=METHOD_ORACLE in config.methods)
     predictors = build_predictors(config, max(retrieval.n for _, retrieval in dataset))
-    client = build_generator(config, dataset)
     oracle_labels = {t.example_id: t.label for t in triplets or ()}
-
     rows = [
         row
         for m in config.methods
         for row in _method_rows(m, config, dataset, oracle_labels, predictors)
     ]
+    client = build_generator(config, dataset)
     method_results = _evaluate(rows, dataset, client, config, config.split_by_answer_relevance)
     per_method = {m.name: {key: getattr(m, key) for key in _RUN_COUNTERS} for m in method_results}
     for name, predictor in predictors:
@@ -487,14 +407,18 @@ def _method_rows(method: str, config: PipelineConfig, dataset: JoinedDataset, or
                  predictors):
     """Expand one method name into (row_name, labeler, fingerprint) rows.
 
-    ``predictors`` are the (row name, predictor) pairs of ``build_predictors``.
+    ``predictors`` are the (row name, predictor) pairs of ``build_predictors``. A
+    ``top_k`` above the dataset's smallest document count is a ConfigError.
     """
+    min_n = min(retrieval.n for _, retrieval in dataset)
     top_k = _TOP_K_RE.match(method)
     if top_k or method == METHOD_NO_RETRIEVAL:
         predictor = FixedKPredictor(int(top_k.group(1)) if top_k else 0)
+        if predictor.k > min_n:
+            raise ConfigError(f"method {method} keeps {predictor.k} documents, "
+                              f"but an example has only N={min_n}")
         return [(method, predictor.predict_label, predictor.fingerprint())]
     if method == METHOD_TOP_RANDOM:
-        min_n = min(retrieval.n for _, retrieval in dataset)
         predictor = RandomKPredictor(config.seed, k_range=range(1, min_n + 1))
         return [(method, predictor.predict_label, predictor.fingerprint())]
     if method == METHOD_ONLY_DOC:

@@ -21,10 +21,15 @@ import numpy as np
 from .data import (
     AnnotatedTriplet,
     CompressionLabel,
+    ConfigError,
     DataError,
     JoinedDataset,
     QAExample,
     RetrievalSet,
+    _typed,
+    parse_config,
+    parse_row,
+    read_json_object,
 )
 from .features import FeatureSpec, extract_features
 from .generation import (
@@ -268,13 +273,17 @@ def train(
 class PredictorReport:
     """Held-out evaluation: accuracy, per-class precision/recall, confusion, margins."""
 
-    class_list: tuple
+    class_list: tuple[int | str, ...]
     confusion: list[list[int]]  # rows = true class, cols = predicted class
     accuracy: float
-    per_class: dict[str, dict[str, float]]
     margin_fractions: dict[int, float]
     n: int
+    per_class: dict[str, dict[str, float]] = field(default_factory=dict)
     n_skipped: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.class_list:
+            raise DataError("class_list is empty")
 
     def to_dict(self) -> dict:
         return {
@@ -291,45 +300,7 @@ class PredictorReport:
     def from_dict(cls, raw: dict) -> "PredictorReport":
         """The report ``to_dict`` wrote; a missing key or a wrong type is a DataError
         naming the key."""
-        raw = {"per_class": {}, "n_skipped": 0, **raw}
-        expected = {
-            "class_list": ("a non-empty list", lambda v: isinstance(v, list) and v),
-            "confusion": ("a list of rows of counts", lambda v: isinstance(v, list) and all(
-                isinstance(row, list) and all(map(_is_int, row)) for row in v)),
-            "accuracy": ("a number", _is_number),
-            "per_class": ("an object", lambda v: isinstance(v, dict)),
-            "margin_fractions": ("an object of numbers", lambda v: isinstance(v, dict)
-                                 and all(map(_is_number, v.values()))),
-            "n": ("an int", _is_int),
-            "n_skipped": ("an int", _is_int),
-        }
-        for key, (kind, valid) in expected.items():
-            if key not in raw:
-                raise DataError(f"malformed predictor report: {KeyError(key)!r}")
-            if not valid(raw[key]):
-                raise DataError(f"malformed predictor report: {key} must be {kind}, "
-                                f"got {json.dumps(raw[key])[:40]}")
-        try:
-            margin_fractions = {int(m): f for m, f in raw["margin_fractions"].items()}
-        except ValueError as exc:
-            raise DataError(f"malformed predictor report: margin_fractions: {exc}") from exc
-        return cls(
-            class_list=tuple(raw["class_list"]),
-            confusion=raw["confusion"],
-            accuracy=raw["accuracy"],
-            per_class=raw["per_class"],
-            margin_fractions=margin_fractions,
-            n=raw["n"],
-            n_skipped=raw["n_skipped"],
-        )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return parse_row(cls, raw, "malformed predictor report")
 
 
 def _margin(true_cls, pred_cls) -> float:
@@ -514,23 +485,19 @@ def save_model(path: str | Path, model: PredictorModel) -> None:
 
 
 def load_model(path: str | Path) -> PredictorModel:
+    """The model ``save_model`` wrote; a missing key or a wrong type is a DataError
+    naming the file and the key."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise DataError(f"model {path} is not valid JSON: {exc}") from exc
-    try:
-        feature_spec = FeatureSpec(max_docs=int(payload["feature_spec"]["max_docs"]))
-        spec_hash = payload["feature_spec_hash"]
-        class_list = tuple(
-            c if c == UNANSWERABLE_CLASS else int(c) for c in payload["class_list"]
-        )
+        payload = read_json_object(path)
+        feature_spec = parse_config(FeatureSpec, payload.get("feature_spec"),
+                                    f"{path}: feature_spec")
         train_config = payload.get("train_config")
-        train_config = TrainConfig(**train_config) if train_config else None
-        weights = np.array(payload["weights"], dtype=np.float64)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model {path}: {exc!r}") from exc
+        if train_config is not None:
+            train_config = parse_config(TrainConfig, train_config, f"{path}: train_config")
+        rows = _typed(payload.get("weights"), list[list[float]], f"{path}: weights")
+    except ConfigError as exc:  # a model file is data, not configuration
+        raise DataError(str(exc)) from exc
+    spec_hash = payload.get("feature_spec_hash")
     if spec_hash != feature_spec.spec_hash():
         raise FeatureSpecMismatch(
             f"model file hash {spec_hash} does not match "
@@ -539,18 +506,17 @@ def load_model(path: str | Path) -> PredictorModel:
     policy = payload.get("unanswerable_policy", POLICY_DROP)
     if policy not in UNANSWERABLE_POLICIES:
         raise DataError(f"model {path}: unknown unanswerable_policy {policy!r}")
-    if class_list != build_class_list(feature_spec, policy):
+    class_list = build_class_list(feature_spec, policy)
+    if payload.get("class_list") != list(class_list):
         raise DataError(
-            f"model {path}: class_list {list(class_list)} does not match "
+            f"model {path}: class_list {payload.get('class_list')} does not match "
             f"max_docs {feature_spec.max_docs} and unanswerable_policy {policy!r}"
         )
-    if weights.shape != (len(class_list), feature_spec.dim):
-        raise DataError(
-            f"model {path}: weight shape {weights.shape} does not match "
-            f"({len(class_list)}, {feature_spec.dim})"
-        )
+    shape = (len(class_list), feature_spec.dim)
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise DataError(f"model {path}: weights are not a {shape} matrix")
     return PredictorModel(
-        weights=weights,
+        weights=np.array(rows),
         class_list=class_list,
         feature_spec=feature_spec,
         unanswerable_policy=policy,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,9 +22,8 @@ from .data import (
     QAExample,
     RankedDocument,
     RetrievalSet,
-    _iter_jsonl,
-    _require,
-    _require_label,
+    iter_jsonl,
+    parse_row,
     save_examples,
     save_retrievals,
 )
@@ -85,9 +84,9 @@ class PlanEntry:
     """Ground truth for one synthetic example."""
 
     example_id: str
-    intended_label: CompressionLabel
-    evidence_rank: int | None
-    closed_book: bool
+    intended_label: CompressionLabel = field(metadata={"json": "label"})
+    evidence_rank: int | None = None
+    closed_book: bool = False
 
 
 @dataclass
@@ -132,17 +131,7 @@ def save_plan(path: str | Path, plan: Sequence[PlanEntry]) -> None:
 
 
 def load_plan(path: str | Path) -> list[PlanEntry]:
-    plan: list[PlanEntry] = []
-    for line_no, row in _iter_jsonl(path):
-        plan.append(
-            PlanEntry(
-                example_id=str(_require(row, "example_id", line_no)),
-                intended_label=_require_label(row, line_no),
-                evidence_rank=row.get("evidence_rank"),
-                closed_book=bool(row.get("closed_book", False)),
-            )
-        )
-    return plan
+    return [parse_row(PlanEntry, row, where) for where, row in iter_jsonl(path)]
 
 
 def _score_profile(rng: random.Random, n_docs: int, depth: str) -> list[float]:

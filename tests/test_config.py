@@ -285,6 +285,9 @@ DEFECTS = [
     # annotate reads the same config file, so each defect stops it too.
     *[(f"annotate-{name}", annotate(make_args), message)
       for name, make_args, message in RUN_DEFECTS if name not in MODEL_SIZE_DEFECTS],
+    # run alone: annotation keeps no fixed number of documents.
+    ("top-k-above-n", top(methods=["top_1", "top_9"]),
+     "method top_9 keeps 9 documents, but an example has only N=5"),
     ("annotate-failure-limit-nan", failure_limit("nan"),
      "failure_limit must be in [0, 1], got nan"),
     ("annotate-failure-limit-negative", failure_limit("-1"),
@@ -322,9 +325,9 @@ DEFECTS = [
     ("eval-missing-model", lambda paths, tmp_path: [
         *eval_args()(paths, tmp_path), "--model", str(tmp_path / "nope.json")], NO_FILE),
     ("eval-model-missing-key", with_json(eval_args(), "--model", {"feature_spec": {}}),
-     "in.json: KeyError('max_docs')"),
+     "in.json: weights must be list, got null"),
     ("eval-model-type", with_json(eval_args(), "--model", {"feature_spec": [5]}),
-     "in.json: TypeError("),
+     "in.json: feature_spec must be a JSON object, got [5]"),
     ("report-missing", lambda paths, tmp_path: ["report", "--report", str(tmp_path / "nope.json")],
      NO_FILE),
     ("report-not-json", with_text(verb("report"), "--report", '{"n": '),
@@ -332,10 +335,10 @@ DEFECTS = [
     ("report-not-object", with_json(verb("report"), "--report", [1]),
      "in.json must hold a JSON object"),
     ("report-missing-key", with_json(verb("report"), "--report", {"class_list": [0, 1]}),
-     "malformed predictor report: KeyError('confusion')"),
+     "malformed predictor report: missing key confusion"),
     ("report-wrong-type", with_json(verb("report"), "--report", {
         "class_list": [0], "confusion": 5, "accuracy": 1, "margin_fractions": {}, "n": 1}),
-     "malformed predictor report: confusion must be a list of rows of counts, got 5"),
+     "malformed predictor report: confusion must be list, got 5"),
     ("corpus-spec-typo", with_json(corpus_args, "--spec", {"n_doc": 3}), "unknown key spec.n_doc"),
     ("corpus-spec-not-object", with_json(corpus_args, "--spec", [1]),
      "in.json must hold a JSON object"),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -43,7 +45,7 @@ class TestLoadExamples:
     def test_empty_answers_rejected_with_line(self, tmp_path):
         p = tmp_path / "ex.jsonl"
         write_jsonl(p, [{"id": "q1", "query": "q", "answers": []}])
-        with pytest.raises(DataError, match="gold_answers empty at line 1"):
+        with pytest.raises(DataError, match="ex.jsonl line 1: gold_answers empty"):
             load_examples(p)
 
     def test_duplicate_id_rejected_with_line(self, tmp_path):
@@ -56,7 +58,7 @@ class TestLoadExamples:
                 {"id": "q1", "query": "c", "answers": ["z"]},
             ],
         )
-        with pytest.raises(DataError, match="duplicate id q1 at line 3"):
+        with pytest.raises(DataError, match="ex.jsonl line 3: duplicate id q1"):
             load_examples(p)
 
     def test_malformed_json_reports_line(self, tmp_path):
@@ -164,19 +166,47 @@ class TestLoadRetrievals:
             load_retrievals(p)
 
     @pytest.mark.parametrize("doc, message", [
-        (5, "document 2 must be a JSON object at line 2"),
-        ({"doc_id": "d", "text": 5, "score": 0.5}, "'text' of document 2 must be a string at line 2"),
+        (5, "docs[1] must be dict, got 5"),
+        ({"doc_id": "d", "text": 5, "score": 0.5}, "docs[1].text must be str, got 5"),
         ({"doc_id": "d", "text": "t", "score": "high"},
-         "'score' of document 2 must be a number at line 2"),
-        ({"doc_id": "d", "text": "t", "score": True},
-         "'score' of document 2 must be a number at line 2"),
+         'docs[1].score must be float, got "high"'),
+        ({"doc_id": "d", "text": "t", "score": True}, "docs[1].score must be float, got true"),
     ], ids=["not-an-object", "text-not-a-string", "score-a-string", "score-a-bool"])
     def test_malformed_document_names_its_line(self, tmp_path, doc, message):
         p = tmp_path / "r.jsonl"
         good = {"doc_id": "d", "text": "t", "score": 1.0}
         write_jsonl(p, [{"query_id": "q1", "docs": [good]}, {"query_id": "q2", "docs": [good, doc]}])
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=re.escape(f"r.jsonl line 2: {message}")):
             load_retrievals(p)
+
+
+GOOD_EXAMPLE = {"id": "q0", "query": "who wrote it", "answers": ["x"]}
+GOOD_TRIPLET = {"example_id": "q0", "query_id": "q0", "label": 1, "generator": "g"}
+
+# (case id, loader, the file's rows, what the DataError says after "in.jsonl line 2: ")
+FILE_DEFECTS = [
+    ("example-int-id", load_examples, [GOOD_EXAMPLE, {**GOOD_EXAMPLE, "id": 7}],
+     "id must be str, got 7"),
+    ("example-int-query", load_examples, [GOOD_EXAMPLE, {**GOOD_EXAMPLE, "id": "q1", "query": 5}],
+     "query must be str, got 5"),
+    ("example-null-query", load_examples,
+     [GOOD_EXAMPLE, {**GOOD_EXAMPLE, "id": "q1", "query": None}], "query must be str, got null"),
+    ("history-turn-a-string", partial(load_examples, format="conversational"),
+     [GOOD_EXAMPLE, {**GOOD_EXAMPLE, "id": "q1", "history": [["user", "hi"], "ab"]}],
+     'history[1] must be list, got "ab"'),
+    ("triplet-null-generator", load_triplets,
+     [GOOD_TRIPLET, {**GOOD_TRIPLET, "generator": None}], "generator must be str, got null"),
+]
+
+
+@pytest.mark.parametrize("load, rows, message", [case[1:] for case in FILE_DEFECTS],
+                         ids=[case[0] for case in FILE_DEFECTS])
+def test_wrong_json_type_is_a_data_error_naming_file_line_and_key(tmp_path, load, rows, message):
+    """A value of the wrong JSON type is rejected, never converted to the field's type."""
+    p = tmp_path / "in.jsonl"
+    write_jsonl(p, rows)
+    with pytest.raises(DataError, match=re.escape(f"in.jsonl line 2: {message}")):
+        load(p)
 
 
 class TestTypes:

@@ -149,11 +149,13 @@ class TestMockOracle:
 
     def test_each_examples_golds_are_normalized_once(self, monkeypatch):
         import ragtrim.generation
+        import ragtrim.metrics
 
         normalized = []
-        normalize = ragtrim.generation.normalize_answer
-        monkeypatch.setattr(ragtrim.generation, "normalize_answer",
-                            lambda text: normalized.append(text) or normalize(text))
+        normalize = ragtrim.metrics.normalize_answer
+        for module in (ragtrim.generation, ragtrim.metrics):
+            monkeypatch.setattr(module, "normalize_answer",
+                                lambda text: normalized.append(text) or normalize(text))
         golds = {"q1": ("Paris of the North",), "q2": ("Venice", "Venezia of the North")}
         client = GeneratorClient(MockOracleBackend(MockOracleConfig(), golds))
         prompts = [make_prompt(query_id=query_id, docs=(f"doc {i}: {text}",))

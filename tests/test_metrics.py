@@ -227,6 +227,19 @@ class TestScoreOutput:
             "q1", 7, 2, "specific"
         )
 
+    def test_each_examples_golds_are_normalized_once_over_its_rows(self, monkeypatch):
+        """Scoring several rows of one example normalizes each gold once, not once per row."""
+        import ragtrim.metrics
+
+        normalized = []
+        normalize = ragtrim.metrics.normalize_answer
+        monkeypatch.setattr(ragtrim.metrics, "normalize_answer",
+                            lambda text: normalized.append(text) or normalize(text))
+        golds = ("Oslo of the Fjord", "Christiania")
+        outputs = ("Oslo", "the Christiania", "Bergen")
+        assert [score_output("q1", output, golds, 1, 1).em for output in outputs] == [0, 1, 0]
+        assert [normalized.count(text) for text in (*golds, *outputs)] == [1] * 5
+
     def test_empty_golds_rejected(self):
         with pytest.raises(ValueError):
             score_output("q1", "paris", [], token_count=1, k=1)

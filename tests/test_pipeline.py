@@ -759,15 +759,16 @@ class TestCli:
         with (corpus_dir / "examples.jsonl").open("a", encoding="utf-8") as fh:
             fh.write("{not json\n")
         assert cli_main(self.annotate_args(corpus_dir, tmp_path / "triplets.jsonl")) == 2
-        assert capsys.readouterr().err.startswith("ERROR: malformed JSON at line 6")
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR: {corpus_dir / 'examples.jsonl'} line 6 is not valid JSON")
 
     @pytest.mark.parametrize("verb", ["run", "annotate"])
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("not json", "malformed JSON at line 6"),
-            ('{"label": 1}', "missing required field 'example_id' at line 6"),
-            ('{"example_id": "q9", "label": "two"}', "unknown label token 'two' at line 6"),
+            ("not json", "line 6 is not valid JSON"),
+            ('{"label": 1}', "line 6: missing key example_id"),
+            ('{"example_id": "q9", "label": "two"}', "line 6: label: unknown label token 'two'"),
         ],
         ids=["not-json", "no-example-id", "bad-label"],
     )
@@ -795,7 +796,7 @@ class TestCli:
             args = ["run", "--config", str(config_path)]
         capsys.readouterr()
         assert cli_main(args) == 2
-        assert capsys.readouterr().err.startswith(f"ERROR: {message}")
+        assert capsys.readouterr().err.startswith(f"ERROR: {plan} {message}")
 
     def test_annotate_goes_through_build_generator(self, tmp_path, built_clients, monkeypatch):
         mock_generations = []

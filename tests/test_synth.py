@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import re
 
 import pytest
 
 from ragtrim.annotate import annotate_dataset
-from ragtrim.data import join_dataset, load_retrievals
+from ragtrim.data import DataError, join_dataset, load_retrievals
 from ragtrim.generation import MockOracleConfig
 from ragtrim.synth import (
     CorpusSpec,
@@ -91,6 +93,19 @@ class TestCorpusShape:
         path = tmp_path / "plan.jsonl"
         save_plan(path, corpus.plan)
         assert load_plan(path) == corpus.plan
+
+    @pytest.mark.parametrize("change, message", [
+        ({"closed_book": "false"}, 'closed_book must be bool, got "false"'),
+        ({"evidence_rank": "3"}, 'evidence_rank must be int, got "3"'),
+        ({"example_id": 5}, "example_id must be str, got 5"),
+    ], ids=["closed-book-a-string", "evidence-rank-a-string", "example-id-an-int"])
+    def test_plan_value_of_the_wrong_type_is_a_data_error(self, tmp_path, change, message):
+        """A plan value is rejected, never converted: "false" would read as True."""
+        path = tmp_path / "plan.jsonl"
+        row = {"example_id": "q1", "label": 3, "evidence_rank": 3, "closed_book": False}
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, **change}) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"plan.jsonl line 2: {message}")):
+            load_plan(path)
 
     def test_closed_book_depth_supported(self):
         weights = {"0": 0.5, "1": 0.5}

@@ -142,7 +142,8 @@ def test_bench_pairs_summary_of_canned_result_lines():
     """scripts/bench_pairs.py reads each run's last stdout line and summarises each side:
     per-metric medians, quartiles, interquartile ranges and wins over the pairs in which
     both runs printed a result, and for the change whether a gain may be claimed: wins
-    in at least nine tenths of the pairs and a median gap above the parent's IQR."""
+    in at least nine tenths of the pairs and a median gap above the parent's IQR; and
+    its regression verdict against the metric's bound."""
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -160,7 +161,8 @@ def test_bench_pairs_summary_of_canned_result_lines():
     results = [[bench_pairs.result_of(out) for out in side] for side in (before, after)]
     pairs = list(zip(*results)) + [(None, bench_pairs.result_of(after[0]))]
     assert bench_pairs.result_of("usage: run.py\nerror: no result") is None
-    b, a = bench_pairs.summarise(pairs, {"study_s": "lower", "adaptive_em": "higher"})
+    b, a = bench_pairs.summarise(pairs, {"study_s": "lower", "adaptive_em": "higher"},
+                                 {"study_s": 0.24, "adaptive_em": 0.1})
     assert (b["pairs"], b["failed_runs"], a["failed_runs"]) == (5, 1, 0)
     assert b["metrics"]["study_s"] == {"unit": "s", "median": 21.0, "q1": 20.0, "q3": 22.0,
                                        "iqr": 2.0, "wins": 1,
@@ -172,13 +174,26 @@ def test_bench_pairs_summary_of_canned_result_lines():
         == (8.0, False)
     assert "claim_holds" not in b["metrics"]["study_s"]
     assert a["metrics"]["adaptive_em"]["claim_holds"] is False  # every pair a tie
+    # Better medians and a parent IQR (2) within the bound (0.24 x 21): no regression.
+    assert a["metrics"]["study_s"]["regression"] == a["metrics"]["adaptive_em"]["regression"] \
+        == "ok"
+    assert "regression" not in b["metrics"]["study_s"]
 
     def claim(before_runs, after_runs):
         pairs = [(bench_pairs.result_of(line(x, 0.9)), bench_pairs.result_of(line(y, 0.9)))
                  for x, y in zip(before_runs, after_runs)]
-        summary = bench_pairs.summarise(pairs, {"study_s": "lower"})[1]["metrics"]["study_s"]
-        return summary["median_gap"], summary["claim_holds"]
+        summary = bench_pairs.summarise(pairs, {"study_s": "lower"},
+                                        {"study_s": 0.24})[1]["metrics"]["study_s"]
+        return summary["median_gap"], summary["claim_holds"], summary["regression"]
 
-    assert claim([20.0, 22.0, 21.0], [12.0, 13.0, 11.0]) == (9.0, True)  # IQR 1.0
-    # 10 wins of 10, but the gap (1.0) is inside the parent's IQR (10.0).
-    assert claim([10.0, 20.0] * 5, [9.0, 19.0] * 5) == (1.0, False)
+    assert claim([20.0, 22.0, 21.0], [12.0, 13.0, 11.0]) == (9.0, True, "ok")  # IQR 1.0
+    # 10 wins of 10, but the gap (1.0) is inside the parent's IQR (10.0), which exceeds
+    # the bound (0.24 x 15), and a change run (19) is slower than a parent run (10).
+    assert claim([10.0, 20.0] * 5, [9.0, 19.0] * 5) == (1.0, False, "unresolved")
+    # The same parent spread: the gap (6.0) is no claim, but every change run beats every
+    # parent run, so there is no regression to resolve.
+    assert claim([10.0, 20.0] * 5, [9.0] * 10) == (6.0, False, "ok")
+    # A median 30% worse than the parent's, beyond the bound of 24%.
+    assert claim([10.0, 10.0, 10.0], [13.0, 13.0, 13.0]) == (-3.0, False, "worse")
+    # 20% worse: within the bound.
+    assert claim([10.0, 10.0, 10.0], [12.0, 12.0, 12.0]) == (-2.0, False, "ok")
