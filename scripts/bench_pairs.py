@@ -2,10 +2,13 @@
 """Run perfbench/run.py in two checkouts in alternating pairs and summarise each side.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload http-flaky-400 --pairs 10 --pr N
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload mock-4000,http-cold-400 \
+        --pairs 10 --pr N
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, with T the ``run_seconds`` that
-BENCHMARK.json declares, one right after the other. Which checkout
+``--workload`` takes one workload or a comma-separated list; the workloads run
+in turn, each with all its pairs. Each pair runs ``python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` once in each checkout, with T the
+``run_seconds`` that BENCHMARK.json declares, one right after the other. Which checkout
 goes first alternates from pair to pair, so a drift in the host's speed falls
 on both sides. The last line a run prints is its result (see
 perfbench/run.py); a run that prints none, or exits non-zero, is a failed run,
@@ -23,8 +26,8 @@ least nine tenths of the pairs and ``median_gap`` exceeds PARENT's ``iqr``, and
 median is worse than PARENT's by more than bound x PARENT's median; else
 ``unresolved`` if PARENT's ``iqr`` exceeds bound x its median, unless every
 CHANGE run beats every PARENT run; else ``ok``.
-Entries for other workloads or seeds already in the files are kept, so one
-pair of files can carry several.
+Each workload gets its own entry. Entries for other workloads or seeds already
+in the files are kept, so one pair of files can carry several.
 """
 
 from __future__ import annotations
@@ -126,50 +129,60 @@ def _merge(path: Path, machine: dict, key: str, entry: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def main() -> int:
+def workload_list(arg: str) -> list[str]:
+    """The workloads a ``--workload`` value names: one, or a comma-separated list."""
+    names = [name.strip() for name in arg.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"expected distinct workloads, comma-separated: {arg!r}")
+    return names
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout measured as 'before'")
     parser.add_argument("change", type=Path, help="checkout measured as 'after'")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=workload_list,
+                        help="a workload, or a comma-separated list run in turn")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--pr", required=True, help="names the files BENCH_<pr>_*.json")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", type=Path, default=Path.cwd(), help="directory of the files")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     checkouts = (args.parent.resolve(), args.change.resolve())
-    pairs = []
-    for i in range(args.pairs):
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        pair = [None, None]
-        for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed, seconds)
-        pairs.append(tuple(pair))
-        values = [p["metrics"]["study_s"]["value"] if p else None for p in pair]
-        print(f"pair {i + 1}/{args.pairs}: study_s before {values[0]} after {values[1]}",
-              flush=True)
-
     machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
                "platform": platform.platform()}
-    command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-               f"--seconds {seconds:g} --trace 0")
-    key = f"{args.workload} --seed {args.seed}"
-    summaries = summarise(pairs, better, bounds)
-    for name, checkout, summary in zip(("before", "after"), checkouts, summaries):
-        _merge(args.out / f"BENCH_{args.pr}_{name}.json", machine, key,
-               {"checkout": checkout.name, "command": command, **summary})
-    after = summaries[1]
-    if "study_s" in after["metrics"]:
-        study = after["metrics"]["study_s"]
-        print(f"study_s: change won {study['wins']}/{after['pairs']} pairs, median gap "
-              f"{study['median_gap']:.3f} s, claim holds: {study['claim_holds']}")
-    for name, metric in after["metrics"].items():
-        print(f"{name}: {metric['regression']} (median {metric['median']:g} against "
-              f"{summaries[0]['metrics'][name]['median']:g}, bound {bounds[name]:g})")
+    for workload in args.workload:
+        pairs = []
+        for i in range(args.pairs):
+            order = (0, 1) if i % 2 == 0 else (1, 0)
+            pair = [None, None]
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, args.seed, seconds)
+            pairs.append(tuple(pair))
+            values = [p["metrics"]["study_s"]["value"] if p else None for p in pair]
+            print(f"{workload} pair {i + 1}/{args.pairs}: study_s before {values[0]} "
+                  f"after {values[1]}", flush=True)
+
+        command = (f"python3 perfbench/run.py --workload {workload} --seed {args.seed} "
+                   f"--seconds {seconds:g} --trace 0")
+        key = f"{workload} --seed {args.seed}"
+        summaries = summarise(pairs, better, bounds)
+        for name, checkout, summary in zip(("before", "after"), checkouts, summaries):
+            _merge(args.out / f"BENCH_{args.pr}_{name}.json", machine, key,
+                   {"checkout": checkout.name, "command": command, **summary})
+        after = summaries[1]
+        if "study_s" in after["metrics"]:
+            study = after["metrics"]["study_s"]
+            print(f"{workload} study_s: change won {study['wins']}/{after['pairs']} pairs, "
+                  f"median gap {study['median_gap']:.3f} s, claim holds: {study['claim_holds']}")
+        for name, metric in after["metrics"].items():
+            print(f"{workload} {name}: {metric['regression']} (median {metric['median']:g} "
+                  f"against {summaries[0]['metrics'][name]['median']:g}, bound {bounds[name]:g})")
     return 0
 
 

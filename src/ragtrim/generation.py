@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import select
+import socket
 import ssl
 import threading
 import time
@@ -26,7 +27,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
-from typing import TYPE_CHECKING, Generator, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Generator, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .data import DataError
@@ -40,6 +41,7 @@ logger = logging.getLogger(__name__)
 UNKNOWN_ANSWER = "UNKNOWN"
 CACHE_LOG = "answers.jsonl"  # a cache_dir's answers: one {"key", "text"} object per line
 DEFAULT_PORTS = {"http": 80, "https": 443}
+MAX_LINE, MAX_HEADERS = 65536, 100  # http.client's caps: bytes in a line, headers in a reply
 
 
 class TransportError(RuntimeError):
@@ -279,10 +281,8 @@ class JudgeMode:
     @classmethod
     def parse(cls, spec: str) -> "JudgeMode":
         """Parse ``"em"``, ``"f1"``, or ``"f1:0.6"``."""
-        if spec == "em":
-            return cls(kind="em")
-        if spec == "f1":
-            return cls(kind="f1")
+        if spec in ("em", "f1"):
+            return cls(kind=spec)
         if spec.startswith("f1:"):
             return cls(kind="f1", threshold=float(spec.split(":", 1)[1]))
         raise ValueError(f"unknown judge mode spec {spec!r}")
@@ -496,47 +496,39 @@ class HttpResponse:
 class HttpSession:
     """Keep-alive HTTP/1.1 connections for JSON POSTs, pooled per (scheme, host, port).
 
-    Each POST in flight holds its own connection; the caller bounds how many
-    there are (GeneratorClient: ``max_in_flight``). The proxy settings are
-    read once, here, and each host's route once (see proxy_for): a plain HTTP
-    proxy gets an absolute-form target for ``http`` and a CONNECT tunnel for
-    ``https``. TLS uses ssl.create_default_context(). ``post`` sends its request
-    once; a failure raises OSError or http.client.HTTPException, and the
-    caller decides whether to send it again.
+    Each POST in flight holds its own connection, a TCP_NODELAY socket and one buffered
+    reader. A request is one ``sendall``, its reply is parsed by _read_reply, and a failure
+    raises OSError or http.client.HTTPException. Proxies are read once, here (see _route).
     """
 
     def __init__(self):
         self._proxies = urllib.request.getproxies()
-        self._routes: dict[tuple, tuple[str, int] | None] = {}
-        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+        self._routes: dict[str, tuple] = {}  # url -> (pool key, proxy, head, host:port)
+        self._idle: dict[tuple, list[tuple[socket.socket, BinaryIO]]] = {}
         self._lock = threading.Lock()
         self._tls: ssl.SSLContext | None = None
 
     def post(self, url: str, json, headers: Mapping[str, str] | None = None,
              timeout: float | None = None) -> HttpResponse:
-        parts = urlsplit(url)
-        key = (parts.scheme, parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme])
+        key, proxy, head, authority = self._routes.get(url) or self._route(url)
+        if any(set(f"{k}{v}") & {"\r", "\n"} for k, v in (headers or {}).items()):
+            raise ValueError("a header name or value holds a CR or LF")
+        extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items()).encode("latin-1")
         body = json_dumps(json).encode("utf-8")
-        conn, proxy = self._checkout(key)
-        absolute = proxy is not None and parts.scheme == "http"
-        target = url if absolute else urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
+        sock, reader = conn = self._checkout(key, proxy, authority, timeout)
         try:
-            conn.request("POST", target, body,
-                         {"Content-Type": "application/json", **(headers or {})})
-            response = conn.getresponse()
-            content = response.read()
+            sock.settimeout(timeout)
+            sock.sendall(b"%s%sContent-Length: %d\r\n\r\n%s" % (head, extra, len(body), body))
+            status, content, keep = _read_reply(reader)
         except BaseException:
-            conn.close()
+            _close(conn)
             raise
-        if response.will_close:
-            conn.close()
-        else:
+        if keep:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return HttpResponse(response.status, content)
+        else:
+            _close(conn)
+        return HttpResponse(status, content)
 
     def close(self) -> None:
         """Close the idle connections; a later ``post`` opens new ones."""
@@ -544,30 +536,108 @@ class HttpSession:
             idle, self._idle = self._idle, {}
         for conns in idle.values():
             for conn in conns:
-                conn.close()
+                _close(conn)
 
-    def _checkout(self, key: tuple) -> tuple[http.client.HTTPConnection, tuple[str, int] | None]:
-        """An idle connection to ``key`` that the server has not closed, else a new one."""
+    def _route(self, url: str) -> tuple:
+        parts = urlsplit(url)
+        scheme, name = parts.scheme, parts.hostname
+        port = parts.port or DEFAULT_PORTS[scheme]
+        host = f"[{name}]" if ":" in name else name.encode("idna").decode()  # IPv6 or a name
+        proxy = proxy_for(scheme, name, self._proxies)
+        target = (url if proxy and scheme == "http"  # an http proxy takes the whole URL
+                  else urlunsplit(("", "", parts.path or "/", parts.query, "")))
+        head = (f"POST {target} HTTP/1.1\r\nHost: {host}"
+                f"{'' if port == DEFAULT_PORTS[scheme] else f':{port}'}\r\n"
+                "Content-Type: application/json\r\nAccept-Encoding: identity\r\n").encode("ascii")
+        return self._routes.setdefault(url, ((scheme, name, port), proxy, head, f"{host}:{port}"))
+
+    def _checkout(self, key: tuple, proxy: tuple[str, int] | None, authority: str,
+                  timeout: float | None) -> tuple[socket.socket, BinaryIO]:
+        """An idle connection to ``key`` whose socket is unreadable (open), else a new one."""
         with self._lock:
-            if key not in self._routes:
-                self._routes[key] = proxy_for(key[0], key[1], self._proxies)
             idle = self._idle.get(key, [])
             while idle:
                 conn = idle.pop()
-                # An idle socket is readable only once the server closed it (or broke protocol).
-                if conn.sock is not None and not select.select([conn.sock], [], [], 0)[0]:
-                    return conn, self._routes[key]
-                conn.close()
-            proxy = self._routes[key]
+                poller = select.poll()
+                poller.register(conn[0], select.POLLIN)
+                if not poller.poll(0):
+                    return conn
+                _close(conn)
             if key[0] == "https" and self._tls is None:
                 self._tls = ssl.create_default_context()
-        scheme, host, port = key
-        if scheme == "http":
-            return http.client.HTTPConnection(*(proxy or (host, port))), proxy
-        conn = http.client.HTTPSConnection(*(proxy or (host, port)), context=self._tls)
-        if proxy is not None:
-            conn.set_tunnel(host, port)
-        return conn, proxy
+        sock = socket.create_connection(proxy or key[1:], timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if key[0] == "https" and proxy is not None:
+                sock.sendall(f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}\r\n\r\n".encode())
+                with sock.makefile("rb") as reader:
+                    if (status := _read_head(reader)[1]) != 200:
+                        raise OSError(f"tunnel to {authority} failed: status {status}")
+            if key[0] == "https":
+                sock = self._tls.wrap_socket(sock, server_hostname=key[1])
+        except BaseException:
+            sock.close()
+            raise
+        return sock, sock.makefile("rb")
+
+
+def _close(conn: tuple[socket.socket, BinaryIO]) -> None:
+    conn[1].close()
+    conn[0].close()
+
+
+def _line(reader: BinaryIO, what: str) -> bytes:
+    if len(line := reader.readline(MAX_LINE + 1)) > MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _exactly(reader: BinaryIO, n: int) -> bytes:
+    if len(data := reader.read(n)) < n:
+        raise http.client.IncompleteRead(data, n - len(data))
+    return data
+
+
+def _read_head(reader: BinaryIO) -> tuple[bytes, int, dict[bytes, bytes]]:
+    """The version, status and header fields (names lower-cased) of the next reply not 1xx."""
+    while True:
+        if not (line := _line(reader, "status line")):
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        version, code = (line.split(None, 2) + [b"", b""])[:2]
+        if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()):
+            raise http.client.BadStatusLine(repr(line))
+        lines = []
+        while (line := _line(reader, "header line")) not in (b"\r\n", b"\n", b""):
+            if len(lines) == MAX_HEADERS:
+                raise http.client.HTTPException(f"got more than {MAX_HEADERS} headers")
+            lines.append(line.partition(b":"))
+        fields = {name.strip().lower(): value.strip() for name, _, value in lines}
+        if not code.startswith(b"1"):
+            return version, int(code), fields
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
+    """The status and body of a reply (chunked, of a valid Content-Length, or else read to
+    the close), and whether the connection may be reused: HTTP/1.1 and no close."""
+    version, status, fields = _read_head(reader)
+    keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+    if status in (204, 304):
+        return status, b"", keep
+    if b"chunked" in fields.get(b"transfer-encoding", b"").lower():
+        parts = []
+        while True:
+            size = _line(reader, "chunk size").split(b";", 1)[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise http.client.IncompleteRead(b"".join(parts))
+            if not (size := int(size, 16)):
+                break
+            parts.append(_exactly(reader, size + 2)[:size])  # the data, then its CRLF
+        while _line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
+            pass
+        return status, b"".join(parts), keep
+    if not (length := fields.get(b"content-length", b"")).isdigit():
+        return status, reader.read(), False
+    return status, _exactly(reader, int(length)), keep
 
 
 def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
@@ -639,11 +709,8 @@ class HttpGeneratorBackend:
         return hashlib.sha256(request.encode("utf-8")).hexdigest()
 
     def fetch(self, prompt: Prompt) -> str:
-        headers = {}
-        if self.config.api_key_env_var:
-            key = os.environ.get(self.config.api_key_env_var)
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
+        key = os.environ.get(self.config.api_key_env_var) if self.config.api_key_env_var else None
+        headers = {"Authorization": f"Bearer {key}"} if key else None
         body = post_json(self.session, self.config, _request_payload(self.config, prompt), headers)
         if not isinstance(body.get("text"), str):
             raise ProtocolError(f"response 'text' missing or not a string: {str(body)[:200]}")

@@ -284,6 +284,9 @@ class PredictorReport:
     def __post_init__(self) -> None:
         if not self.class_list:
             raise DataError("class_list is empty")
+        c, rows = len(self.class_list), self.confusion
+        if [len(row) for row in rows] != [c] * c or sum(map(sum, rows)) != self.n:
+            raise DataError(f"confusion must be a {c}x{c} matrix whose counts sum to n={self.n}")
 
     def to_dict(self) -> dict:
         return {

@@ -278,3 +278,58 @@ class ScriptedServer:
     def __exit__(self, *exc):
         self.server.shutdown()
         self.server.server_close()
+
+
+class RawServer:
+    """A local TCP server that answers each request with the next scripted raw reply.
+
+    A script entry is (reply bytes, close); the last one repeats. The server reads
+    each request's head and its Content-Length body, records the bytes in
+    ``requests`` and the client's port in ``ports``, sends the reply and, with
+    ``close``, closes the connection; otherwise it waits for the next request on it.
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests: list[bytes] = []
+        self.ports: list[int] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}/"
+
+    def __enter__(self):
+        threading.Thread(target=self._accept, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc):
+        self.listener.close()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, (_, port) = self.listener.accept()
+            except OSError:  # closed
+                return
+            threading.Thread(target=self._serve, args=(conn, port), daemon=True).start()
+
+    def _serve(self, conn, port):
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                head = []
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    head.append(line)
+                if not head:
+                    return
+                length = [int(line.split(b":")[1]) for line in head
+                          if line.lower().startswith(b"content-length:")]
+                self.requests.append(b"".join(head) + b"\r\n" + reader.read(sum(length)))
+                self.ports.append(port)
+                reply, close = self.script[min(len(self.requests), len(self.script)) - 1]
+                conn.sendall(reply)
+                if close:
+                    return
+
+
+def raw_reply(text: str, head: bytes = b"HTTP/1.1 200 OK\r\n") -> bytes:
+    """A reply of ``head`` and a Content-Length body {"text": text}."""
+    body = json_dumps({"text": text}).encode("utf-8")
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body

@@ -339,6 +339,14 @@ DEFECTS = [
     ("report-wrong-type", with_json(verb("report"), "--report", {
         "class_list": [0], "confusion": 5, "accuracy": 1, "margin_fractions": {}, "n": 1}),
      "malformed predictor report: confusion must be list, got 5"),
+    ("report-wrong-shape", with_json(verb("report"), "--report", {
+        "class_list": [0, 1, 2], "confusion": [[1]], "accuracy": 0.9,
+        "margin_fractions": {"0": 0.5}, "n": 4}),
+     "malformed predictor report: confusion must be a 3x3 matrix whose counts sum to n=4"),
+    ("report-wrong-total", with_json(verb("report"), "--report", {
+        "class_list": [0, 1], "confusion": [[1, 0], [0, 1]], "accuracy": 1.0,
+        "margin_fractions": {"0": 1.0}, "n": 3}),
+     "malformed predictor report: confusion must be a 2x2 matrix whose counts sum to n=3"),
     ("corpus-spec-typo", with_json(corpus_args, "--spec", {"n_doc": 3}), "unknown key spec.n_doc"),
     ("corpus-spec-not-object", with_json(corpus_args, "--spec", [1]),
      "in.json must hold a JSON object"),

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import socket
 import ssl
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from ragtrim.generation import (
     CACHE_LOG,
     GeneratorClient,
     HttpGeneratorConfig,
+    HttpSession,
     JudgeMode,
     MockOracleBackend,
     MockOracleConfig,
@@ -32,6 +35,7 @@ from helpers import (
     MALFORMED_BODIES,
     BodySession,
     MockEndpoint,
+    RawServer,
     ScriptedServer,
     cache_log_keys,
     clear_proxy_env,
@@ -39,6 +43,7 @@ from helpers import (
     http_client,
     make_example,
     make_retrieval,
+    raw_reply,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -437,6 +442,9 @@ class TestHttpClient:
         first = http_client(config, session=endpoint)
         first.prefetch(prompts)
         assert [first.generate(p) for p in prompts[:4]] == [p.query for p in prompts[:4]]
+        deadline = time.monotonic() + 10  # no prefetch starts once cancel_prefetch is called
+        while endpoint.posts < 6 and time.monotonic() < deadline:
+            time.sleep(0.001)
         first.cancel_prefetch()
         assert endpoint.posts == 6
         second = http_client(config, session=endpoint)
@@ -754,6 +762,133 @@ class TestHttpClient:
                 outputs = list(pool.map(client.generate, prompts * 2))
         assert outputs == ["ok"] * 32
         assert client.calls == 32
+
+
+class TestHttpWire:
+    """What HttpSession writes and how it reads each kind of reply, against a raw server;
+    each case checks the outcome post_json prescribes for it."""
+
+    def request(self, target, host, headers=b""):
+        body = json.dumps({"model": "test-model", "prompt": make_prompt().text,
+                           "temperature": 0.0, "max_tokens": 256}).encode()
+        return (b"POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"
+                b"Accept-Encoding: identity\r\n%sContent-Length: %d\r\n\r\n%s"
+                % (target, host, headers, len(body), body))
+
+    def test_request_bytes(self, monkeypatch):
+        clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("TEST_GEN_KEY", "sekret")
+        with RawServer([(raw_reply("ok"), False)]) as server:
+            client = http_client(http_config(server.url + "v1/gen?x=1",
+                                             api_key_env_var="TEST_GEN_KEY"))
+            assert client.generate(make_prompt()) == "ok"
+            client.session.close()
+        host = server.url.split("/")[2].encode()
+        assert server.requests == [
+            self.request(b"/v1/gen?x=1", host, b"Authorization: Bearer sekret\r\n")]
+
+    def test_request_bytes_leave_out_a_default_port(self, monkeypatch):
+        """Through an http proxy, so that the endpoint can be on port 80."""
+        clear_proxy_env(monkeypatch)
+        with RawServer([(raw_reply("ok"), False)]) as proxy:
+            monkeypatch.setenv("http_proxy", proxy.url)
+            client = http_client(http_config("http://generator.test/gen"))
+            assert client.generate(make_prompt()) == "ok"
+            client.session.close()
+        assert proxy.requests == [self.request(b"http://generator.test/gen", b"generator.test")]
+
+    @pytest.mark.parametrize("url, host, authority", [
+        ("http://[::1]:8080/gen", b"[::1]:8080", "[::1]:8080"),
+        ("https://b\u00fccher.test/gen", b"xn--bcher-kva.test", "xn--bcher-kva.test:443"),
+    ])
+    def test_an_ipv6_or_international_host_is_written_as_http_client_wrote_it(
+            self, monkeypatch, url, host, authority):
+        """An IPv6 address in brackets, a name IDNA-encoded (the start of each request and
+        the CONNECT authority; neither host can be reached from a test)."""
+        clear_proxy_env(monkeypatch)
+        _, _, head, connect_to = HttpSession()._route(url)
+        assert head.startswith(b"POST /gen HTTP/1.1\r\nHost: %s\r\n" % host)
+        assert connect_to == authority
+
+    def test_a_header_value_with_a_line_break_is_never_sent(self, monkeypatch):
+        monkeypatch.setenv("TEST_GEN_KEY", "sekret\r\nX-Injected: 1")
+        with RawServer([(raw_reply("ok"), False)]) as server:
+            client = http_client(http_config(server.url, api_key_env_var="TEST_GEN_KEY"))
+            with pytest.raises(ValueError, match="CR or LF"):
+                client.generate(make_prompt())
+        assert server.requests == []
+
+    @pytest.mark.parametrize("reply, close, reused", [
+        pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"9\r\n{\"text\": \r\n5;ext=1\r\n\"ok\"}\r\n0\r\nX-Trailer: t\r\n\r\n",
+                     False, True, id="chunked"),
+        pytest.param(b"HTTP/1.1 100 Continue\r\n\r\n" + raw_reply("ok"), False, True,
+                     id="100-continue"),
+        pytest.param(raw_reply("ok", b"HTTP/1.1 200 OK\r\n" + b"X-Filler: x\r\n" * 99),
+                     False, True, id="100-header-lines"),
+        pytest.param(b"HTTP/1.0 200 OK\r\n\r\n{\"text\": \"ok\"}", True, False,
+                     id="http-1.0-read-to-close"),
+        pytest.param(raw_reply("ok", b"HTTP/1.1 200 OK\r\nConnection: close\r\n"), False, False,
+                     id="connection-close"),
+    ])
+    def test_a_reply_is_read_whole_and_its_connection_reused_if_it_allows(
+            self, reply, close, reused, caplog):
+        """Two POSTs each get the reply's text, with no retry; the second reuses the first's
+        connection exactly when the reply allows it: HTTP/1.1, a length and no ``Connection:
+        close``. The server keeps the ``Connection: close`` connection open, so only the
+        client can have opened a new one."""
+        with RawServer([(reply, close)]) as server, \
+                caplog.at_level("WARNING", logger="ragtrim.generation"):
+            client = http_client(http_config(server.url))
+            for i in range(2):
+                assert client.generate(make_prompt(query=f"question {i}")) == "ok"
+            client.session.close()
+        assert len(server.requests) == 2
+        assert (server.ports[0] == server.ports[1]) is reused
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("broken, error", [
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{\"text\"",
+                     http.client.IncompleteRead, id="body-cut-short"),
+        pytest.param(b"garbage\r\n\r\n", http.client.BadStatusLine, id="garbage-status-line"),
+        pytest.param(raw_reply("ok", b"HTTP/1.1 200 OK\r\n" + b"X-Filler: x\r\n" * 101),
+                     http.client.HTTPException, id="101-header-lines"),
+    ])
+    def test_a_broken_reply_is_one_retry_on_a_new_connection(self, broken, error, caplog):
+        """HttpSession raises the http.client error of the reply; post_json retries it."""
+        script = [(broken, True), (broken, True), (raw_reply("ok"), False)]
+        with RawServer(script) as server:
+            with pytest.raises(error):
+                HttpSession().post(server.url, json={})
+            client = http_client(http_config(server.url, backoff_base_s=0))
+            with caplog.at_level("WARNING", logger="ragtrim.generation"):
+                assert client.generate(make_prompt()) == "ok"
+            client.session.close()
+        assert len(server.requests) == 3
+        assert server.ports[1] != server.ports[2]
+        assert [r.getMessage().split(" to ")[0] for r in caplog.records] == ["attempt 1/3"]
+
+    def test_a_connection_on_a_descriptor_above_1023_is_reused(self):
+        """The idle check of a kept-alive connection works on any descriptor (select.select
+        takes none at or above 1024)."""
+        import resource
+
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the soft limit on open files is below 1,100")
+        pipes = []
+        with RawServer([(raw_reply("ok"), False)]) as server:
+            try:
+                while not pipes or pipes[-1] < 1023:  # the next descriptor is >= 1024
+                    pipes.extend(os.pipe())
+                client = http_client(http_config(server.url))
+                for i in range(2):
+                    assert client.generate(make_prompt(query=f"question {i}")) == "ok"
+                client.session.close()
+            finally:
+                for fd in pipes:
+                    os.close(fd)
+        assert len(server.requests) == 2
+        assert server.ports[0] == server.ports[1]
 
 
 def test_mock_client_concurrent_calls():

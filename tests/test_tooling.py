@@ -3,6 +3,7 @@ cites, still hold."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import importlib
@@ -10,6 +11,8 @@ import importlib.util
 import re
 import threading
 from pathlib import Path
+
+import pytest
 
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
@@ -197,3 +200,50 @@ def test_bench_pairs_summary_of_canned_result_lines():
     assert claim([10.0, 10.0, 10.0], [13.0, 13.0, 13.0]) == (-3.0, False, "worse")
     # 20% worse: within the bound.
     assert claim([10.0, 10.0, 10.0], [12.0, 12.0, 12.0]) == (-2.0, False, "ok")
+
+
+def test_bench_pairs_runs_a_list_of_workloads_into_one_pair_of_files(tmp_path, monkeypatch):
+    """``--workload a,b`` runs every pair of a, then every pair of b, alternating which
+    checkout goes first, and merges one entry per workload into the same BENCH files,
+    keeping the entries already in them."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    assert bench_pairs.workload_list("mock-4000") == ["mock-4000"]
+    assert bench_pairs.workload_list("mock-4000, http-cold-400") == ["mock-4000", "http-cold-400"]
+    for bad in ("", "a,", "a,,b", "a,a"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.workload_list(bad)
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 5, "end_to_end": [
+        {"name": "study_s", "better": "lower", "bound": 0.24}]}))
+    (tmp_path / "BENCH_7_before.json").write_text(json.dumps(
+        {"results": {"old --seed 42": {"pairs": 3}}}))
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((checkout.name, workload, seed, seconds))
+        value = {"parent": 10.0, "change": 8.0}[checkout.name] + (workload == "b")
+        return {"correct": True, "failed": 0,
+                "metrics": {"study_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "a,b", "--pairs", "2",
+                             "--pr", "7", "--out", str(tmp_path)]) == 0
+    order = ["parent", "change", "change", "parent"]
+    assert runs == [(side, w, 42, 5) for w in "ab" for side in order]
+    before = json.loads((tmp_path / "BENCH_7_before.json").read_text())
+    after = json.loads((tmp_path / "BENCH_7_after.json").read_text())
+    assert sorted(before["results"]) == ["a --seed 42", "b --seed 42", "old --seed 42"]
+    assert sorted(after["results"]) == ["a --seed 42", "b --seed 42"]
+    for workload, median in (("a", 8.0), ("b", 9.0)):
+        entry = after["results"][f"{workload} --seed 42"]
+        assert entry["command"] == \
+            f"python3 perfbench/run.py --workload {workload} --seed 42 --seconds 5 --trace 0"
+        assert (entry["pairs"], entry["metrics"]["study_s"]["median"]) == (2, median)
+        assert entry["metrics"]["study_s"]["wins"] == 2
