@@ -151,7 +151,7 @@ def annotate_dataset(
         try:
             probe = next(probes)
             while True:
-                output, _ = yield probe
+                [(output, _)] = yield (probe,)
                 probe = probes.send(output)
         except StopIteration as done:
             labels[position] = (example.id, done.value)

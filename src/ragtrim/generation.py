@@ -9,8 +9,10 @@ generation) and seeded noise, so corpus-scale behavior is fully deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import heapq
 import http.client
 import json
 import logging
@@ -23,12 +25,12 @@ import time
 import urllib.request
 import weakref
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Generator, Iterable, Mapping, Sequence
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import SplitResult, urlsplit, urlunsplit
 
 from .data import DataError
 from .metrics import _normalized_golds, normalize_answer, token_f1
@@ -71,20 +73,20 @@ class Prompt:
 class GeneratorClient:
     """Answers prompts through a backend, with the counters, a disk cache and prefetching.
 
-    A backend has ``fetch(prompt) -> str`` and ``fingerprint()``, and
-    ``cache_key(prompt)`` (the key of a cached answer) for a ``cache_dir`` or a
-    width above 1. ``calls`` counts every lookup, cache hits included. The cache
-    is one append-only log per ``cache_dir`` (``CACHE_LOG``), read into a dict
-    when the client is built; each answer fetched is added to the dict and
-    appended to the log as one line, so a client built later sees it.
-    ``prefetch`` starts the fetches of prompts that ``generate`` will be asked
-    for next on a pool of threads; at width 1 it does nothing. Only the fetch
-    and its retries run there. ``generate`` counts, reads and writes the cache,
-    and takes a pending answer or fetches one inline, all on the caller's
-    thread, so the requests, retries and counters of a run are those of a
-    serial run. The pool's fetches and an inline one share ``max_in_flight``
-    slots, so no more requests than that are under way at once. ``take_turns``
-    prefetches, and calls ``cancel_prefetch`` once done, after an error too.
+    A backend has ``fetch(prompt) -> str`` and ``fingerprint()``; for a ``cache_dir``
+    or a width above 1, ``cache_key(prompt)`` (the key of a cached answer); and for a
+    width above 1, ``attempts(prompt)`` (see post_attempts). ``calls`` counts every
+    lookup, cache hits included. The cache is one append-only log per ``cache_dir``
+    (``CACHE_LOG``), read into a dict when the client is built; each answer fetched
+    is added to the dict and appended to the log as one line, so a client built
+    later sees it. ``prefetch`` queues the prompts ``generate`` will be asked for
+    next, for up to ``max_in_flight`` workers that make one attempt per job and park
+    each retry on a timer until its backoff has passed; at width 1 it does nothing.
+    ``generate`` counts, reads and writes the cache, and takes a pending answer or
+    fetches one inline, all on the caller's thread, so the requests, retries and
+    counters of a run are those of a serial run. Each attempt holds one of
+    ``max_in_flight`` slots. ``take_turns`` prefetches, and calls
+    ``cancel_prefetch`` once done, after an error too.
     """
 
     def __init__(self, backend, cache_dir: str | None = None, max_in_flight: int = 1):
@@ -93,12 +95,14 @@ class GeneratorClient:
         self.max_in_flight = max_in_flight
         self.calls = 0
         self.cache_hits = 0
-        self._counter_lock = threading.Lock()
-        self._pending: dict[str, Future[str]] = {}  # cache key -> its prefetched answer
+        self._cond = threading.Condition()  # guards the counters, the jobs and the log
+        self._pending: dict[str, Future[str | None]] = {}  # cache key -> its prefetched answer
         self._failed = 0  # prefetches of _pending that failed and generate has not raised
         self._raised = 0  # failures generate has raised; a prefetch queued before one is dropped
+        self._queue: deque[tuple] = deque()  # first attempts: (future, prompt, _pending, _raised)
+        self._timers: list[tuple] = []  # a heap of retries: (due, id, future, attempts)
+        self._workers = 0
         self._slots = threading.Semaphore(max_in_flight)
-        self._pool: ThreadPoolExecutor | None = None
         self._answers: dict[str, str] = {}  # cache key -> answer: the log's and this client's
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -122,45 +126,68 @@ class GeneratorClient:
         return self.backend.fingerprint()
 
     def prefetch(self, prompts: Iterable[Prompt]) -> None:
-        """Start fetching each prompt that has no cache entry and is not already pending;
-        at width 1, nothing."""
+        """Queue the first attempt of each prompt that has no cache entry and is not already
+        pending; at width 1, nothing."""
         if self.max_in_flight == 1:
             return
-        for prompt in prompts:
-            key = self.backend.cache_key(prompt)
-            if key in self._pending or key in self._answers:
-                continue
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self.max_in_flight, "ragtrim-post")
-            self._pending[key] = self._pool.submit(
-                self._prefetched, self._pending, self._raised, prompt)
+        with self._cond:
+            for prompt in prompts:
+                key = self.backend.cache_key(prompt)
+                if key in self._pending or key in self._answers:
+                    continue
+                self._pending[key] = future = Future()
+                self._queue.append((future, prompt, self._pending, self._raised))
+                if self._workers < self.max_in_flight:
+                    self._workers += 1
+                    threading.Thread(target=self._work, name="ragtrim-post", daemon=True).start()
+                else:
+                    self._cond.notify()
 
-    def _prefetched(self, pending: dict, raised: int, prompt: Prompt) -> str | None:
-        """The fetch of a prefetch; or None, with no fetch, once cancel_prefetch has
-        dropped ``pending``, while a failed prefetch's error waits for ``generate``, or
-        once ``generate`` has raised a failure since this prefetch was queued (it had
-        ``raised`` failures then). So when an error reaches the caller, only the
-        fetches already under way on the other threads (at most ``max_in_flight - 1``)
-        are left, and the prompts queued before it are fetched inline in their turn."""
-        with self._counter_lock:
-            if pending is not self._pending or self._failed or raised != self._raised:
-                return None
-        try:
-            with self._slots:
-                return self.backend.fetch(prompt)
-        except Exception:
-            with self._counter_lock:
-                if pending is self._pending:
+    def _work(self) -> None:
+        """A worker: one attempt at a time, a due retry first, until no job is queued or
+        parked. A first attempt gets None, with no POST, once cancel_prefetch has dropped
+        its ``_pending``, while a failed prefetch's error waits for ``generate``, or once
+        ``generate`` has raised a failure since it was queued; so the prompts queued
+        before an error are fetched inline in their turn."""
+        while True:
+            with self._cond:
+                while not self._queue and not self._due():
+                    if not self._timers:
+                        self._workers -= 1
+                        return
+                    self._cond.wait(self._timers[0][0] - time.monotonic())
+                if self._due():
+                    _, _, future, attempts = heapq.heappop(self._timers)
+                else:
+                    future, prompt, pending, raised = self._queue.popleft()
+                    if pending is not self._pending or self._failed or raised != self._raised:
+                        future.set_result(None)
+                        continue
+                    attempts = self.backend.attempts(prompt)
+            try:
+                with self._slots:
+                    delay = next(attempts)
+            except StopIteration as done:
+                future.set_result(done.value)
+            except Exception as exc:
+                with self._cond:
                     self._failed += 1
-            raise
+                future.set_exception(exc)
+            else:
+                with self._cond:  # id: a tie-break, as futures do not compare
+                    heapq.heappush(self._timers,
+                                   (time.monotonic() + delay, id(future), future, attempts))
+
+    def _due(self) -> bool:
+        return bool(self._timers) and self._timers[0][0] <= time.monotonic()
 
     def cancel_prefetch(self) -> None:
-        """Wait for the fetches under way; no prefetch starts once this is called. With a
-        cache, the answer of each prefetch that finished but was never taken by
-        ``generate`` is appended to it: it was paid for."""
-        with self._counter_lock:
-            pending, self._pending, self._failed = self._pending, {}, 0
+        """Wait for the fetches under way, parked retries included; no first attempt queued
+        before this call starts after it. With a cache, the answer of each prefetch that
+        finished but was never taken by ``generate`` is appended to it: it was paid for."""
+        pending, self._pending = self._pending, {}  # not under the lock the workers contend for
         wait(pending.values())
+        self._failed = 0  # every failure of ``pending`` is in
         if self.cache_dir is not None:
             for key, future in pending.items():
                 text = None if future.exception() else future.result()
@@ -168,25 +195,27 @@ class GeneratorClient:
                     self._keep(key, text)
 
     def generate(self, prompt: Prompt) -> str:
-        with self._counter_lock:
+        with self._cond:
             self.calls += 1
         if self.cache_dir is None and not self._pending:  # nothing to read: no key needed
             return self.backend.fetch(prompt)
         key = self.backend.cache_key(prompt)
         cached = self._answers.get(key)
         if cached is not None:
-            with self._counter_lock:
+            with self._cond:
                 self.cache_hits += 1
             return cached
 
         future = self._pending.pop(key, None)
         try:
             text = None if future is None else future.result()
-            if text is None:  # not prefetched, or dropped or held by a failure
+            if text is None and self.max_in_flight > 1:  # not prefetched, dropped or held
+                text = run_attempts(self.backend.attempts(prompt), self._slots)
+            elif text is None:
                 with self._slots:
                     text = self.backend.fetch(prompt)
         except Exception:
-            with self._counter_lock:
+            with self._cond:
                 self._raised += 1
                 if future is not None and future.exception() is not None:
                     self._failed -= 1
@@ -198,48 +227,49 @@ class GeneratorClient:
     def _keep(self, key: str, text: str) -> None:
         """Cache ``text``: in the dict, and as one line appended to the log."""
         line = json_dumps({"key": key, "text": text}).encode("utf-8") + b"\n"
-        with self._counter_lock:
+        with self._cond:
             self._answers[key] = text
             view = memoryview(line)
             while view:  # a short write leaves the rest to write
                 view = view[os.write(self._log, view):]
 
 
-# Searches that take turns per POST slot of a client at max_in_flight > 1. Each holds
-# one prefetched prompt, so while one prompt sleeps a retry's backoff (0.25 s) and
-# generate waits for it, the other slots work through the later searches' prompts.
-# Traced http-flaky-400 annotation on 2 vCPUs took 3.1-3.4 s at 16 per slot,
-# 2.4-3.0 s at 32 and 2.2-2.7 s at 64 (three rounds each).
-SEARCHES_PER_SLOT = 64
+# Prompts queued in take_turns' line per POST slot of a client at max_in_flight > 1.
+# While generate waits for a prompt whose retry waits out its backoff, the workers go on
+# through the prompts queued behind it: 128 per slot last a first backoff (0.25 s) of
+# requests that take 2 ms each.
+PROMPTS_PER_SLOT = 128
 
-# A search yields one prompt at a time and is sent (output, cache hits of its generate).
-Search = Generator[Prompt, tuple[str, int], object]
+# A search yields a tuple of prompts and is sent their (output, cache hits of its generate).
+Search = Generator[tuple[Prompt, ...], list[tuple[str, int]], object]
 
 
 def take_turns(client: GeneratorClient, searches: Iterable[Search]) -> None:
     """Generate the prompts of ``searches``, which take turns in a fixed order.
 
-    Up to ``SEARCHES_PER_SLOT * max_in_flight`` searches (one at width 1, the
-    mock's) are alive, drawn in order. Each prompt a search yields is prefetched
-    and queued at the back of the line; the prompt at the head is generated, on
-    this thread, and its search is sent the output with the cache hits of that
-    one ``generate`` call. So the ``generate`` calls come in the same order at
-    every width; only the pool's progress depends on timing. A TransportError or
-    ProtocolError of ``generate`` is thrown into its search, which may catch it;
-    a search closed while it waits in line loses its turn.
+    Searches are drawn in order while fewer than ``PROMPTS_PER_SLOT * max_in_flight``
+    prompts (one at width 1, the mock's) wait in the line. The prompts a search yields
+    are prefetched and queued at the back; the head is generated, on this thread, and
+    once the last of its tuple is, the search is sent each one's output and cache hits.
+    So the turn order depends on what the searches yield, not on timing. A
+    TransportError or ProtocolError of ``generate`` drops the rest of its tuple and is
+    thrown into its search; a search closed while it waits loses its turns.
     """
-    window = SEARCHES_PER_SLOT * client.max_in_flight if client.max_in_flight > 1 else 1
+    window = PROMPTS_PER_SLOT * client.max_in_flight if client.max_in_flight > 1 else 1
     searches = iter(searches)
-    line: deque[tuple[Search, Prompt]] = deque()
+    # (search, prompt, the (output, hits) pairs of its tuple so far, prompts after it)
+    line: deque[tuple[Search, Prompt, list, int]] = deque()
 
     def advance(search: Search, resume, value) -> None:
-        """Resume ``search`` with ``value``; queue and prefetch the prompt it yields next."""
+        """Resume ``search`` with ``value``; queue and prefetch the prompts it yields next."""
         try:
-            prompt = resume(value)
+            prompts = resume(value)
         except StopIteration:
             return
-        client.prefetch([prompt])
-        line.append((search, prompt))
+        client.prefetch(prompts)
+        pairs: list[tuple[str, int]] = []
+        line.extend((search, prompt, pairs, len(prompts) - 1 - i)
+                    for i, prompt in enumerate(prompts))
 
     try:
         while True:
@@ -247,16 +277,20 @@ def take_turns(client: GeneratorClient, searches: Iterable[Search]) -> None:
                 advance(search, search.send, None)
             if not line:
                 return
-            search, prompt = line.popleft()
+            search, prompt, pairs, left = line.popleft()
             if search.gi_frame is None:  # closed while it waited
                 continue
             hits = client.cache_hits
             try:
                 output = client.generate(prompt)
             except (TransportError, ProtocolError) as exc:
+                for _ in range(left):
+                    line.popleft()
                 advance(search, search.throw, exc)
                 continue
-            advance(search, search.send, (output, client.cache_hits - hits))
+            pairs.append((output, client.cache_hits - hits))
+            if not left:
+                advance(search, search.send, pairs)
     finally:
         client.cancel_prefetch()
 
@@ -449,7 +483,7 @@ class HttpGeneratorConfig:
 
 
 def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig) -> None:
-    """Checks on the settings post_json reads, shared by both endpoint configs: ranges,
+    """Checks on the settings post_attempts reads, shared by both endpoint configs: ranges,
     an http(s) URL, and a proxy for it that HttpSession can use."""
     for name, least in (("max_retries", 0), ("timeout_ms", 1), ("backoff_base_s", 0)):
         if getattr(config, name) < least:
@@ -457,7 +491,20 @@ def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig)
     url = urlsplit(config.endpoint_url)
     if url.scheme not in DEFAULT_PORTS or not url.hostname:
         raise ValueError(f"endpoint_url must be an http:// or https:// URL, got {url.geturl()!r}")
+    try:
+        _host_and_port(url)
+    except ValueError as exc:  # a UnicodeError too
+        raise ValueError(f"endpoint_url {url.geturl()!r} has no usable host and port: {exc}")
     proxy_for(url.scheme, url.hostname, urllib.request.getproxies())
+
+
+def _host_and_port(url: SplitResult) -> tuple[str, int]:
+    """The Host header's host (IPv6 bracketed, a name IDNA-encoded) and the port of a URL."""
+    name, port = url.hostname, url.port  # a ValueError for a port not a number in 0-65535
+    if port == 0:
+        raise ValueError("port 0 names no server")
+    host = f"[{name}]" if ":" in name else name.encode("idna").decode()
+    return host, port or DEFAULT_PORTS[url.scheme]
 
 
 def proxy_for(scheme: str, host: str, proxies: Mapping[str, str]) -> tuple[str, int] | None:
@@ -541,8 +588,7 @@ class HttpSession:
     def _route(self, url: str) -> tuple:
         parts = urlsplit(url)
         scheme, name = parts.scheme, parts.hostname
-        port = parts.port or DEFAULT_PORTS[scheme]
-        host = f"[{name}]" if ":" in name else name.encode("idna").decode()  # IPv6 or a name
+        host, port = _host_and_port(parts)
         proxy = proxy_for(scheme, name, self._proxies)
         target = (url if proxy and scheme == "http"  # an http proxy takes the whole URL
                   else urlunsplit(("", "", parts.path or "/", parts.query, "")))
@@ -649,25 +695,26 @@ def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
     }
 
 
-def post_json(
+def post_attempts(
     session: HttpSession,
     config: HttpGeneratorConfig | RemotePredictorConfig,
     payload: dict,
     headers: Mapping[str, str] | None = None,
-) -> dict:
-    """POST ``payload`` as JSON and return the JSON object the endpoint answers.
+) -> Generator[float, None, dict]:
+    """POST ``payload`` as JSON, one attempt per ``next``; return the JSON object answered.
 
     The one failure policy of both HTTP clients. Socket errors (timeouts,
     refused, reset and dropped connections: OSError), broken HTTP replies
     (http.client.HTTPException) and 5xx are retried ``max_retries`` times with
     exponential backoff, then raise TransportError; a 4xx, or a 2xx body that
-    is not a JSON object, raises ProtocolError at once.
+    is not a JSON object, raises ProtocolError at once. Before each retry the
+    generator yields its backoff in seconds, which the caller waits out.
     """
     attempts = config.max_retries + 1
     error: Exception | None = None
     for attempt in range(attempts):
         if attempt > 0:
-            time.sleep(config.backoff_base_s * 2 ** (attempt - 1))
+            yield config.backoff_base_s * 2 ** (attempt - 1)
         try:
             resp = session.post(config.endpoint_url, json=payload, headers=headers,
                                 timeout=config.timeout_ms / 1000.0)
@@ -695,8 +742,19 @@ def post_json(
     return body
 
 
+def run_attempts(attempts: Generator[float, None, object], slot=contextlib.nullcontext()):
+    """The value ``attempts`` returns, each attempt made holding ``slot``, each backoff slept."""
+    while True:
+        try:
+            with slot:
+                delay = next(attempts)
+        except StopIteration as done:
+            return done.value
+        time.sleep(delay)
+
+
 class HttpGeneratorBackend:
-    """Generator backend speaking plain JSON over HTTP POST, with retries (see post_json)."""
+    """Generator backend speaking plain JSON over HTTP POST, with retries (see post_attempts)."""
 
     def __init__(self, config: HttpGeneratorConfig, session: HttpSession | None = None):
         self.config = config
@@ -708,13 +766,18 @@ class HttpGeneratorBackend:
                              sort_keys=True)
         return hashlib.sha256(request.encode("utf-8")).hexdigest()
 
-    def fetch(self, prompt: Prompt) -> str:
+    def attempts(self, prompt: Prompt) -> Generator[float, None, str]:
+        """The fetch of ``prompt``, one POST per ``next`` (see post_attempts)."""
         key = os.environ.get(self.config.api_key_env_var) if self.config.api_key_env_var else None
         headers = {"Authorization": f"Bearer {key}"} if key else None
-        body = post_json(self.session, self.config, _request_payload(self.config, prompt), headers)
+        payload = _request_payload(self.config, prompt)
+        body = yield from post_attempts(self.session, self.config, payload, headers)
         if not isinstance(body.get("text"), str):
             raise ProtocolError(f"response 'text' missing or not a string: {str(body)[:200]}")
         return body["text"]
+
+    def fetch(self, prompt: Prompt) -> str:
+        return run_attempts(self.attempts(prompt))
 
     def fingerprint(self) -> str:
         c = self.config

@@ -306,11 +306,12 @@ def _evaluate(
     The searches take turns in ``generation.take_turns``. Each runs every row's
     labeler when it starts, so labelers run once per example in dataset order and
     seeded draws keep their sequence; a labeler of None selects the only_doc
-    context. Then, label by label in the order the rows first return them, it
-    compresses the label, sends its prompt to the client unless an earlier label
-    of the example produced the same text, and scores the output unless an earlier
-    label returned it (the gold answers fix every metric; token_count and k are
-    the label's own). Each row's results are kept by dataset position.
+    context. It compresses each label, in the order the rows first return them,
+    and yields the distinct prompts at once. Then, label by label, it counts the
+    generate of a prompt for the first label that produced its text (a later one
+    is reused) and scores the output unless an earlier label returned it (the
+    gold answers fix every metric; token_count and k are the label's own). Each
+    row's results are kept by dataset position.
     """
     methods = [  # results and contexts by position; report: once every example is scored
         MethodResult(name, report=None, results=[None] * len(dataset), generator_calls=0,
@@ -331,19 +332,22 @@ def _evaluate(
                 m.skipped += 1
             else:
                 labelled.setdefault(label, []).append(m)
-        outputs: dict[str, str] = {}  # prompt text -> output
+        contexts = {label: only_doc_select(example, retrieval) if label == METHOD_ONLY_DOC
+                    else compress(example, retrieval, label, config.fallback)
+                    for label in labelled}
+        prompts = {ctx.prompt.text: ctx.prompt for ctx in contexts.values()}  # distinct
+        answers = dict(zip(prompts, (yield tuple(prompts.values())))) if prompts else {}
+        counted: set[str] = set()  # prompt texts whose generate a row has counted
         scored: dict[str, ExampleResult] = {}  # output -> its scores
         for label, (first, *others) in labelled.items():
-            ctx = (only_doc_select(example, retrieval) if label == METHOD_ONLY_DOC
-                   else compress(example, retrieval, label, config.fallback))
-            output = outputs.get(ctx.prompt.text)
-            if output is None:
-                output, hits = yield ctx.prompt
-                outputs[ctx.prompt.text] = output
+            ctx = contexts[label]
+            output, hits = answers[ctx.prompt.text]
+            if ctx.prompt.text in counted:
+                first.reused += 1
+            else:
+                counted.add(ctx.prompt.text)
                 first.generator_calls += 1
                 first.cache_hits += hits
-            else:
-                first.reused += 1
             result = scored.get(output)
             if result is None:
                 result = scored[output] = score_output(example.id, output, example.gold_answers,

@@ -37,7 +37,8 @@ from .generation import (
     ProtocolError,
     TransportError,
     check_endpoint_settings,
-    post_json,
+    post_attempts,
+    run_attempts,
 )
 
 logger = logging.getLogger(__name__)
@@ -453,7 +454,7 @@ class RemotePredictorClient:
             "N": retrieval.n,
         }
         try:
-            body = post_json(self.session, self.config, payload)
+            body = run_attempts(post_attempts(self.session, self.config, payload))
             k = body.get("k")
             if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= retrieval.n:
                 raise ProtocolError(f"predictor returned k={k!r}, valid range 0..{retrieval.n}")

@@ -231,6 +231,7 @@ class ScriptedServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            disable_nagle_algorithm = True  # the head and body go out in two sends
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -265,7 +266,9 @@ class ScriptedServer:
                 outer.closed.release()
 
         self.server = Server(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A 0.01 s poll, so leaving the ``with`` block waits that long for the shutdown.
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,),
+                                       daemon=True)
 
     @property
     def url(self) -> str:

@@ -15,8 +15,8 @@ from ragtrim.annotate import (
 )
 from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
+import ragtrim.generation
 from ragtrim.generation import (
-    SEARCHES_PER_SLOT,
     GeneratorClient,
     HttpGeneratorConfig,
     JudgeMode,
@@ -234,12 +234,14 @@ class TestAnnotateDataset:
             assert endpoint.gate_timeouts == []
         assert results[1] == results[4]
 
-    def test_the_window_refills_in_the_turn_order_of_width_1(self):
-        """200 examples at width 2, more than its window of searches, through an endpoint
-        that fails the first attempt of 5% of prompts: the same triplets, stats, POSTs and
-        faults as at width 1, and never one prompt twice in flight."""
+    def test_the_window_refills_in_the_turn_order_of_width_1(self, monkeypatch):
+        """200 examples at width 2, more than its window of 64 queued probes (one per
+        search), through an endpoint that fails the first attempt of 5% of prompts: the
+        same triplets, stats, POSTs and faults as at width 1, and never one prompt twice
+        in flight."""
+        monkeypatch.setattr(ragtrim.generation, "PROMPTS_PER_SLOT", 32)
         corpus, dataset = self.make_corpus(size=200)
-        assert len(dataset) > SEARCHES_PER_SLOT * 2
+        assert len(dataset) > ragtrim.generation.PROMPTS_PER_SLOT * 2
         answers = mock_answers(corpus, dataset)
         results = {}
         for width in (1, 2):

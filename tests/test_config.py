@@ -13,6 +13,7 @@ import pytest
 
 import ragtrim.generation
 import ragtrim.pipeline
+import ragtrim.predictor
 from ragtrim.annotate import annotate_dataset
 from ragtrim.cli import main as cli_main
 from ragtrim.data import (
@@ -254,6 +255,19 @@ RUN_DEFECTS = [
      "unknown key generator.max_in_flight"),
     ("http-url", http(endpoint_url="generator.test/gen"),
      "generator: endpoint_url must be an http:// or https:// URL, got 'generator.test/gen'"),
+    ("http-port-range", http(endpoint_url="http://localhost:99999/"),
+     "generator: endpoint_url 'http://localhost:99999/' has no usable host and port: "
+     "Port out of range"),
+    ("http-port-not-a-number", http(endpoint_url="http://localhost:abc/"),
+     "generator: endpoint_url 'http://localhost:abc/' has no usable host and port: Port could"),
+    ("http-port-zero", http(endpoint_url="http://localhost:0/"),
+     "generator: endpoint_url 'http://localhost:0/' has no usable host and port: port 0"),
+    ("http-host-label-too-long", http(endpoint_url=f"http://{'a' * 64}.test/"),
+     "generator: endpoint_url 'http://aaaa"),
+    ("remote-port-range", remote(endpoint_url="http://localhost:99999/k"),
+     "predictors[0]: endpoint_url 'http://localhost:99999/k' has no usable host and port"),
+    ("remote-host-label-too-long", remote(endpoint_url=f"http://{'a' * 64}.test/k"),
+     "label empty or too long"),
     ("remote-typo", remote(fallback_to_ful=True), "unknown key predictors[0].fallback_to_ful"),
     ("remote-max-retries", remote(max_retries=-1), "predictors[0]: max_retries must be >= 0"),
     ("remote-timeout", remote(timeout_ms=0), "predictors[0]: timeout_ms must be >= 1"),
@@ -542,7 +556,9 @@ def test_int_temperature_keeps_the_cache_file_name(tmp_path, posts):
 
 
 def test_backoff_reaches_the_clients(corpus, tmp_path, monkeypatch):
-    """Each endpoint fails its first POST with a 503; the retry sleeps the configured backoff."""
+    """Each endpoint fails its first POST with a 503; the retry waits out the configured
+    backoff: the one post_attempts yields, whether a worker parks it or run_attempts sleeps
+    it."""
 
     def flaky_post(self, url, **kwargs):
         if url not in CountingSession.posts:
@@ -552,14 +568,27 @@ def test_backoff_reaches_the_clients(corpus, tmp_path, monkeypatch):
 
     monkeypatch.setattr(HttpSession, "post", flaky_post)
     CountingSession.posts = []
-    sleeps = []
-    monkeypatch.setattr(ragtrim.generation.time, "sleep", sleeps.append)
+    backoffs = []
+    post_attempts = ragtrim.generation.post_attempts
+
+    def recorded_attempts(*args):
+        attempts = post_attempts(*args)
+        while True:
+            try:
+                delay = next(attempts)
+            except StopIteration as done:
+                return done.value
+            backoffs.append(delay)
+            yield delay
+
+    monkeypatch.setattr(ragtrim.generation, "post_attempts", recorded_attempts)
+    monkeypatch.setattr(ragtrim.predictor, "post_attempts", recorded_attempts)
     config = PipelineConfig.from_dict(valid_run_config(corpus, tmp_path))
-    config.generator.update(backoff_base_s=0)
-    config.predictors = [{"type": "remote", "endpoint_url": PREDICTOR_URL, "backoff_base_s": 0}]
+    config.generator.update(backoff_base_s=0.03)
+    config.predictors = [{"type": "remote", "endpoint_url": PREDICTOR_URL, "backoff_base_s": 0.02}]
     config.methods = ["adaptive"]
     run_pipeline(config)
-    assert sleeps == [0.0, 0.0]
+    assert sorted(backoffs) == [0.02, 0.03]
 
 
 def readme_blocks(heading: str, language: str) -> list[str]:

@@ -1,6 +1,6 @@
 """Fault injection for the HTTP generator and the remote predictor: one failure policy.
 
-Both clients post through ``generation.post_json``. A timeout, a reset or
+Both clients post through ``generation.post_attempts``. A timeout, a reset or
 dropped connection or a 5xx is retried; a 4xx or a malformed 200 ends the call on
 that attempt; retries that run out raise TransportError.
 """
@@ -22,6 +22,7 @@ from ragtrim.annotate import AnnotationAborted, AnnotationOptions, annotate_data
 from ragtrim.compress import assemble_prompt
 from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
+    CACHE_LOG,
     GeneratorClient,
     HttpGeneratorConfig,
     Prompt,
@@ -357,6 +358,58 @@ def test_one_client_reconciles_with_the_endpoint_over_annotate_run_and_sweep(
     stage(lambda: sweep_document_count(run_config))
     assert endpoint.faults > 0 and endpoint.doubled == []
     assert endpoint.peak_in_flight <= width
+
+
+def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monkeypatch):
+    """Annotation, a run and a sweep through an endpoint that fails the first attempt of
+    5% of prompts, at widths 1, 2 and 4, each width with its own cache. A run's or a
+    sweep's search yields all its prompts at once, so their generate calls (each with
+    its prompt and cache hits) and the lines they append to the cache log come in the
+    same order at every width. Annotation yields one probe at a time, and width 1 keeps
+    one search alive, so it makes the same calls depth-first; at widths 2 and 4, whose
+    line holds every search, annotation's calls and lines come in one order too."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    paths = corpus.write(tmp_path / "corpus")
+    calls = []
+    generate = GeneratorClient.generate
+
+    def recorded_generate(client, prompt):
+        hits = client.cache_hits
+        output = generate(client, prompt)
+        calls.append((prompt.text, client.cache_hits - hits))
+        return output
+
+    monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
+    annotated, evaluated = {}, {}  # width -> (generate calls, cache log lines)
+    for width in (1, 2, 4):
+        endpoint = MockEndpoint(answers, fault_rate=0.05)
+        serve(monkeypatch, endpoint)
+        log = tmp_path / f"cache{width}" / CACHE_LOG
+        config = PipelineConfig(
+            examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+            triplets_path=str(tmp_path / f"triplets{width}.jsonl"),
+            generator={"type": "http", "endpoint_url": "http://generator.test/",
+                       "model_name": "m", "backoff_base_s": 0.005,
+                       "cache_dir": str(log.parent), "max_in_flight": width},
+            methods=["no_retrieval", "top_1", "top_3", "top_random", "oracle"], seed=9,
+        )
+        calls.clear()
+        triplets, _ = annotate_dataset(dataset, ragtrim.pipeline.build_generator(config, dataset))
+        annotated[width] = (list(calls), log.read_bytes().splitlines())
+        save_triplets(config.triplets_path, triplets)
+        calls.clear()
+        run_pipeline(config)
+        sweep_document_count(config)
+        evaluated[width] = (list(calls), log.read_bytes().splitlines()[len(annotated[width][1]):])
+        assert endpoint.faults > 0 and endpoint.doubled == []
+        assert endpoint.peak_in_flight <= width
+    assert evaluated[1] == evaluated[2] == evaluated[4]
+    assert sum(hits for _, hits in evaluated[4][0]) > 0
+    assert annotated[2] == annotated[4]
+    assert [sorted(part) for part in annotated[1]] == [sorted(part) for part in annotated[4]]
+    assert annotated[1] != annotated[4]
 
 
 def test_generator_calls_excludes_hits_in_stats_and_includes_them_in_the_manifest(

@@ -9,12 +9,14 @@ import socket
 import ssl
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ragtrim.generation
 from ragtrim.generation import (
     CACHE_LOG,
     GeneratorClient,
@@ -41,6 +43,7 @@ from helpers import (
     clear_proxy_env,
     free_port,
     http_client,
+    http_response,
     make_example,
     make_retrieval,
     raw_reply,
@@ -620,12 +623,15 @@ class TestHttpClient:
 
     @pytest.mark.parametrize("failure", ["prefetched", "inline"])
     def test_a_raised_failure_drops_the_prefetches_queued_before_it(self, monkeypatch, failure):
-        """At width 2, two prefetches reach the pool only after generate has raised a
-        failure, of a prefetched prompt or of one fetched inline. They never POST from
-        the pool: generate fetches each inline, on the caller's thread, when asked for
-        it. A prefetch queued after the raise POSTs from the pool."""
+        """At width 2, two prefetches reach the workers only after generate has raised a
+        failure, of a prefetched prompt or of one fetched inline: until then each worker
+        waits, with no slot, once it has answered its first prompt (a held one, or the
+        failing one). They never POST from a worker: generate fetches each inline, on the
+        caller's thread, when asked for it. A prefetch queued after the raise POSTs from a
+        worker."""
         bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(4)]
-        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (bad, *good)},
+        held = [make_prompt(query_id=f"h{i}", query=f"held {i}") for i in range(2)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (bad, *good, *held)},
                                 failing=["q0"])
         caller, posts = threading.current_thread(), []
 
@@ -635,26 +641,100 @@ class TestHttpClient:
                 return endpoint.post(url, json=json, **kwargs)
 
         raised = threading.Event()
-        prefetched = GeneratorClient._prefetched
 
-        def late(self, *args):  # the last argument is the prompt
-            if args[-1] in good[:2]:
+        class Late(Future):
+            """A prefetch's answer, whose worker then waits until generate has raised."""
+
+            def set_result(self, result):
+                super().set_result(result)
+                if result is not None:  # None: dropped, with no POST
+                    raised.wait(10)
+
+            def set_exception(self, exception):
+                super().set_exception(exception)
                 raised.wait(10)
-            return prefetched(self, *args)
 
-        monkeypatch.setattr(GeneratorClient, "_prefetched", late)
+        monkeypatch.setattr(ragtrim.generation, "Future", Late)
         config = http_config("http://generator.test/", max_retries=0, max_in_flight=2)
         client = http_client(config, session=Recording())
-        client.prefetch([bad, *good[:2]] if failure == "prefetched" else good[:2])
+        first = [held[0], bad] if failure == "prefetched" else held
+        client.prefetch([*first, *good[:2]])
+        deadline = time.monotonic() + 10  # until each worker has posted its first prompt
+        while len(posts) < len(first) and time.monotonic() < deadline:
+            time.sleep(0.001)
         with pytest.raises(TransportError):
             client.generate(bad)
         raised.set()
         client.prefetch(good[2:])
         assert [client.generate(p) for p in good] == ["a"] * 3
         client.cancel_prefetch()
-        assert len(posts) == 4 and dict(posts) == {
+        assert len(posts) == 4 + len(held) - (failure == "prefetched") and dict(posts) == {
             bad.text: failure == "inline", good[0].text: True, good[1].text: True,
-            good[2].text: False}
+            good[2].text: False, **{p.text: False for p in first if p is not bad}}
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_a_retry_is_not_sent_before_its_backoff_has_passed(self, width):
+        """A prompt's first two attempts fail, with a 503 and then a dropped connection.
+        Each retry is sent no sooner than backoff_base_s * 2 ** (attempt - 1) after the
+        attempt before it ended, whether generate sleeps the backoff (width 1) or a
+        worker parks it on a timer (width 2)."""
+        prompt = make_prompt()
+        times = []  # (start, end) of each POST
+
+        class Failing:
+            def post(self, url, json, **kwargs):
+                start = time.monotonic()
+                try:
+                    if not times:
+                        return http_response(503, b"busy")
+                    if len(times) == 1:
+                        raise http.client.RemoteDisconnected("dropped")
+                    return http_response(200, b'{"text": "a"}')
+                finally:
+                    times.append((start, time.monotonic()))
+
+        config = http_config("http://generator.test/", backoff_base_s=0.05, max_in_flight=width)
+        client = http_client(config, session=Failing())
+        client.prefetch([prompt])
+        assert client.generate(prompt) == "a"
+        assert len(times) == 3
+        for attempt in (1, 2):
+            assert times[attempt][0] - times[attempt - 1][1] >= 0.05 * 2 ** (attempt - 1)
+
+    def test_a_parked_retry_holds_no_slot(self):
+        """At width 2, one prompt's first attempt fails. While it waits out its 0.2 s
+        backoff, the two other prompts are in flight at once, each waiting for the other,
+        and only then is the retry sent. No more than 2 POSTs are ever in flight."""
+        retried, *others = [make_prompt(query=f"question {i}") for i in range(3)]
+        lock, in_flight, peak, posts = threading.Lock(), set(), [0], []
+        together = []  # when both other prompts were in flight
+        both = threading.Barrier(2, timeout=5)
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                text = json["prompt"]
+                with lock:
+                    posts.append((text, time.monotonic()))
+                    in_flight.add(text)
+                    peak[0] = max(peak[0], len(in_flight))
+                try:
+                    if text != retried.text:
+                        both.wait()
+                        together.append(time.monotonic())
+                    elif len([t for t, _ in posts if t == text]) == 1:
+                        return http_response(503, b"busy")
+                    return http_response(200, b'{"text": "a"}')
+                finally:
+                    with lock:
+                        in_flight.discard(text)
+
+        config = http_config("http://generator.test/", backoff_base_s=0.2, max_in_flight=2)
+        client = http_client(config, session=Session())
+        client.prefetch([retried, *others])
+        assert [client.generate(p) for p in (retried, *others)] == ["a"] * 3
+        first, retry = [t for text, t in posts if text == retried.text]
+        assert len(posts) == 4 and peak[0] == 2
+        assert max(together) < retry and retry - first >= 0.2
 
     def test_an_inline_fetch_waits_for_a_free_slot(self):
         """At width 2, with both pool threads' POSTs held in flight, generate of a prompt
@@ -766,7 +846,7 @@ class TestHttpClient:
 
 class TestHttpWire:
     """What HttpSession writes and how it reads each kind of reply, against a raw server;
-    each case checks the outcome post_json prescribes for it."""
+    each case checks the outcome post_attempts prescribes for it."""
 
     def request(self, target, host, headers=b""):
         body = json.dumps({"model": "test-model", "prompt": make_prompt().text,
@@ -855,7 +935,7 @@ class TestHttpWire:
                      http.client.HTTPException, id="101-header-lines"),
     ])
     def test_a_broken_reply_is_one_retry_on_a_new_connection(self, broken, error, caplog):
-        """HttpSession raises the http.client error of the reply; post_json retries it."""
+        """HttpSession raises the http.client error of the reply; post_attempts retries it."""
         script = [(broken, True), (broken, True), (raw_reply("ok"), False)]
         with RawServer(script) as server:
             with pytest.raises(error):

@@ -335,15 +335,16 @@ class TestRequestsInFlight:
     def test_lookahead_keeps_the_other_slots_busy_while_one_prompt_is_held(
         self, tmp_path, monkeypatch
     ):
-        """The endpoint holds the first example's prompt until a prompt of the last
-        example the window of searches reaches arrives. At width 4 with 2 searches per
-        slot, that is example 7, beyond max_in_flight - 1: no more than 8 searches are
-        alive at once, no more than 4 POSTs or one prompt twice are in flight, and
-        table.csv, manifest.json and sweep.csv equal those of width 1."""
+        """The endpoint holds the first example's prompt until a prompt arrives of the last
+        example the line of queued prompts reaches before the first generate. At width 4
+        with 3 prompts per slot, that example lies beyond max_in_flight - 1: fewer than 12
+        prompts wait in the line whenever a search starts, no more than 4 POSTs or one
+        prompt twice are in flight, and table.csv, manifest.json and sweep.csv equal those
+        of width 1."""
         import ragtrim.generation
         from ragtrim.compress import assemble_prompt
 
-        monkeypatch.setattr(ragtrim.generation, "SEARCHES_PER_SLOT", 2)
+        monkeypatch.setattr(ragtrim.generation, "PROMPTS_PER_SLOT", 3)
         corpus = make_synthetic_corpus(CorpusSpec(size=30), seed=8)
         paths = corpus.write(tmp_path / "corpus")
         dataset = join_dataset(corpus.examples, corpus.retrievals)
@@ -351,13 +352,18 @@ class TestRequestsInFlight:
         ids = [example.id for example, _ in dataset]
         example, retrieval = dataset.pairs[0]
         held = assemble_prompt(example, retrieval.docs[:1]).text
-        far = {text for text, (query_id, _) in answers.items() if query_id == ids[7]}
         events = record_plans_and_generates(monkeypatch)
+        serve(monkeypatch, MockEndpoint(answers))
+        run_pipeline(http_run_config(paths, None, 4))
+        first_generate = events.index(next(event for event in events if event[0] == "generate"))
+        reached = ids.index(events[first_generate - 1][1])  # the turn order fixes it
+        assert reached >= 4
+        far = {text for text, (query_id, _) in answers.items() if query_id == ids[reached]}
         outputs = {}
         for width in (1, 4):
             endpoint = MockEndpoint(answers)
             release = threading.Event()
-            if width > 1:  # width 1 would wait for example 7 until the gate times out
+            if width > 1:  # width 1 would wait for the far example until the gate times out
                 endpoint.gates[held] = release
 
             class Releasing:
@@ -371,13 +377,13 @@ class TestRequestsInFlight:
             config = http_run_config(paths, out, width)
             events.clear()
             run_pipeline(config)
-            alive = searches_alive(events)
+            queued = prompts_queued(events)
             sweep_document_count(config)
             outputs[width] = [(out / name).read_bytes()
                               for name in ("table.csv", "manifest.json", "sweep.csv")]
             assert endpoint.peak_in_flight <= width and endpoint.doubled == []
             assert endpoint.gate_timeouts == []
-            assert max(alive) == (1 if width == 1 else 2 * width)
+            assert max(queued) == 0 if width == 1 else 0 < max(queued) < 3 * width
         assert outputs[1] == outputs[4]
 
     @pytest.mark.parametrize("generator", ["mock", "http-width-1"])
@@ -434,17 +440,16 @@ def record_plans_and_generates(monkeypatch) -> list[tuple[str, str]]:
     return events
 
 
-def searches_alive(events) -> list[int]:
-    """At each example's planning: the examples planned whose last generate is still to
-    come, itself included. An example's search ends with its last generate, and a
-    search starts (its labelers run) only while the window has room."""
-    last = {id_: i for i, (kind, id_) in enumerate(events) if kind == "generate"}
-    planned, alive = [], []
+def prompts_queued(events) -> list[int]:
+    """At each example's planning: the generates still to come of the examples planned
+    before it, which are the prompts waiting in take_turns' line. A search starts (its
+    labelers run) only while the line is shorter than its window."""
+    planned, queued = set(), []
     for i, (kind, id_) in enumerate(events):
         if kind == "plan" and id_ not in planned:
-            planned.append(id_)
-            alive.append(sum(last.get(other, -1) > i for other in planned))
-    return alive
+            queued.append(sum(k == "generate" and other in planned for k, other in events[i:]))
+            planned.add(id_)
+    return queued
 
 
 class TestScoreMemo:
