@@ -9,7 +9,6 @@ generation) and seeded noise, so corpus-scale behavior is fully deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import heapq
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Generator, Iterable, Mapping, Sequence
-from urllib.parse import SplitResult, urlsplit, urlunsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .data import DataError
 from .metrics import _normalized_golds, normalize_answer, token_f1
@@ -73,20 +72,18 @@ class Prompt:
 class GeneratorClient:
     """Answers prompts through a backend, with the counters, a disk cache and prefetching.
 
-    A backend has ``fetch(prompt) -> str`` and ``fingerprint()``; for a ``cache_dir``
-    or a width above 1, ``cache_key(prompt)`` (the key of a cached answer); and for a
-    width above 1, ``attempts(prompt)`` (see post_attempts). ``calls`` counts every
-    lookup, cache hits included. The cache is one append-only log per ``cache_dir``
-    (``CACHE_LOG``), read into a dict when the client is built; each answer fetched
-    is added to the dict and appended to the log as one line, so a client built
-    later sees it. ``prefetch`` queues the prompts ``generate`` will be asked for
-    next, for up to ``max_in_flight`` workers that make one attempt per job and park
-    each retry on a timer until its backoff has passed; at width 1 it does nothing.
-    ``generate`` counts, reads and writes the cache, and takes a pending answer or
-    fetches one inline, all on the caller's thread, so the requests, retries and
-    counters of a run are those of a serial run. Each attempt holds one of
-    ``max_in_flight`` slots. ``take_turns`` prefetches, and calls
-    ``cancel_prefetch`` once done, after an error too.
+    A backend has ``fetch(prompt) -> str`` and ``fingerprint()``; for a ``cache_dir`` or a
+    width above 1, ``cache_key(prompt)`` (the key of a cached answer); and for a width
+    above 1, ``attempts(prompt)`` (see post_attempts). ``calls`` counts every lookup,
+    cache hits included. The cache is one append-only log per ``cache_dir``
+    (``CACHE_LOG``), read into a dict when the client is built; each answer fetched goes
+    into both, so a client built later sees it. ``prefetch`` queues prompts for up to
+    ``max_in_flight`` workers, which make one attempt per job and park each retry on a
+    timer; at width 1 it does nothing. ``generate`` counts, reads and writes the cache,
+    and takes a pending answer or fetches one inline, on the caller's thread, so the
+    requests, retries and counters of a run are those of a serial run. A worker holds one
+    of ``max_in_flight`` slots per attempt, an inline fetch one for all its attempts.
+    ``take_turns`` prefetches, and calls ``cancel_prefetch`` once done, after an error too.
     """
 
     def __init__(self, backend, cache_dir: str | None = None, max_in_flight: int = 1):
@@ -99,6 +96,7 @@ class GeneratorClient:
         self._pending: dict[str, Future[str | None]] = {}  # cache key -> its prefetched answer
         self._failed = 0  # prefetches of _pending that failed and generate has not raised
         self._raised = 0  # failures generate has raised; a prefetch queued before one is dropped
+        self._streak = 0  # attempts failed since the last answer came; at max_in_flight, hold
         self._queue: deque[tuple] = deque()  # first attempts: (future, prompt, _pending, _raised)
         self._timers: list[tuple] = []  # a heap of retries: (due, id, future, attempts)
         self._workers = 0
@@ -137,18 +135,18 @@ class GeneratorClient:
                     continue
                 self._pending[key] = future = Future()
                 self._queue.append((future, prompt, self._pending, self._raised))
+                self._cond.notify()
                 if self._workers < self.max_in_flight:
                     self._workers += 1
                     threading.Thread(target=self._work, name="ragtrim-post", daemon=True).start()
-                else:
-                    self._cond.notify()
 
     def _work(self) -> None:
         """A worker: one attempt at a time, a due retry first, until no job is queued or
         parked. A first attempt gets None, with no POST, once cancel_prefetch has dropped
-        its ``_pending``, while a failed prefetch's error waits for ``generate``, or once
-        ``generate`` has raised a failure since it was queued; so the prompts queued
-        before an error are fetched inline in their turn."""
+        its ``_pending``, while a failed prefetch's error waits for ``generate``, once
+        ``generate`` has raised a failure since it was queued, or while the last
+        ``max_in_flight`` attempts all failed (an endpoint that is down); ``generate``
+        fetches each such prompt inline in its turn."""
         while True:
             with self._cond:
                 while not self._queue and not self._due():
@@ -160,7 +158,8 @@ class GeneratorClient:
                     _, _, future, attempts = heapq.heappop(self._timers)
                 else:
                     future, prompt, pending, raised = self._queue.popleft()
-                    if pending is not self._pending or self._failed or raised != self._raised:
+                    if (pending is not self._pending or self._failed or raised != self._raised
+                            or self._streak >= self.max_in_flight):
                         future.set_result(None)
                         continue
                     attempts = self.backend.attempts(prompt)
@@ -168,13 +167,17 @@ class GeneratorClient:
                 with self._slots:
                     delay = next(attempts)
             except StopIteration as done:
+                with self._cond:
+                    self._streak = 0
                 future.set_result(done.value)
             except Exception as exc:
                 with self._cond:
                     self._failed += 1
+                    self._streak += 1
                 future.set_exception(exc)
             else:
                 with self._cond:  # id: a tie-break, as futures do not compare
+                    self._streak += 1
                     heapq.heappush(self._timers,
                                    (time.monotonic() + delay, id(future), future, attempts))
 
@@ -209,11 +212,11 @@ class GeneratorClient:
         future = self._pending.pop(key, None)
         try:
             text = None if future is None else future.result()
-            if text is None and self.max_in_flight > 1:  # not prefetched, dropped or held
-                text = run_attempts(self.backend.attempts(prompt), self._slots)
-            elif text is None:
+            if text is None:  # not prefetched, or dropped or held
                 with self._slots:
                     text = self.backend.fetch(prompt)
+                with self._cond:
+                    self._streak = 0
         except Exception:
             with self._cond:
                 self._raised += 1
@@ -484,27 +487,14 @@ class HttpGeneratorConfig:
 
 def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig) -> None:
     """Checks on the settings post_attempts reads, shared by both endpoint configs: ranges,
-    an http(s) URL, and a proxy for it that HttpSession can use."""
+    an http(s) URL, and the host, port and proxy that HttpSession would POST it through."""
     for name, least in (("max_retries", 0), ("timeout_ms", 1), ("backoff_base_s", 0)):
         if getattr(config, name) < least:
             raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)}")
     url = urlsplit(config.endpoint_url)
     if url.scheme not in DEFAULT_PORTS or not url.hostname:
         raise ValueError(f"endpoint_url must be an http:// or https:// URL, got {url.geturl()!r}")
-    try:
-        _host_and_port(url)
-    except ValueError as exc:  # a UnicodeError too
-        raise ValueError(f"endpoint_url {url.geturl()!r} has no usable host and port: {exc}")
-    proxy_for(url.scheme, url.hostname, urllib.request.getproxies())
-
-
-def _host_and_port(url: SplitResult) -> tuple[str, int]:
-    """The Host header's host (IPv6 bracketed, a name IDNA-encoded) and the port of a URL."""
-    name, port = url.hostname, url.port  # a ValueError for a port not a number in 0-65535
-    if port == 0:
-        raise ValueError("port 0 names no server")
-    host = f"[{name}]" if ":" in name else name.encode("idna").decode()
-    return host, port or DEFAULT_PORTS[url.scheme]
+    HttpSession()._route(config.endpoint_url)
 
 
 def proxy_for(scheme: str, host: str, proxies: Mapping[str, str]) -> tuple[str, int] | None:
@@ -588,7 +578,13 @@ class HttpSession:
     def _route(self, url: str) -> tuple:
         parts = urlsplit(url)
         scheme, name = parts.scheme, parts.hostname
-        host, port = _host_and_port(parts)
+        try:
+            if parts.port == 0:  # parts.port: a ValueError for a port not a number in 0-65535
+                raise ValueError("port 0 names no server")
+            port = parts.port or DEFAULT_PORTS[scheme]
+            host = f"[{name}]" if ":" in name else name.encode("idna").decode()  # IPv6 or a name
+        except ValueError as exc:  # a UnicodeError too
+            raise ValueError(f"endpoint_url {url!r} has no usable host and port: {exc}")
         proxy = proxy_for(scheme, name, self._proxies)
         target = (url if proxy and scheme == "http"  # an http proxy takes the whole URL
                   else urlunsplit(("", "", parts.path or "/", parts.query, "")))
@@ -742,15 +738,13 @@ def post_attempts(
     return body
 
 
-def run_attempts(attempts: Generator[float, None, object], slot=contextlib.nullcontext()):
-    """The value ``attempts`` returns, each attempt made holding ``slot``, each backoff slept."""
-    while True:
-        try:
-            with slot:
-                delay = next(attempts)
-        except StopIteration as done:
-            return done.value
-        time.sleep(delay)
+def run_attempts(attempts: Generator[float, None, object]):
+    """The value ``attempts`` returns, each backoff it yields slept."""
+    try:
+        while True:
+            time.sleep(next(attempts))
+    except StopIteration as done:
+        return done.value
 
 
 class HttpGeneratorBackend:

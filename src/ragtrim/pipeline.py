@@ -337,15 +337,14 @@ def _evaluate(
                     for label in labelled}
         prompts = {ctx.prompt.text: ctx.prompt for ctx in contexts.values()}  # distinct
         answers = dict(zip(prompts, (yield tuple(prompts.values())))) if prompts else {}
-        counted: set[str] = set()  # prompt texts whose generate a row has counted
         scored: dict[str, ExampleResult] = {}  # output -> its scores
         for label, (first, *others) in labelled.items():
             ctx = contexts[label]
             output, hits = answers[ctx.prompt.text]
-            if ctx.prompt.text in counted:
+            if hits is None:
                 first.reused += 1
             else:
-                counted.add(ctx.prompt.text)
+                answers[ctx.prompt.text] = output, None  # counted: a later label reuses it
                 first.generator_calls += 1
                 first.cache_hits += hits
             result = scored.get(output)

@@ -296,6 +296,27 @@ class TestAnnotateDataset:
         assert posts[1] == 21
         assert posts[4] <= posts[1] + (4 - 1)
 
+    def test_a_wide_client_holds_its_queued_probes_while_the_endpoint_is_down(self):
+        """Every POST gets a 503, and each prompt is retried twice, 10 ms and 20 ms later.
+        At width 4, once 4 attempts in a row have failed, no queued probe starts on a
+        worker while those retries wait: each is tried inline in its turn, as at width 1.
+        So the abort sends at most the attempts of 2 × 4 - 2 prompts more than width 1,
+        not those of every queued probe."""
+        corpus, dataset = self.make_corpus(size=200)
+        posts = {}
+        for width in (1, 4):
+            endpoint = MockEndpoint(mock_answers(corpus, dataset),
+                                    failing=[example.id for example, _ in dataset.pairs])
+            config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                         backoff_base_s=0.01, max_retries=2, max_in_flight=width)
+            with pytest.raises(AnnotationAborted) as excinfo:
+                annotate_dataset(dataset, http_client(config, session=endpoint))
+            assert endpoint.in_flight == []  # the abort waited for the parked retries
+            assert excinfo.value.stats.failed == 21
+            posts[width] = endpoint.posts
+        assert posts[1] == 21 * 3
+        assert posts[4] <= posts[1] + (2 * 4 - 2) * 3
+
     def test_a_wide_abort_stops_where_width_1_does(self):
         """The k=2 probes of 12 examples among the first 100 fail, and so does every probe
         of examples 100 to 129, so the 21st failure in dataset order is example 108's. At

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ragtrim.generation
 import ragtrim.pipeline
 from ragtrim.annotate import AnnotationAborted, AnnotationOptions, annotate_dataset
 from ragtrim.compress import assemble_prompt
@@ -362,12 +363,14 @@ def test_one_client_reconciles_with_the_endpoint_over_annotate_run_and_sweep(
 
 def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monkeypatch):
     """Annotation, a run and a sweep through an endpoint that fails the first attempt of
-    5% of prompts, at widths 1, 2 and 4, each width with its own cache. A run's or a
-    sweep's search yields all its prompts at once, so their generate calls (each with
-    its prompt and cache hits) and the lines they append to the cache log come in the
-    same order at every width. Annotation yields one probe at a time, and width 1 keeps
-    one search alive, so it makes the same calls depth-first; at widths 2 and 4, whose
-    line holds every search, annotation's calls and lines come in one order too."""
+    5% of prompts, at widths 1, 2 and 4, each width with its own cache. Widths 2 and 4
+    get a line of 16 prompts (8 and 4 per slot), which the 60 searches refill. A run's
+    or a sweep's search yields all its prompts at once, so their generate calls (each
+    with its prompt and cache hits) and the lines they append to the cache log come in
+    the same order at every width. Annotation yields one probe at a time, so its order
+    is fixed by the line's length: widths 2 and 4 make the same calls and append the
+    same lines in the same order, and width 1, whose line holds one prompt, makes them
+    search by search."""
     corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
     answers = mock_answers(corpus, dataset)
@@ -383,7 +386,8 @@ def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monke
 
     monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
     annotated, evaluated = {}, {}  # width -> (generate calls, cache log lines)
-    for width in (1, 2, 4):
+    for width, per_slot in ((1, 128), (2, 8), (4, 4)):
+        monkeypatch.setattr(ragtrim.generation, "PROMPTS_PER_SLOT", per_slot)
         endpoint = MockEndpoint(answers, fault_rate=0.05)
         serve(monkeypatch, endpoint)
         log = tmp_path / f"cache{width}" / CACHE_LOG
@@ -405,6 +409,7 @@ def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monke
         evaluated[width] = (list(calls), log.read_bytes().splitlines()[len(annotated[width][1]):])
         assert endpoint.faults > 0 and endpoint.doubled == []
         assert endpoint.peak_in_flight <= width
+    assert len(dataset) > 16  # more searches than the line holds
     assert evaluated[1] == evaluated[2] == evaluated[4]
     assert sum(hits for _, hits in evaluated[4][0]) > 0
     assert annotated[2] == annotated[4]
