@@ -47,7 +47,6 @@ from .compress import (
     compress,
     count_tokens,
     only_doc_select,
-    save_contexts,
 )
 from .features import FeatureSpec, extract_features
 from .predictor import (
@@ -69,7 +68,6 @@ from .metrics import (
     normalize_answer,
     rouge_l,
     rouge_n,
-    specificity_split,
     token_f1,
     tokenize,
 )

@@ -8,11 +8,9 @@ so cost comparisons are tokenizer-free and reproducible.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .data import CompressionLabel, QAExample, RankedDocument, RetrievalSet
 from .generation import Prompt
@@ -143,15 +141,3 @@ def only_doc_select(example: QAExample, retrieval: RetrievalSet) -> CompressedCo
                 best_doc = doc
     return _compressed(example, retrieval, [best_doc])
 
-
-def save_contexts(path: str | Path, contexts: Iterable[CompressedContext]) -> None:
-    """Export compressed contexts as JSONL for downstream inspection."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ctx in contexts:
-            row = {
-                "query_id": ctx.query_id,
-                "k": ctx.k,
-                "doc_ids": [d.doc_id for d in ctx.kept_docs],
-                "token_count": ctx.token_count,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")

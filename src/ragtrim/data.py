@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import types
 import typing
 from collections import abc
@@ -164,9 +165,10 @@ class JoinedDataset:
 def parse_config(cls, raw, where: str):
     """Build the config dataclass ``cls`` from the JSON object ``raw`` at key path ``where``.
 
-    An unknown or missing key, a wrong JSON type or a failed ``__post_init__``
-    check is a ConfigError naming the key path (``generator.max_retries``). An
-    int for a float field becomes that float, so hashes and cache keys stay put.
+    An unknown or missing key, a wrong JSON type, a float that is not finite (NaN or
+    Infinity, which Python's json reads) or a failed ``__post_init__`` check is a
+    ConfigError naming the key path (``generator.max_retries``). An int for a float
+    field becomes that float, so hashes and cache keys stay put.
     A field's JSON key is its name, unless its metadata names one under ``"json"``.
     """
     if not isinstance(raw, dict):
@@ -205,7 +207,7 @@ def _build(cls, raw: dict, prefix: str):
             if required:
                 raise ConfigError(f"missing key {prefix}{key}")
         else:  # the exact-type case builds no key path: data files run this per value
-            values[name] = value if type(value) is hint else _typed(value, hint, prefix + key)
+            values[name] = value if _exact(value, hint) else _typed(value, hint, prefix + key)
     return cls(**values)
 
 
@@ -217,19 +219,27 @@ def _schema(cls) -> tuple[tuple[str, str, object, bool], ...]:
                   f.default is MISSING and f.default_factory is MISSING) for f in fields(cls))
 
 
+def _exact(value, hint) -> bool:
+    """Whether ``value`` needs no check against ``hint``: it is of that exact class and, if
+    a float, finite."""
+    return type(value) is hint and (hint is not float or math.isfinite(value))
+
+
 def _typed(value, hint, path: str):
-    """``value`` checked against the field type ``hint``, with ints widened to float.
+    """``value`` checked against the field type ``hint``, with ints widened to float and
+    a float that is not finite refused.
 
     A JSON array is read as a ``list[T]``, a ``tuple[T, ...]`` or a fixed-length
     ``tuple[A, B]``, and an int-keyed mapping from a JSON object whose keys are
     decimal digits. The key path is built for an item only when it is not of its
-    type's exact class, so a file of well-typed values builds none.
+    type's exact class or is a float that is not finite, so a file of well-typed
+    values builds none.
     """
-    if type(value) is hint:
+    if _exact(value, hint):
         return value
     base, args = _shape(hint)
     if base in (typing.Union, types.UnionType):
-        if type(value) in args:
+        if type(value) in args and type(value) is not float:
             return value
         arms = [arm for arm in args if arm is not type(None)]
         if len(arms) == 1:  # an optional value that is not null has its own type's message
@@ -244,12 +254,17 @@ def _typed(value, hint, path: str):
             return CompressionLabel.from_json(value)
         except DataError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    elif base is float and type(value) is int:
-        return float(value)
+    elif base is float and type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the largest float
+            pass
+        raise ConfigError(f"{path} must be a finite float, got {json.dumps(value)}")
     elif base in (list, tuple) and type(value) is list:
         arms = args if base is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
         if len(arms) == len(value):
-            items = [v if type(v) is arm else _typed(v, arm, f"{path}[{i}]")
+            items = [v if _exact(v, arm) else _typed(v, arm, f"{path}[{i}]")
                      for i, (v, arm) in enumerate(zip(value, arms))]
             return items if base is list else tuple(items)
     elif base in (dict, abc.Mapping) and type(value) is dict:
@@ -257,7 +272,7 @@ def _typed(value, hint, path: str):
         if key_type is int and not all(key.isdecimal() for key in value):
             raise ConfigError(f"{path} keys must be int, got {json.dumps(list(value))[:40]}")
         return {(int(k) if key_type is int else k):
-                v if type(v) is value_type else _typed(v, value_type, f"{path}.{k}")
+                v if _exact(v, value_type) else _typed(v, value_type, f"{path}.{k}")
                 for k, v in value.items()}
     elif isinstance(value, base) and (base is bool or not isinstance(value, bool)):
         return value

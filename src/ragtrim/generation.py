@@ -28,14 +28,11 @@ from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Generator, Iterable, Mapping, Sequence
+from typing import BinaryIO, Generator, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
-from .data import DataError
+from .data import ConfigError, DataError
 from .metrics import _normalized_golds, normalize_answer, token_f1
-
-if TYPE_CHECKING:
-    from .predictor import RemotePredictorConfig
 
 logger = logging.getLogger(__name__)
 
@@ -480,21 +477,17 @@ class HttpGeneratorConfig:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        check_endpoint_settings(self)
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-
-
-def check_endpoint_settings(config: HttpGeneratorConfig | RemotePredictorConfig) -> None:
-    """Checks on the settings post_attempts reads, shared by both endpoint configs: ranges,
-    an http(s) URL, and the host, port and proxy that HttpSession would POST it through."""
-    for name, least in (("max_retries", 0), ("timeout_ms", 1), ("backoff_base_s", 0)):
-        if getattr(config, name) < least:
-            raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)}")
-    url = urlsplit(config.endpoint_url)
-    if url.scheme not in DEFAULT_PORTS or not url.hostname:
-        raise ValueError(f"endpoint_url must be an http:// or https:// URL, got {url.geturl()!r}")
-    HttpSession()._route(config.endpoint_url)
+        """Ranges, an http(s) URL, and the host, port and proxy that HttpSession would POST
+        it through."""
+        for name, least in (("temperature", 0), ("max_tokens", 1), ("timeout_ms", 1),
+                            ("max_retries", 0), ("backoff_base_s", 0), ("max_in_flight", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        url = urlsplit(self.endpoint_url)
+        if url.scheme not in DEFAULT_PORTS or not url.hostname:
+            raise ValueError("endpoint_url must be an http:// or https:// URL, "
+                             f"got {url.geturl()!r}")
+        HttpSession()._route(self.endpoint_url)
 
 
 def proxy_for(scheme: str, host: str, proxies: Mapping[str, str]) -> tuple[str, int] | None:
@@ -693,13 +686,13 @@ def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
 
 def post_attempts(
     session: HttpSession,
-    config: HttpGeneratorConfig | RemotePredictorConfig,
+    config: HttpGeneratorConfig,
     payload: dict,
     headers: Mapping[str, str] | None = None,
 ) -> Generator[float, None, dict]:
     """POST ``payload`` as JSON, one attempt per ``next``; return the JSON object answered.
 
-    The one failure policy of both HTTP clients. Socket errors (timeouts,
+    The one failure policy of the HTTP client. Socket errors (timeouts,
     refused, reset and dropped connections: OSError), broken HTTP replies
     (http.client.HTTPException) and 5xx are retried ``max_retries`` times with
     exponential backoff, then raise TransportError; a 4xx, or a 2xx body that
@@ -738,21 +731,19 @@ def post_attempts(
     return body
 
 
-def run_attempts(attempts: Generator[float, None, object]):
-    """The value ``attempts`` returns, each backoff it yields slept."""
-    try:
-        while True:
-            time.sleep(next(attempts))
-    except StopIteration as done:
-        return done.value
-
-
 class HttpGeneratorBackend:
     """Generator backend speaking plain JSON over HTTP POST, with retries (see post_attempts)."""
 
     def __init__(self, config: HttpGeneratorConfig, session: HttpSession | None = None):
+        """A ConfigError if ``api_key_env_var`` names a variable that is unset or empty."""
         self.config = config
         self.session = session or HttpSession()
+        self._headers = None
+        if config.api_key_env_var:
+            if not (key := os.environ.get(config.api_key_env_var)):
+                raise ConfigError(f"generator.api_key_env_var names {config.api_key_env_var}, "
+                                  "which is unset or empty")
+            self._headers = {"Authorization": f"Bearer {key}"}
 
     def cache_key(self, prompt: Prompt) -> str:
         """A hash of the endpoint and every payload field of ``prompt``'s request."""
@@ -762,16 +753,20 @@ class HttpGeneratorBackend:
 
     def attempts(self, prompt: Prompt) -> Generator[float, None, str]:
         """The fetch of ``prompt``, one POST per ``next`` (see post_attempts)."""
-        key = os.environ.get(self.config.api_key_env_var) if self.config.api_key_env_var else None
-        headers = {"Authorization": f"Bearer {key}"} if key else None
         payload = _request_payload(self.config, prompt)
-        body = yield from post_attempts(self.session, self.config, payload, headers)
+        body = yield from post_attempts(self.session, self.config, payload, self._headers)
         if not isinstance(body.get("text"), str):
             raise ProtocolError(f"response 'text' missing or not a string: {str(body)[:200]}")
         return body["text"]
 
     def fetch(self, prompt: Prompt) -> str:
-        return run_attempts(self.attempts(prompt))
+        """The answer to ``prompt``, each backoff between its attempts slept."""
+        attempts = self.attempts(prompt)
+        try:
+            while True:
+                time.sleep(next(attempts))
+        except StopIteration as done:
+            return done.value
 
     def fingerprint(self) -> str:
         c = self.config

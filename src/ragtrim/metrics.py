@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
@@ -153,26 +153,6 @@ def rouge_l_best(pred: str, golds: Sequence[str]) -> RougeScore:
     return max((rouge_l(pred, g) for g in golds), key=lambda r: r.f)
 
 
-SPECIFIC = "specific"
-OPEN_ENDED = "open_ended"
-
-
-def specificity_split(relevance_scores: Sequence[float]) -> str:
-    """Classify a query as specific or open-ended from its document relevance scores.
-
-    Specific iff the spread (max - min) strictly exceeds 0.3.
-    """
-    if len(relevance_scores) < 1:
-        raise ValueError("specificity_split requires at least one relevance score")
-    spread = max(relevance_scores) - min(relevance_scores)
-    return SPECIFIC if spread > 0.3 else OPEN_ENDED
-
-
-def answer_relevance_scores(doc_texts: Sequence[str], golds: Sequence[str]) -> list[float]:
-    """Per-document relevance to the gold answer, scored as token F1."""
-    return [token_f1(text, golds) for text in doc_texts]
-
-
 @dataclass(frozen=True, slots=True)
 class ExampleResult:
     """Judged outcome for one example under one method."""
@@ -185,12 +165,11 @@ class ExampleResult:
     rouge_l: float
     token_count: int
     k: int
-    split: str | None = None
 
 
 @dataclass
 class EvalReport:
-    """Mean metrics over a result set, with optional per-split breakdowns."""
+    """Mean metrics over a result set."""
 
     n: int
     em: float
@@ -200,22 +179,9 @@ class EvalReport:
     rouge_l: float
     mean_tokens: float
     avg_docs: float
-    splits: dict[str, "EvalReport"] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "em": self.em,
-            "f1": self.f1,
-            "rouge_1": self.rouge_1,
-            "rouge_2": self.rouge_2,
-            "rouge_l": self.rouge_l,
-            "mean_tokens": self.mean_tokens,
-            "avg_docs": self.avg_docs,
-        }
-        if self.splits:
-            out["splits"] = {name: rep.to_dict() for name, rep in self.splits.items()}
-        return out
+        return asdict(self)
 
 
 def score_output(
@@ -224,7 +190,6 @@ def score_output(
     golds: Sequence[str],
     token_count: int,
     k: int,
-    split: str | None = None,
 ) -> ExampleResult:
     """Score one generated answer against its gold answers.
 
@@ -246,30 +211,22 @@ def score_output(
         rouge_1 = max(rouge_1, _ngram_rouge(unigrams, gold_unigrams).f)
         rouge_2 = max(rouge_2, _ngram_rouge(bigrams, _ngrams(gold_tokens, 2)).f)
         rouge_l = max(rouge_l, _lcs_rouge(tokens, gold_tokens).f)
-    return ExampleResult(example_id, em, f1, rouge_1, rouge_2, rouge_l, token_count, k, split)
+    return ExampleResult(example_id, em, f1, rouge_1, rouge_2, rouge_l, token_count, k)
 
 
 def aggregate(results: Iterable[ExampleResult]) -> EvalReport:
-    """Mean every metric over the result set; breaks down by split when tagged."""
+    """Mean every metric over the result set."""
     rows = list(results)
     if not rows:
         raise ValueError("aggregate requires a non-empty result set")
-
-    def _report(subset: list[ExampleResult]) -> EvalReport:
-        n = len(subset)
-        return EvalReport(
-            n=n,
-            em=sum(r.em for r in subset) / n,
-            f1=sum(r.f1 for r in subset) / n,
-            rouge_1=sum(r.rouge_1 for r in subset) / n,
-            rouge_2=sum(r.rouge_2 for r in subset) / n,
-            rouge_l=sum(r.rouge_l for r in subset) / n,
-            mean_tokens=sum(r.token_count for r in subset) / n,
-            avg_docs=sum(r.k for r in subset) / n,
-        )
-
-    report = _report(rows)
-    split_names = sorted({r.split for r in rows if r.split is not None})
-    for name in split_names:
-        report.splits[name] = _report([r for r in rows if r.split == name])
-    return report
+    n = len(rows)
+    return EvalReport(
+        n=n,
+        em=sum(r.em for r in rows) / n,
+        f1=sum(r.f1 for r in rows) / n,
+        rouge_1=sum(r.rouge_1 for r in rows) / n,
+        rouge_2=sum(r.rouge_2 for r in rows) / n,
+        rouge_l=sum(r.rouge_l for r in rows) / n,
+        mean_tokens=sum(r.token_count for r in rows) / n,
+        avg_docs=sum(r.k for r in rows) / n,
+    )

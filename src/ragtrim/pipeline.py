@@ -16,14 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .compress import (
-    FALLBACK_TO_N,
-    FALLBACK_TO_ZERO,
-    CompressedContext,
-    compress,
-    only_doc_select,
-    save_contexts,
-)
+from .compress import FALLBACK_TO_N, FALLBACK_TO_ZERO, compress, only_doc_select
 from .data import (
     AnnotatedTriplet,
     ConfigError,
@@ -49,22 +42,13 @@ from .generation import (
     Search,
     take_turns,
 )
-from .metrics import (
-    EvalReport,
-    ExampleResult,
-    aggregate,
-    answer_relevance_scores,
-    score_output,
-    specificity_split,
-)
+from .metrics import EvalReport, ExampleResult, aggregate, score_output
 from .predictor import (
     POLICY_DROP,
     UNANSWERABLE_POLICIES,
     FixedKPredictor,
     PredictorReport,
     RandomKPredictor,
-    RemotePredictorClient,
-    RemotePredictorConfig,
     TrainConfig,
     load_model,
 )
@@ -94,8 +78,6 @@ class PipelineConfig:
     fallback: str = FALLBACK_TO_N
     seed: int = 0
     output_dir: str | None = None
-    split_by_answer_relevance: bool = False
-    export_contexts: bool = False
     train: dict = field(default_factory=dict)  # read by train_options; not in config_hash
 
     def __post_init__(self) -> None:
@@ -240,29 +222,26 @@ class _ModelEntry:
 def build_predictors(config: PipelineConfig, max_n: int | None = None) -> list[tuple[str, object]]:
     """(row name, predictor) of each ``predictors`` entry, with every key checked.
 
-    Only given ``max_n``, the dataset's largest document count, is a model
-    entry's file opened and its ``max_docs`` checked; else its predictor is None.
+    ``model`` is the one predictor type. Only given ``max_n``, the dataset's largest
+    document count, is an entry's file opened and its ``max_docs`` checked; else its
+    predictor is None.
     """
     built = []
     for i, entry in enumerate(config.predictors):
         where = f"predictors[{i}]"
         name = _typed(entry.get("name", METHOD_ADAPTIVE), str, f"{where}.name")
+        if (kind := entry.get("type", "model")) != "model":
+            raise ConfigError(f"{where}: unknown predictor type {kind!r}")
         settings = {key: value for key, value in entry.items() if key not in ("name", "type")}
-        kind = entry.get("type", "model")
-        if kind == "model":
-            path = parse_config(_ModelEntry, settings, where).path
-            predictor = None
-            if max_n is not None:
-                predictor = load_model(path)
-                if predictor.feature_spec.max_docs < max_n:
-                    raise ConfigError(
-                        f"{where}: model {path} takes at most {predictor.feature_spec.max_docs} "
-                        f"documents, but the dataset has N={max_n}"
-                    )
-        elif kind == "remote":
-            predictor = RemotePredictorClient(parse_config(RemotePredictorConfig, settings, where))
-        else:
-            raise ConfigError(f"unknown predictor type {kind!r}")
+        path = parse_config(_ModelEntry, settings, where).path
+        predictor = None
+        if max_n is not None:
+            predictor = load_model(path)
+            if predictor.feature_spec.max_docs < max_n:
+                raise ConfigError(
+                    f"{where}: model {path} takes at most {predictor.feature_spec.max_docs} "
+                    f"documents, but the dataset has N={max_n}"
+                )
         built.append((name, predictor))
     return built
 
@@ -275,14 +254,12 @@ class MethodResult:
     generator_calls: int
     cache_hits: int
     fingerprint: str
-    contexts: list[CompressedContext] = field(default_factory=list)
     reused: int = 0  # rows served from an earlier identical prompt of the same example
     skipped: int = 0  # examples the row's labeler gave no label (an oracle row's missing ones)
 
 
 # Per-row generation counters; the manifest records each per method and as a total.
-# Every row has generator_calls + reused + skipped == n_examples. A remote
-# predictor's row also records its ``fallbacks`` (calls answered with k=N).
+# Every row has generator_calls + reused + skipped == n_examples.
 _RUN_COUNTERS = ("generator_calls", "cache_hits", "reused", "skipped")
 
 @dataclass
@@ -299,7 +276,6 @@ def _evaluate(
     dataset: JoinedDataset,
     client: GeneratorClient,
     config: PipelineConfig,
-    split_by_answer_relevance: bool = False,
 ) -> list[MethodResult]:
     """Generate and score every (row_name, labeler, fingerprint) row, one search per example.
 
@@ -313,18 +289,13 @@ def _evaluate(
     gold answers fix every metric; token_count and k are the label's own). Each
     row's results are kept by dataset position.
     """
-    methods = [  # results and contexts by position; report: once every example is scored
+    methods = [  # results by position; report: once every example is scored
         MethodResult(name, report=None, results=[None] * len(dataset), generator_calls=0,
-                     cache_hits=0, fingerprint=fingerprint,
-                     contexts=[None] * len(dataset) if config.export_contexts else [])
+                     cache_hits=0, fingerprint=fingerprint)
         for name, _, fingerprint in rows
     ]
 
     def search(position: int, example: QAExample, retrieval: RetrievalSet) -> Search:
-        split = None
-        if split_by_answer_relevance:
-            texts = [d.text for d in retrieval.docs]
-            split = specificity_split(answer_relevance_scores(texts, example.gold_answers))
         labelled: dict[object, list[MethodResult]] = {}  # label -> its rows, in row order
         for (_, labeler, _), m in zip(rows, methods):
             label = METHOD_ONLY_DOC if labeler is None else labeler(example, retrieval)
@@ -350,20 +321,17 @@ def _evaluate(
             result = scored.get(output)
             if result is None:
                 result = scored[output] = score_output(example.id, output, example.gold_answers,
-                                                       ctx.token_count, ctx.k, split=split)
+                                                       ctx.token_count, ctx.k)
             else:
                 result = replace(result, token_count=ctx.token_count, k=ctx.k)
             for m in (first, *others):
                 m.results[position] = result
-                if config.export_contexts:
-                    m.contexts[position] = ctx
             for m in others:
                 m.reused += 1
 
     take_turns(client, (search(position, *pair) for position, pair in enumerate(dataset.pairs)))
     for m in methods:
         m.results = [result for result in m.results if result is not None]
-        m.contexts = [ctx for ctx in m.contexts if ctx is not None]
         m.report = aggregate(m.results)
     return methods
 
@@ -383,11 +351,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         for row in _method_rows(m, config, dataset, oracle_labels, predictors)
     ]
     client = build_generator(config, dataset)
-    method_results = _evaluate(rows, dataset, client, config, config.split_by_answer_relevance)
+    method_results = _evaluate(rows, dataset, client, config)
     per_method = {m.name: {key: getattr(m, key) for key in _RUN_COUNTERS} for m in method_results}
-    for name, predictor in predictors:
-        if name in per_method and isinstance(predictor, RemotePredictorClient):
-            per_method[name]["fallbacks"] = predictor.fallbacks
     manifest = {
         "config_sha256": config.config_hash(),
         "seed": config.seed,
@@ -462,10 +427,6 @@ def write_run_outputs(run: RunResult, config: PipelineConfig) -> None:
         ("manifest.json", run.manifest),
     ):
         (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-    if config.export_contexts:
-        for m in run.methods:
-            if m.contexts:
-                save_contexts(out / f"contexts_{m.name}.jsonl", m.contexts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,13 @@
 
 A multiclass linear softmax classifier over explicit lexical/retrieval
 features, trained with minibatch SGD on cross-entropy. Fixed and random
-baselines share the same predict interface, and a remote client hooks in
-externally served predictors.
+baselines share the same predict interface.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,16 +30,6 @@ from .data import (
     read_json_object,
 )
 from .features import FeatureSpec, extract_features
-from .generation import (
-    HttpSession,
-    ProtocolError,
-    TransportError,
-    check_endpoint_settings,
-    post_attempts,
-    run_attempts,
-)
-
-logger = logging.getLogger(__name__)
 
 UNANSWERABLE_CLASS = "unanswerable"
 
@@ -65,8 +53,9 @@ class TrainConfig:
     l2_penalty: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "l2_penalty"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError(f"warmup_fraction must be in [0, 1], got {self.warmup_fraction}")
         if self.batch_size < 1 or self.epochs < 0:
@@ -376,7 +365,7 @@ def evaluate_predictor(
 
 
 # ---------------------------------------------------------------------------
-# Baselines and the remote hook
+# Baselines
 # ---------------------------------------------------------------------------
 
 
@@ -414,60 +403,6 @@ class RandomKPredictor:
 
     def fingerprint(self) -> str:
         return f"random:{self.seed}:{self.k_range}"
-
-
-@dataclass(frozen=True)
-class RemotePredictorConfig:
-    """Settings for an externally served compression-rate predictor.
-
-    Protocol: POST {"query", "docs": [{doc_id, text, score, rank}], "N"}
-    -> {"k": int in 0..N}. With fallback_to_full, every endpoint error
-    (TransportError or ProtocolError) yields k=N instead of raising.
-    """
-
-    endpoint_url: str
-    timeout_ms: int = 10000
-    max_retries: int = 2
-    fallback_to_full: bool = False
-    backoff_base_s: float = 0.25
-
-    def __post_init__(self) -> None:
-        check_endpoint_settings(self)
-
-
-class RemotePredictorClient:
-    """Predictor served over HTTP; ``fallbacks`` counts the calls answered with k=N
-    because the endpoint failed."""
-
-    def __init__(self, config: RemotePredictorConfig, session: HttpSession | None = None):
-        self.config = config
-        self.session = session or HttpSession()
-        self.fallbacks = 0
-
-    def predict_label(self, example: QAExample, retrieval: RetrievalSet) -> CompressionLabel:
-        payload = {
-            "query": example.query,
-            "docs": [
-                {"doc_id": d.doc_id, "text": d.text, "score": d.score, "rank": d.rank}
-                for d in retrieval.docs
-            ],
-            "N": retrieval.n,
-        }
-        try:
-            body = run_attempts(post_attempts(self.session, self.config, payload))
-            k = body.get("k")
-            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= retrieval.n:
-                raise ProtocolError(f"predictor returned k={k!r}, valid range 0..{retrieval.n}")
-        except (TransportError, ProtocolError) as exc:
-            if not self.config.fallback_to_full:
-                raise
-            logger.warning("remote predictor failed (%s); keeping all %d documents", exc, retrieval.n)
-            self.fallbacks += 1
-            k = retrieval.n
-        return CompressionLabel.keep(k)
-
-    def fingerprint(self) -> str:
-        return f"remote:{self.config.endpoint_url}"
 
 
 # ---------------------------------------------------------------------------

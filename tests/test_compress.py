@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +11,6 @@ from ragtrim.compress import (
     compress,
     count_tokens,
     only_doc_select,
-    save_contexts,
     split_sentences,
 )
 from ragtrim.data import CompressionLabel
@@ -188,15 +185,3 @@ def test_oracle_containment_replays_annotation_guarantee():
         ctx = compress(example, retrieval, t.label)
         assert judge_correct(client.generate(ctx.prompt), example.gold_answers)
 
-
-def test_save_contexts_schema(tmp_path, five_docs):
-    ctx = compress(make_example(), five_docs, CompressionLabel.keep(2))
-    path = tmp_path / "contexts.jsonl"
-    save_contexts(path, [ctx])
-    row = json.loads(path.read_text().splitlines()[0])
-    assert row == {
-        "query_id": "q1",
-        "k": 2,
-        "doc_ids": ["q1-d1", "q1-d2"],
-        "token_count": ctx.token_count,
-    }

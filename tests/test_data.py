@@ -171,7 +171,12 @@ class TestLoadRetrievals:
         ({"doc_id": "d", "text": "t", "score": "high"},
          'docs[1].score must be float, got "high"'),
         ({"doc_id": "d", "text": "t", "score": True}, "docs[1].score must be float, got true"),
-    ], ids=["not-an-object", "text-not-a-string", "score-a-string", "score-a-bool"])
+        ({"doc_id": "d", "text": "t", "score": float("nan")},
+         "docs[1].score must be a finite float, got NaN"),
+        ({"doc_id": "d", "text": "t", "score": float("-inf")},
+         "docs[1].score must be a finite float, got -Infinity"),
+    ], ids=["not-an-object", "text-not-a-string", "score-a-string", "score-a-bool",
+            "score-nan", "score-minus-infinity"])
     def test_malformed_document_names_its_line(self, tmp_path, doc, message):
         p = tmp_path / "r.jsonl"
         good = {"doc_id": "d", "text": "t", "score": 1.0}

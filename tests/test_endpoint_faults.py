@@ -1,6 +1,6 @@
-"""Fault injection for the HTTP generator and the remote predictor: one failure policy.
+"""Fault injection for the HTTP generator: one failure policy.
 
-Both clients post through ``generation.post_attempts``. A timeout, a reset or
+The client posts through ``generation.post_attempts``. A timeout, a reset or
 dropped connection or a 5xx is retried; a 4xx or a malformed 200 ends the call on
 that attempt; retries that run out raise TransportError.
 """
@@ -21,7 +21,7 @@ import ragtrim.generation
 import ragtrim.pipeline
 from ragtrim.annotate import AnnotationAborted, AnnotationOptions, annotate_dataset
 from ragtrim.compress import assemble_prompt
-from ragtrim.data import CompressionLabel, join_dataset, save_triplets
+from ragtrim.data import join_dataset, save_triplets
 from ragtrim.generation import (
     CACHE_LOG,
     GeneratorClient,
@@ -31,11 +31,9 @@ from ragtrim.generation import (
     TransportError,
 )
 from ragtrim.pipeline import PipelineConfig, run_pipeline, sweep_document_count
-from ragtrim.predictor import RemotePredictorClient, RemotePredictorConfig
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus
 from helpers import (
-    MockEndpoint, cache_log_keys, http_client, http_response, make_example, make_retrieval,
-    mock_answers, serve,
+    MockEndpoint, cache_log_keys, http_client, http_response, mock_answers, serve,
 )
 
 RETRIED = ("timeout", "reset", "dropped", 500, 503)
@@ -100,28 +98,6 @@ def test_generator_follows_the_failure_policy(outcomes):
         with pytest.raises(error):
             client.generate(PROMPT)
     assert session.posts == posts <= config.max_retries + 1
-
-
-@given(attempt_outcomes, st.booleans())
-def test_predictor_follows_the_failure_policy(outcomes, fallback_to_full):
-    session = FaultSession(outcomes, b'{"k": 2}')
-    config = RemotePredictorConfig(
-        endpoint_url="http://predictor.test/", max_retries=len(outcomes) - 1,
-        fallback_to_full=fallback_to_full, backoff_base_s=0,
-    )
-    retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-    posts, expected = prescribed(outcomes)
-    client = RemotePredictorClient(config, session=session)
-    if expected == "valid":
-        assert client.predict_label(make_example(), retrieval) == CompressionLabel.keep(2)
-    elif fallback_to_full:
-        assert client.predict_label(make_example(), retrieval) == CompressionLabel.keep(5)
-    else:
-        error = TransportError if expected == "transport" else ProtocolError
-        with pytest.raises(error):
-            client.predict_label(make_example(), retrieval)
-    assert session.posts == posts <= config.max_retries + 1
-    assert client.fallbacks == (expected != "valid" and fallback_to_full)
 
 
 def test_annotation_through_a_flaky_endpoint_matches_the_plan(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from ragtrim.metrics import (
     rouge_n,
     rouge_n_best,
     score_output,
-    specificity_split,
     token_f1,
     tokenize,
 )
@@ -212,7 +211,7 @@ class TestScoreOutput:
     @settings(max_examples=300)
     @given(st.one_of(messy_phrases, st.text(max_size=30)), gold_lists)
     def test_fields_equal_the_standalone_metrics_bit_for_bit(self, output, golds):
-        result = score_output("q1", output, golds, token_count=7, k=2, split="specific")
+        result = score_output("q1", output, golds, token_count=7, k=2)
         expected = (
             token_f1(output, golds),
             rouge_n_best(output, golds, 1).f,
@@ -223,9 +222,7 @@ class TestScoreOutput:
         assert [f.hex() for f in (result.f1, result.rouge_1, result.rouge_2, result.rouge_l)] == [
             f.hex() for f in expected
         ]
-        assert (result.example_id, result.token_count, result.k, result.split) == (
-            "q1", 7, 2, "specific"
-        )
+        assert (result.example_id, result.token_count, result.k) == ("q1", 7, 2)
 
     def test_each_examples_golds_are_normalized_once_over_its_rows(self, monkeypatch):
         """Scoring several rows of one example normalizes each gold once, not once per row."""
@@ -245,23 +242,7 @@ class TestScoreOutput:
             score_output("q1", "paris", [], token_count=1, k=1)
 
 
-class TestSpecificitySplit:
-    def test_wide_spread_is_specific(self):
-        assert specificity_split([0.8, 0.6, 0.4, 0.3, 0.2]) == "specific"
-
-    def test_flat_is_open_ended(self):
-        assert specificity_split([0.25, 0.25, 0.25, 0.25, 0.25]) == "open_ended"
-
-    def test_exactly_point_three_is_open_ended(self):
-        # Strict inequality: a spread of exactly 0.3 does not qualify.
-        assert specificity_split([0.3, 0.1, 0.0]) == "open_ended"
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            specificity_split([])
-
-
-def _result(example_id, em, k, tokens=10, split=None):
+def _result(example_id, em, k, tokens=10):
     return ExampleResult(
         example_id=example_id,
         em=em,
@@ -271,7 +252,6 @@ def _result(example_id, em, k, tokens=10, split=None):
         rouge_l=float(em),
         token_count=tokens,
         k=k,
-        split=split,
     )
 
 
@@ -289,13 +269,6 @@ class TestAggregate:
         d = report.to_dict()
         for column in ("mean_tokens", "em", "f1", "rouge_1", "rouge_2", "rouge_l", "avg_docs"):
             assert column in d
-
-    def test_split_breakdown(self):
-        report = aggregate(
-            [_result("a", 1, 1, split="specific"), _result("b", 0, 5, split="open_ended")]
-        )
-        assert report.splits["specific"].em == 1.0
-        assert report.splits["open_ended"].em == 0.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):

@@ -200,25 +200,6 @@ class TestRunPipeline:
         closed_rate = sum(1 for e in plan if e.closed_book) / len(plan)
         assert run.methods[0].report.em == pytest.approx(closed_rate)
 
-    def test_split_tagging(self, prepared):
-        config = base_config(prepared, methods=["top_5"])
-        config.split_by_answer_relevance = True
-        run = run_pipeline(config)
-        report = run.methods[0].report
-        assert set(report.splits) <= {"specific", "open_ended"}
-        assert sum(r.n for r in report.splits.values()) == report.n
-
-    def test_context_export(self, prepared):
-        out = prepared["root"] / "out_ctx"
-        config = base_config(prepared, out_dir=out, methods=["top_1"])
-        config.export_contexts = True
-        run_pipeline(config)
-        rows = [
-            json.loads(line)
-            for line in (out / "contexts_top_1.jsonl").read_text().splitlines()
-        ]
-        assert all(row["k"] == 1 for row in rows)
-
 
 class CountingClient:
     """Generator client wrapper recording every prompt it is asked to generate; other
@@ -252,16 +233,28 @@ def built_clients(monkeypatch):
     return built
 
 
+@pytest.fixture
+def contexts_made(monkeypatch):
+    """Every context ragtrim.pipeline's compress and only_doc_select return, in order: each
+    row of a run gets its context from one of them."""
+    import ragtrim.pipeline
+
+    made = []
+    for name in ("compress", "only_doc_select"):
+        def spy(*args, make=getattr(ragtrim.pipeline, name), **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(ragtrim.pipeline, name, spy)
+    return made
+
+
 class TestPromptDedup:
-    def test_each_distinct_prompt_generated_once(self, prepared, built_clients):
-        config = base_config(prepared)
-        config.export_contexts = True
-        run = run_pipeline(config)
+    def test_each_distinct_prompt_generated_once(self, prepared, built_clients, contexts_made):
+        run = run_pipeline(base_config(prepared))
         [client] = built_clients
         assert len(client.seen) == len(set(client.seen)) == run.manifest["generator_calls"]
-        produced = {
-            (ctx.prompt.query_id, ctx.prompt.text) for m in run.methods for ctx in m.contexts
-        }
+        produced = {(ctx.prompt.query_id, ctx.prompt.text) for ctx in contexts_made}
         assert set(client.seen) == produced
         assert sum(m.report.n for m in run.methods) > len(produced)
 
@@ -454,7 +447,9 @@ def prompts_queued(events) -> list[int]:
 
 
 class TestScoreMemo:
-    def test_each_distinct_output_of_an_example_scored_once(self, prepared, monkeypatch):
+    def test_each_distinct_output_of_an_example_scored_once(
+        self, prepared, monkeypatch, contexts_made
+    ):
         import ragtrim.pipeline
 
         score = ragtrim.pipeline.score_output
@@ -466,8 +461,6 @@ class TestScoreMemo:
 
         monkeypatch.setattr(ragtrim.pipeline, "score_output", counting_score)
         config = base_config(prepared)
-        config.split_by_answer_relevance = True
-        config.export_contexts = True
         run = run_pipeline(config)
 
         dataset = join_dataset(
@@ -475,17 +468,18 @@ class TestScoreMemo:
         )
         golds = {example.id: example.gold_answers for example, _ in dataset}
         client = build_generator(config, dataset)
+        # Each context made, scored afresh: every row's context is one of them.
+        fresh: dict[str, list] = {}
         row_outputs = set()
+        for ctx in contexts_made:
+            example_id, output = ctx.prompt.query_id, client.generate(ctx.prompt)
+            row_outputs.add((example_id, output))
+            fresh.setdefault(example_id, []).append(
+                score(example_id, output, golds[example_id], ctx.token_count, ctx.k))
         for m in run.methods:
-            assert len(m.contexts) == len(m.results)
-            for ctx, result in zip(m.contexts, m.results):
-                output = client.generate(ctx.prompt)
-                row_outputs.add((result.example_id, output))
+            for result in m.results:
                 # A reused score equals scoring the row afresh, with the row's own cost fields.
-                assert result == score(
-                    result.example_id, output, golds[result.example_id],
-                    ctx.token_count, ctx.k, split=result.split,
-                )
+                assert result in fresh[result.example_id]
         assert len(scored) == len(set(scored))
         assert set(scored) == row_outputs
         assert sum(m.report.n for m in run.methods) > len(scored)
@@ -508,14 +502,13 @@ class TestCompressMemo:
             return ctx
 
         monkeypatch.setattr(ragtrim.pipeline, "compress", counting_compress)
-        config = base_config(prepared)
-        config.export_contexts = True
-        run = run_pipeline(config)
+        run = run_pipeline(base_config(prepared))
 
         assert calls == len(compressed)
-        served = {id(ctx) for ctx in compressed.values()}
-        rows = [ctx for m in run.methods if m.name != "only_doc" for ctx in m.contexts]
-        assert all(id(ctx) in served for ctx in rows)  # every row got a memoized context
+        served = {(example_id, ctx.token_count, ctx.k) for (example_id, _), ctx in compressed.items()}
+        rows = [r for m in run.methods if m.name != "only_doc" for r in m.results]
+        # every row got the cost fields of a memoized context
+        assert all((r.example_id, r.token_count, r.k) in served for r in rows)
         assert len(rows) > calls
 
 

@@ -1,4 +1,4 @@
-"""Feature extraction, softmax classifier training, baselines, and the remote hook."""
+"""Feature extraction, softmax classifier training and baselines."""
 
 from __future__ import annotations
 
@@ -23,15 +23,12 @@ from ragtrim.data import (
     RetrievalSet,
 )
 from ragtrim.features import FeatureSpec, extract_features
-from ragtrim.generation import ProtocolError, TransportError
 from ragtrim.predictor import (
     FeatureSpecMismatch,
     FixedKPredictor,
     PredictorModel,
     PredictorReport,
     RandomKPredictor,
-    RemotePredictorClient,
-    RemotePredictorConfig,
     TrainConfig,
     build_class_list,
     evaluate_predictor,
@@ -42,14 +39,7 @@ from ragtrim.predictor import (
     softmax,
     train,
 )
-from helpers import (
-    MALFORMED_BODIES,
-    BodySession,
-    ScriptedServer,
-    free_port,
-    make_example,
-    make_retrieval,
-)
+from helpers import make_example, make_retrieval
 
 SPEC5 = FeatureSpec(max_docs=5)
 
@@ -359,63 +349,6 @@ class TestBaselines:
         predictor = RandomKPredictor(seed=1, k_range=range(1, 7))
         with pytest.raises(ValueError, match="exceeds N"):
             predictor.predict_label(make_example(), make_retrieval(texts=["a"] * 5))
-
-
-class TestRemotePredictor:
-    def test_valid_k_accepted(self):
-        with ScriptedServer([(200, {"k": 2})]) as server:
-            client = RemotePredictorClient(RemotePredictorConfig(endpoint_url=server.url))
-            retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-            assert client.predict_label(make_example(), retrieval) == CompressionLabel.keep(2)
-            assert server.bodies[0]["N"] == 5
-
-    def test_out_of_range_k_is_protocol_error(self):
-        with ScriptedServer([(200, {"k": 9})]) as server:
-            client = RemotePredictorClient(RemotePredictorConfig(endpoint_url=server.url))
-            retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-            with pytest.raises(ProtocolError, match="k=9"):
-                client.predict_label(make_example(), retrieval)
-
-    def test_503_is_retried(self):
-        with ScriptedServer([(503, {"error": "busy"}), (200, {"k": 3})]) as server:
-            config = RemotePredictorConfig(endpoint_url=server.url, backoff_base_s=0.01)
-            retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-            label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
-            assert label == CompressionLabel.keep(3)
-            assert len(server.bodies) == 2
-
-    @pytest.mark.parametrize(
-        "reply", [(200, {"k": 9}), (400, {"error": "bad request"})], ids=["k-out-of-range", "400"]
-    )
-    def test_fallback_covers_protocol_errors(self, reply):
-        with ScriptedServer([reply]) as server:
-            config = RemotePredictorConfig(endpoint_url=server.url, fallback_to_full=True)
-            retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-            label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
-            assert label == CompressionLabel.keep(5)
-            assert len(server.bodies) == 1
-
-    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=list(MALFORMED_BODIES))
-    def test_body_that_is_not_an_object_is_protocol_error(self, body):
-        config = RemotePredictorConfig(endpoint_url="http://127.0.0.1:9/")
-        client = RemotePredictorClient(config, session=BodySession(body))
-        with pytest.raises(ProtocolError):
-            client.predict_label(make_example(), make_retrieval())
-
-    def test_transport_failure_with_fallback_keeps_everything(self):
-        url = f"http://127.0.0.1:{free_port()}/"
-        config = RemotePredictorConfig(
-            endpoint_url=url, max_retries=0, fallback_to_full=True, backoff_base_s=0.01
-        )
-        retrieval = make_retrieval(texts=[f"d{i}" for i in range(5)])
-        label = RemotePredictorClient(config).predict_label(make_example(), retrieval)
-        assert label == CompressionLabel.keep(5)
-
-    def test_transport_failure_without_fallback_raises(self):
-        url = f"http://127.0.0.1:{free_port()}/"
-        config = RemotePredictorConfig(endpoint_url=url, max_retries=0, backoff_base_s=0.01)
-        with pytest.raises(TransportError):
-            RemotePredictorClient(config).predict_label(make_example(), make_retrieval())
 
 
 def model_payload() -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import json
 import importlib
 import importlib.util
@@ -17,8 +18,16 @@ import pytest
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
 from ragtrim.data import join_dataset, save_triplets
-from ragtrim.generation import GeneratorClient, HttpGeneratorConfig, Prompt
-from ragtrim.pipeline import PipelineConfig, build_generator, run_pipeline, sweep_document_count
+from ragtrim.features import FeatureSpec
+from ragtrim.generation import GeneratorClient, HttpGeneratorConfig, MockOracleConfig, Prompt
+from ragtrim.pipeline import (
+    PipelineConfig,
+    _ModelEntry,
+    build_generator,
+    run_pipeline,
+    sweep_document_count,
+)
+from ragtrim.predictor import TrainConfig
 from ragtrim.synth import CorpusSpec, make_synthetic_corpus, mock_client_for
 from helpers import MockEndpoint, ScriptedServer, http_client, mock_answers, serve
 
@@ -55,6 +64,45 @@ def test_readme_names_exist():
     missing = [f"{module}.{name}" for module, name in sorted(cited)
                if not hasattr(importlib.import_module(f"ragtrim.{module}"), name)]
     assert len(cited) > 1 and missing == []
+
+
+def names_before_full_stop(text: str) -> set[str]:
+    """The code spans of ``text`` that are not in parentheses, up to its first full stop
+    that is not in parentheses or a code span."""
+    names, depth = set(), 0
+    for i, part in enumerate(re.split(r"`([^`]*)`", text)):
+        if i % 2:  # a code span
+            names.update([part] if depth == 0 else [])
+            continue
+        for mark in re.findall(r"[()]|\.(?=\s|$)", part):
+            if mark == "." and depth == 0:
+                return names
+            depth += {"(": 1, ")": -1}.get(mark, 0)
+    return names
+
+
+def readme_config_keys() -> dict[str, set[str]]:
+    """Label -> keys, for each bullet of README's "The keys, with their defaults": the names
+    after the label's colon (the defaults and notes are in parentheses)."""
+    section = README.read_text(encoding="utf-8").split("The keys, with their defaults:", 1)[1]
+    bullets = section.strip().split("\n\n", 1)[0].removeprefix("- ").split("\n- ")
+    return {label: names_before_full_stop(text)
+            for label, text in (bullet.split(": ", 1) for bullet in bullets)}
+
+
+def test_readme_lists_exactly_the_config_keys():
+    """The README's key list names every JSON key of the config dataclasses and no other,
+    so a key that is deleted cannot stay in it."""
+    def json_keys(*classes):
+        return {f.metadata.get("json", f.name) for cls in classes for f in dataclasses.fields(cls)}
+
+    assert readme_config_keys() == {
+        "Top level": json_keys(PipelineConfig),
+        "`mock` generator": json_keys(MockOracleConfig) | {"closed_book_plan"},
+        "`http` generator": json_keys(HttpGeneratorConfig),
+        "`model` predictor": json_keys(_ModelEntry) | {"name", "type"},
+        "`train`": json_keys(TrainConfig, FeatureSpec) | {"unanswerable_policy"},
+    }
 
 
 def test_metered_http_client_counts_one_retry():
