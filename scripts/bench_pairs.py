@@ -25,7 +25,9 @@ least nine tenths of the pairs and ``median_gap`` exceeds PARENT's ``iqr``, and
 ``regression``, from the metric's ``bound`` in BENCHMARK.json: ``worse`` if its
 median is worse than PARENT's by more than bound x PARENT's median; else
 ``unresolved`` if PARENT's ``iqr`` exceeds bound x its median, unless every
-CHANGE run beats every PARENT run; else ``ok``.
+CHANGE run beats every PARENT run; else ``ok``. Each end-to-end metric also gets one
+console line per workload with the CHANGE side's wins, ``median_gap``,
+``claim_holds`` and ``regression``.
 Each workload gets its own entry. Entries for other workloads or seeds already
 in the files are kept, so one pair of files can carry several.
 """
@@ -175,14 +177,12 @@ def main(argv: list[str] | None = None) -> int:
         for name, checkout, summary in zip(("before", "after"), checkouts, summaries):
             _merge(args.out / f"BENCH_{args.pr}_{name}.json", machine, key,
                    {"checkout": checkout.name, "command": command, **summary})
-        after = summaries[1]
-        if "study_s" in after["metrics"]:
-            study = after["metrics"]["study_s"]
-            print(f"{workload} study_s: change won {study['wins']}/{after['pairs']} pairs, "
-                  f"median gap {study['median_gap']:.3f} s, claim holds: {study['claim_holds']}")
+        before, after = summaries
         for name, metric in after["metrics"].items():
-            print(f"{workload} {name}: {metric['regression']} (median {metric['median']:g} "
-                  f"against {summaries[0]['metrics'][name]['median']:g}, bound {bounds[name]:g})")
+            print(f"{workload} {name}: change won {metric['wins']}/{after['pairs']} pairs, "
+                  f"median gap {metric['median_gap']:g} {metric['unit']}, claim holds: "
+                  f"{metric['claim_holds']}; {metric['regression']} (median {metric['median']:g} "
+                  f"against {before['metrics'][name]['median']:g}, bound {bounds[name]:g})")
     return 0
 
 

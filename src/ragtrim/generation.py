@@ -15,6 +15,7 @@ import heapq
 import http.client
 import json
 import logging
+import math
 import os
 import select
 import socket
@@ -481,7 +482,7 @@ class HttpGeneratorConfig:
         it through."""
         for name, least in (("temperature", 0), ("max_tokens", 1), ("timeout_ms", 1),
                             ("max_retries", 0), ("backoff_base_s", 0), ("max_in_flight", 1)):
-            if getattr(self, name) < least:
+            if not least <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         url = urlsplit(self.endpoint_url)
         if url.scheme not in DEFAULT_PORTS or not url.hostname:

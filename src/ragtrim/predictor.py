@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,7 +55,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("learning_rate", "l2_penalty"):
-            if getattr(self, name) < 0:
+            if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError(f"warmup_fraction must be in [0, 1], got {self.warmup_fraction}")

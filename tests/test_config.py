@@ -537,6 +537,26 @@ def test_ints_for_float_fields_keep_hashes(generator, config_hash, fingerprint):
     assert all(type(getattr(client.backend.config, key)) is float for key in float_fields)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["temperature", "max_tokens", "timeout_ms", "max_retries",
+                                 "backoff_base_s", "max_in_flight"])
+def test_http_config_built_in_python_refuses_non_finite_numbers(key, value):
+    """The range checks hold without the JSON type checker: NaN compares false with any
+    bound, so it must fail them like a number out of range."""
+    with pytest.raises(ValueError, match=f"{key} must be >= "):
+        HttpGeneratorConfig(endpoint_url=GENERATOR_URL, **{key: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["learning_rate", "l2_penalty", "warmup_fraction"])
+def test_train_config_built_in_python_refuses_non_finite_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be "):
+        TrainConfig(**{key: value})
+
+
 def test_conversational_format_keeps_its_config_hash():
     """The config_hash() this config had when it also had to set
     "template": "conversational", so its manifest.json is unchanged."""

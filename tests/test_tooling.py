@@ -250,10 +250,12 @@ def test_bench_pairs_summary_of_canned_result_lines():
     assert claim([10.0, 10.0, 10.0], [12.0, 12.0, 12.0]) == (-2.0, False, "ok")
 
 
-def test_bench_pairs_runs_a_list_of_workloads_into_one_pair_of_files(tmp_path, monkeypatch):
+def test_bench_pairs_runs_a_list_of_workloads_into_one_pair_of_files(tmp_path, monkeypatch,
+                                                                     capsys):
     """``--workload a,b`` runs every pair of a, then every pair of b, alternating which
     checkout goes first, and merges one entry per workload into the same BENCH files,
-    keeping the entries already in them."""
+    keeping the entries already in them. Every end-to-end metric's console line carries
+    its claim verdict, not only study_s's."""
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
@@ -269,7 +271,8 @@ def test_bench_pairs_runs_a_list_of_workloads_into_one_pair_of_files(tmp_path, m
     parent.mkdir()
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 5, "end_to_end": [
-        {"name": "study_s", "better": "lower", "bound": 0.24}]}))
+        {"name": "study_s", "better": "lower", "bound": 0.24},
+        {"name": "setup_s", "better": "lower", "bound": 0.25}]}))
     (tmp_path / "BENCH_7_before.json").write_text(json.dumps(
         {"results": {"old --seed 42": {"pairs": 3}}}))
     runs = []
@@ -277,8 +280,10 @@ def test_bench_pairs_runs_a_list_of_workloads_into_one_pair_of_files(tmp_path, m
     def run_once(checkout, workload, seed, seconds):
         runs.append((checkout.name, workload, seed, seconds))
         value = {"parent": 10.0, "change": 8.0}[checkout.name] + (workload == "b")
+        setup = {"parent": 0.3, "change": 0.2}[checkout.name]
         return {"correct": True, "failed": 0,
-                "metrics": {"study_s": {"value": value, "unit": "s"}}}
+                "metrics": {"study_s": {"value": value, "unit": "s"},
+                            "setup_s": {"value": setup, "unit": "s"}}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     assert bench_pairs.main([str(parent), str(change), "--workload", "a,b", "--pairs", "2",
@@ -295,3 +300,6 @@ def test_bench_pairs_runs_a_list_of_workloads_into_one_pair_of_files(tmp_path, m
             f"python3 perfbench/run.py --workload {workload} --seed 42 --seconds 5 --trace 0"
         assert (entry["pairs"], entry["metrics"]["study_s"]["median"]) == (2, median)
         assert entry["metrics"]["study_s"]["wins"] == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert "b setup_s: change won 2/2 pairs, median gap 0.1 s, claim holds: True; ok " \
+        "(median 0.2 against 0.3, bound 0.25)" in printed
