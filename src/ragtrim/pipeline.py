@@ -283,7 +283,8 @@ def _evaluate(
     labeler when it starts, so labelers run once per example in dataset order and
     seeded draws keep their sequence; a labeler of None selects the only_doc
     context. It compresses each label, in the order the rows first return them,
-    and yields the distinct prompts at once. Then, label by label, it counts the
+    keeps of each context only its prompt's text, token_count and k, and yields
+    the distinct prompts at once. Then, label by label, it counts the
     generate of a prompt for the first label that produced its text (a later one
     is reused) and scores the output unless an earlier label returned it (the
     gold answers fix every metric; token_count and k are the label's own). Each
@@ -303,27 +304,28 @@ def _evaluate(
                 m.skipped += 1
             else:
                 labelled.setdefault(label, []).append(m)
-        contexts = {label: only_doc_select(example, retrieval) if label == METHOD_ONLY_DOC
+        contexts = [only_doc_select(example, retrieval) if label == METHOD_ONLY_DOC
                     else compress(example, retrieval, label, config.fallback)
-                    for label in labelled}
-        prompts = {ctx.prompt.text: ctx.prompt for ctx in contexts.values()}  # distinct
+                    for label in labelled]
+        prompts = {ctx.prompt.text: ctx.prompt for ctx in contexts}  # distinct
+        costs = [(ctx.prompt.text, ctx.token_count, ctx.k) for ctx in contexts]  # by label
+        del contexts  # the line holds the distinct prompts; no context waits in it
         answers = dict(zip(prompts, (yield tuple(prompts.values())))) if prompts else {}
         scored: dict[str, ExampleResult] = {}  # output -> its scores
-        for label, (first, *others) in labelled.items():
-            ctx = contexts[label]
-            output, hits = answers[ctx.prompt.text]
+        for (first, *others), (text, token_count, k) in zip(labelled.values(), costs):
+            output, hits = answers[text]
             if hits is None:
                 first.reused += 1
             else:
-                answers[ctx.prompt.text] = output, None  # counted: a later label reuses it
+                answers[text] = output, None  # counted: a later label reuses it
                 first.generator_calls += 1
                 first.cache_hits += hits
             result = scored.get(output)
             if result is None:
                 result = scored[output] = score_output(example.id, output, example.gold_answers,
-                                                       ctx.token_count, ctx.k)
+                                                       token_count, k)
             else:
-                result = replace(result, token_count=ctx.token_count, k=ctx.k)
+                result = replace(result, token_count=token_count, k=k)
             for m in (first, *others):
                 m.results[position] = result
             for m in others:

@@ -235,13 +235,13 @@ class TestAnnotateDataset:
         assert results[1] == results[4]
 
     def test_the_window_refills_in_the_turn_order_of_width_1(self, monkeypatch):
-        """200 examples at width 2, more than its window of 64 queued probes (one per
+        """200 examples at width 2, more than its line of 64 queued probes (one per
         search), through an endpoint that fails the first attempt of 5% of prompts: the
         same triplets, stats, POSTs and faults as at width 1, and never one prompt twice
         in flight."""
-        monkeypatch.setattr(ragtrim.generation, "PROMPTS_PER_SLOT", 32)
+        monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 64)
         corpus, dataset = self.make_corpus(size=200)
-        assert len(dataset) > ragtrim.generation.PROMPTS_PER_SLOT * 2
+        assert len(dataset) > ragtrim.generation.PROMPTS_IN_LINE
         answers = mock_answers(corpus, dataset)
         results = {}
         for width in (1, 2):

@@ -337,16 +337,15 @@ def test_one_client_reconciles_with_the_endpoint_over_annotate_run_and_sweep(
     assert endpoint.peak_in_flight <= width
 
 
-def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monkeypatch):
+def test_widths_above_1_share_one_turn_order(tmp_path, monkeypatch):
     """Annotation, a run and a sweep through an endpoint that fails the first attempt of
-    5% of prompts, at widths 1, 2 and 4, each width with its own cache. Widths 2 and 4
-    get a line of 16 prompts (8 and 4 per slot), which the 60 searches refill. A run's
-    or a sweep's search yields all its prompts at once, so their generate calls (each
-    with its prompt and cache hits) and the lines they append to the cache log come in
-    the same order at every width. Annotation yields one probe at a time, so its order
-    is fixed by the line's length: widths 2 and 4 make the same calls and append the
-    same lines in the same order, and width 1, whose line holds one prompt, makes them
-    search by search."""
+    5% of prompts, at widths 1, 2, 4 and 8, each width with its own cache. Every width
+    above 1 has the one line, here of 16 prompts, which the 60 searches refill. So
+    widths 2, 4 and 8 make the same generate calls (each with its prompt and cache hits)
+    and append the same lines to the cache log, in the same order. Annotation yields one
+    probe at a time, and width 1, whose line holds one prompt, makes its calls search by
+    search: the same calls and lines in another order. A run's or a sweep's search
+    yields all its prompts at once, so theirs come in one order at every width."""
     corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
     answers = mock_answers(corpus, dataset)
@@ -361,9 +360,9 @@ def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monke
         return output
 
     monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
+    monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 16)
     annotated, evaluated = {}, {}  # width -> (generate calls, cache log lines)
-    for width, per_slot in ((1, 128), (2, 8), (4, 4)):
-        monkeypatch.setattr(ragtrim.generation, "PROMPTS_PER_SLOT", per_slot)
+    for width in (1, 2, 4, 8):
         endpoint = MockEndpoint(answers, fault_rate=0.05)
         serve(monkeypatch, endpoint)
         log = tmp_path / f"cache{width}" / CACHE_LOG
@@ -386,11 +385,11 @@ def test_the_turn_order_depends_on_what_the_searches_yield_alone(tmp_path, monke
         assert endpoint.faults > 0 and endpoint.doubled == []
         assert endpoint.peak_in_flight <= width
     assert len(dataset) > 16  # more searches than the line holds
-    assert evaluated[1] == evaluated[2] == evaluated[4]
-    assert sum(hits for _, hits in evaluated[4][0]) > 0
-    assert annotated[2] == annotated[4]
-    assert [sorted(part) for part in annotated[1]] == [sorted(part) for part in annotated[4]]
-    assert annotated[1] != annotated[4]
+    assert annotated[2] == annotated[4] == annotated[8]
+    assert evaluated[1] == evaluated[2] == evaluated[4] == evaluated[8]
+    assert sum(hits for _, hits in evaluated[8][0]) > 0
+    assert [sorted(part) for part in annotated[1]] == [sorted(part) for part in annotated[8]]
+    assert annotated[1] != annotated[8]
 
 
 def test_generator_calls_excludes_hits_in_stats_and_includes_them_in_the_manifest(

@@ -9,7 +9,6 @@ import socket
 import ssl
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -300,6 +299,19 @@ class TestHttpClient:
             with pytest.raises(ProtocolError, match="unauthorized"):
                 client.generate(make_prompt())
             assert len(server.bodies) == 1  # no retries on 4xx
+
+    def test_429_is_retried_like_a_5xx(self):
+        with ScriptedServer([(429, {"error": "slow down"}), (200, {"text": "ok"})]) as server:
+            client = http_client(http_config(server.url))
+            assert client.generate(make_prompt()) == "ok"
+            assert len(server.bodies) == 2
+
+    def test_repeated_429s_are_a_transport_error_after_the_retries(self):
+        with ScriptedServer([(429, {"error": "slow down"})]) as server:
+            client = http_client(http_config(server.url, max_retries=2))
+            with pytest.raises(TransportError, match="status 429"):
+                client.generate(make_prompt())
+            assert len(server.bodies) == 2 + 1
 
     def test_transport_error_after_retries(self):
         url = f"http://127.0.0.1:{free_port()}/"
@@ -642,19 +654,15 @@ class TestHttpClient:
 
         raised = threading.Event()
 
-        class Late(Future):
-            """A prefetch's answer, whose worker then waits until generate has raised."""
+        finish = ragtrim.generation._Prefetch.finish
 
-            def set_result(self, result):
-                super().set_result(result)
-                if result is not None:  # None: dropped, with no POST
-                    raised.wait(10)
-
-            def set_exception(self, exception):
-                super().set_exception(exception)
+        def late_finish(entry, text=None, error=None):
+            """A prefetch's outcome, whose worker then waits until generate has raised."""
+            finish(entry, text, error)
+            if text is not None or error is not None:  # neither: dropped, with no POST
                 raised.wait(10)
 
-        monkeypatch.setattr(ragtrim.generation, "Future", Late)
+        monkeypatch.setattr(ragtrim.generation._Prefetch, "finish", late_finish)
         config = http_config("http://generator.test/", max_retries=0, max_in_flight=2)
         client = http_client(config, session=Recording())
         first = [held[0], bad] if failure == "prefetched" else held
@@ -762,10 +770,11 @@ class TestHttpClient:
     def test_cancel_under_contention_keeps_every_answer_and_starts_nothing_after(
         self, tmp_path
     ):
-        """Cancelling 300 queued prefetches at width 4 while the threads switch every
-        microsecond: a POST starts after cancel_prefetch is called only if it had
-        passed its check before (at most one per thread); once it returns, no POST is
-        in flight and none starts, and every answered POST has its cache entry."""
+        """Cancelling 300 queued prefetches at width 4 (set here, as the bound below is
+        one POST per thread) while the threads switch every microsecond: a POST starts
+        after cancel_prefetch is called only if it had passed its check before (at most
+        one per thread); once it returns, no POST is in flight and none starts, and
+        every answered POST has its cache entry."""
         import sys
         import time
 
@@ -777,7 +786,8 @@ class TestHttpClient:
                 endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts})
                 cache = tmp_path / str(round_)
                 client = http_client(
-                    http_config("http://generator.test/", cache_dir=str(cache)),
+                    http_config("http://generator.test/", cache_dir=str(cache),
+                                max_in_flight=4),
                     session=endpoint)
                 client.prefetch(prompts)
                 time.sleep(0.0005 * round_)

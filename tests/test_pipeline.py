@@ -330,7 +330,7 @@ class TestRequestsInFlight:
     ):
         """The endpoint holds the first example's prompt until a prompt arrives of the last
         example the line of queued prompts reaches before the first generate. At width 4
-        with 3 prompts per slot, that example lies beyond max_in_flight - 1. The line
+        with a line of 12 prompts, that example lies beyond max_in_flight - 1. The line
         fills: fewer than 12 prompts wait in it when a search starts, and at least 12 - 2
         at some start, as a search yields at most 2 (top_1's and top_random's). No more
         than 4 POSTs or one prompt twice are in flight, and table.csv, manifest.json and
@@ -338,7 +338,7 @@ class TestRequestsInFlight:
         import ragtrim.generation
         from ragtrim.compress import assemble_prompt
 
-        monkeypatch.setattr(ragtrim.generation, "PROMPTS_PER_SLOT", 3)
+        monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 12)
         corpus = make_synthetic_corpus(CorpusSpec(size=30), seed=8)
         paths = corpus.write(tmp_path / "corpus")
         dataset = join_dataset(corpus.examples, corpus.retrievals)
@@ -377,7 +377,7 @@ class TestRequestsInFlight:
                               for name in ("table.csv", "manifest.json", "sweep.csv")]
             assert endpoint.peak_in_flight <= width and endpoint.doubled == []
             assert endpoint.gate_timeouts == []
-            assert max(queued) == 0 if width == 1 else 3 * width - 2 <= max(queued) < 3 * width
+            assert max(queued) == 0 if width == 1 else 12 - 2 <= max(queued) < 12
         assert outputs[1] == outputs[4]
 
     @pytest.mark.parametrize("generator", ["mock", "http-width-1"])

@@ -81,13 +81,19 @@ def names_before_full_stop(text: str) -> set[str]:
     return names
 
 
+def readme_config_bullets() -> dict[str, str]:
+    """Label -> text after the label's colon, for each bullet of README's "The keys, with
+    their defaults"."""
+    section = README.read_text(encoding="utf-8").split("The keys, with their defaults:", 1)[1]
+    bullets = section.strip().split("\n\n", 1)[0].removeprefix("- ").split("\n- ")
+    return dict(bullet.split(": ", 1) for bullet in bullets)
+
+
 def readme_config_keys() -> dict[str, set[str]]:
     """Label -> keys, for each bullet of README's "The keys, with their defaults": the names
     after the label's colon (the defaults and notes are in parentheses)."""
-    section = README.read_text(encoding="utf-8").split("The keys, with their defaults:", 1)[1]
-    bullets = section.strip().split("\n\n", 1)[0].removeprefix("- ").split("\n- ")
     return {label: names_before_full_stop(text)
-            for label, text in (bullet.split(": ", 1) for bullet in bullets)}
+            for label, text in readme_config_bullets().items()}
 
 
 def test_readme_lists_exactly_the_config_keys():
@@ -103,6 +109,21 @@ def test_readme_lists_exactly_the_config_keys():
         "`model` predictor": json_keys(_ModelEntry) | {"name", "type"},
         "`train`": json_keys(TrainConfig, FeatureSpec) | {"unanswerable_policy"},
     }
+
+
+def test_readme_states_the_http_generator_defaults():
+    """Each default the README's `http` generator bullet states, as the code span that
+    opens the parentheses after a key (or after keys joined by "and"), is that
+    HttpGeneratorConfig field's default, of the same type; every field with a default
+    has one stated. So changing a default cannot leave the README behind."""
+    stated = {}
+    bullet = readme_config_bullets()["`http` generator"]
+    for names, default in re.findall(r"((?:`\w+`(?:\s+and\s+)?)+)\s+\(`([^`]+)`", bullet):
+        stated.update((name, json.loads(default)) for name in re.findall(r"`(\w+)`", names))
+    defaults = {f.name: f.default for f in dataclasses.fields(HttpGeneratorConfig)
+                if f.default is not dataclasses.MISSING}
+    assert {name: (type(value), value) for name, value in stated.items()} \
+        == {name: (type(value), value) for name, value in defaults.items()}
 
 
 def test_metered_http_client_counts_one_retry():
