@@ -106,10 +106,6 @@ def find_optimal_k(
     return CompressionLabel.unanswerable()
 
 
-def _histogram_key(label: CompressionLabel) -> str:
-    return "unanswerable" if label.is_unanswerable else str(label.k)
-
-
 def _abort_point(failed: list[int], total: int, failure_limit: float) -> int:
     """The position of the failed example at which annotating one example at a time
     would abort, given the failed positions known so far; ``total`` if there is none."""
@@ -174,7 +170,7 @@ def annotate_dataset(
     kept = sorted((pair for position, pair in labels.items() if position < end),
                   key=lambda pair: pair[0])
     triplets = [AnnotatedTriplet(id_, id_, label, fingerprint) for id_, label in kept]
-    histogram = Counter(_histogram_key(label) for _, label in kept)
+    histogram = Counter(str(label.to_json()) for _, label in kept)
     cache_hits = client.cache_hits - hits_before
     stats = AnnotationStats(
         total_examples=len(dataset),

@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import pipeline
@@ -36,10 +37,7 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
     spec = parse_config(CorpusSpec, {"size": args.size, **raw}, "spec")
     corpus = make_synthetic_corpus(spec, seed=args.seed)
     paths = corpus.write(args.out_dir)
-    histogram: dict[str, int] = {}
-    for entry in corpus.plan:
-        key = str(entry.intended_label.to_json())
-        histogram[key] = histogram.get(key, 0) + 1
+    histogram = Counter(str(entry.intended_label.to_json()) for entry in corpus.plan)
     print(f"wrote {len(corpus.examples)} examples under {args.out_dir}")
     print(f"intended label histogram: {json.dumps(histogram, sort_keys=True)}")
     for name, path in paths.items():

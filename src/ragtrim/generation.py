@@ -541,10 +541,12 @@ def proxy_for(scheme: str, host: str, proxies: Mapping[str, str]) -> tuple[str, 
 
 @dataclass(frozen=True)
 class HttpResponse:
-    """What HttpSession.post returns: the status code and the raw body."""
+    """What HttpSession.post returns: the status code, the raw body and the seconds of a
+    Retry-After header, if it gave a whole number."""
 
     status_code: int
     content: bytes
+    retry_after: int | None = None
 
     @property
     def text(self) -> str:
@@ -580,7 +582,7 @@ class HttpSession:
         try:
             sock.settimeout(timeout)
             sock.sendall(b"%s%sContent-Length: %d\r\n\r\n%s" % (head, extra, len(body), body))
-            status, content, keep = _read_reply(reader)
+            response, keep = _read_reply(reader)
         except BaseException:
             _close(conn)
             raise
@@ -589,7 +591,7 @@ class HttpSession:
                 self._idle.setdefault(key, []).append(conn)
         else:
             _close(conn)
-        return HttpResponse(status, content)
+        return response
 
     def close(self) -> None:
         """Close the idle connections; a later ``post`` opens new ones."""
@@ -682,14 +684,14 @@ def _read_head(reader: BinaryIO) -> tuple[bytes, int, dict[bytes, bytes]]:
             return version, int(code), fields
 
 
-def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
-    """The status and body of a reply (chunked, of a valid Content-Length, or else read to
-    the close), and whether the connection may be reused: HTTP/1.1 and no close."""
+def _read_reply(reader: BinaryIO) -> tuple[HttpResponse, bool]:
+    """The reply (its body chunked, of a valid Content-Length, or else read to the close),
+    and whether the connection may be reused: HTTP/1.1 and no close."""
     version, status, fields = _read_head(reader)
     keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
     if status in (204, 304):
-        return status, b"", keep
-    if b"chunked" in fields.get(b"transfer-encoding", b"").lower():
+        body = b""
+    elif b"chunked" in fields.get(b"transfer-encoding", b"").lower():
         parts = []
         while True:
             size = _line(reader, "chunk size").split(b";", 1)[0].strip()
@@ -700,10 +702,16 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
             parts.append(_exactly(reader, size + 2)[:size])  # the data, then its CRLF
         while _line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
             pass
-        return status, b"".join(parts), keep
-    if not (length := fields.get(b"content-length", b"")).isdigit():
-        return status, reader.read(), False
-    return status, _exactly(reader, int(length)), keep
+        body = b"".join(parts)
+    elif not (length := fields.get(b"content-length", b"")).isdigit():
+        body, keep = reader.read(), False
+    else:
+        body = _exactly(reader, int(length))
+    # Retry-After in whole seconds, of at most 9 digits (a wait a timer can hold); an
+    # HTTP-date or anything else is ignored.
+    wait = fields.get(b"retry-after", b"")
+    seconds = int(wait) if wait.isdigit() and len(wait) < 10 else None
+    return HttpResponse(status, body, seconds), keep
 
 
 def _request_payload(config: HttpGeneratorConfig, prompt: Prompt) -> dict:
@@ -729,13 +737,15 @@ def post_attempts(
     ``max_retries`` times with exponential backoff, then raise TransportError;
     any other 4xx, or a 2xx body that is not a JSON object, raises ProtocolError
     at once. Before each retry the generator yields its backoff in seconds, which
-    the caller waits out.
+    the caller waits out: no less than the Retry-After of a 5xx or 429 before it.
     """
     attempts = config.max_retries + 1
     error: Exception | None = None
+    asked = 0  # the seconds the last failed reply's Retry-After asked for
     for attempt in range(attempts):
         if attempt > 0:
-            yield config.backoff_base_s * 2 ** (attempt - 1)
+            yield max(config.backoff_base_s * 2 ** (attempt - 1), asked)
+            asked = 0
         try:
             resp = session.post(config.endpoint_url, json=payload, headers=headers,
                                 timeout=config.timeout_ms / 1000.0)
@@ -745,6 +755,7 @@ def post_attempts(
             if not (500 <= resp.status_code < 600 or resp.status_code == 429):
                 break  # an answer to judge below; only transport errors, 5xx and 429 retry
             error = ProtocolError(f"status {resp.status_code}: {resp.text[:200]}")
+            asked = resp.retry_after or 0
         logger.warning("attempt %d/%d to %s failed: %s", attempt + 1, attempts,
                        config.endpoint_url, error)
     else:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -141,7 +142,7 @@ class TrainReport:
     epoch_losses: list[float]
     final_train_accuracy: float
     n_rows: int
-    class_counts: dict[str, int]
+    class_counts: Counter[str]
     dropped_unanswerable: int = 0
 
 
@@ -163,30 +164,21 @@ def build_class_list(feature_spec: FeatureSpec, unanswerable_policy: str) -> tup
     return tuple(classes)
 
 
-def _training_matrix(
-    triplets: Sequence[AnnotatedTriplet],
-    dataset: JoinedDataset,
-    feature_spec: FeatureSpec,
-    class_list: tuple,
-    policy: str,
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _labelled_rows(
+    triplets: Sequence[AnnotatedTriplet], dataset: JoinedDataset, class_list: tuple, policy: str
+) -> tuple[list[tuple[QAExample, RetrievalSet, int]], int]:
+    """Each kept triplet's (example, retrieval, class index) in triplet order, and
+    how many rows the unanswerable policy dropped."""
     index = dataset.index()
-    xs: list[np.ndarray] = []
-    ys: list[int] = []
-    dropped = 0
+    rows = []
     for triplet in triplets:
         if triplet.example_id not in index:
             raise DataError(f"triplet example {triplet.example_id} missing from dataset")
         example, retrieval = index[triplet.example_id]
         y = _class_index(class_list, triplet.label, policy, retrieval.n)
-        if y is None:
-            dropped += 1
-            continue
-        xs.append(extract_features(example, retrieval, feature_spec))
-        ys.append(y)
-    if not xs:
-        raise ValueError("no trainable rows after applying the unanswerable policy")
-    return np.stack(xs), np.array(ys, dtype=np.int64), dropped
+        if y is not None:
+            rows.append((example, retrieval, y))
+    return rows, len(triplets) - len(rows)
 
 
 def train(
@@ -205,7 +197,12 @@ def train(
     if unanswerable_policy not in UNANSWERABLE_POLICIES:
         raise ValueError(f"unknown unanswerable_policy {unanswerable_policy!r}")
     class_list = build_class_list(feature_spec, unanswerable_policy)
-    x, y, dropped = _training_matrix(triplets, dataset, feature_spec, class_list, unanswerable_policy)
+    rows, dropped = _labelled_rows(triplets, dataset, class_list, unanswerable_policy)
+    if not rows:
+        raise ValueError("no trainable rows after applying the unanswerable policy")
+    x = np.stack([extract_features(example, retrieval, feature_spec)
+                  for example, retrieval, _ in rows])
+    y = np.array([idx for _, _, idx in rows], dtype=np.int64)
     distinct = np.unique(y)
     if distinct.size < 2:
         raise ValueError(f"training data has a single class ({distinct.tolist()}); need >= 2")
@@ -236,11 +233,7 @@ def train(
         epoch_losses.append(epoch_loss)
 
     predictions = np.argmax(x @ weights.T, axis=1)
-    accuracy = float(np.mean(predictions == y)) if n else 0.0
-    counts: dict[str, int] = {}
-    for idx in y:
-        key = str(class_list[idx])
-        counts[key] = counts.get(key, 0) + 1
+    accuracy = float(np.mean(predictions == y))
 
     model = PredictorModel(
         weights=weights,
@@ -254,7 +247,7 @@ def train(
         epoch_losses=epoch_losses,
         final_train_accuracy=accuracy,
         n_rows=n,
-        class_counts=counts,
+        class_counts=Counter(str(class_list[idx]) for _, _, idx in rows),
         dropped_unanswerable=dropped,
     )
     return model, report
@@ -315,29 +308,17 @@ def evaluate_predictor(
     """
     if not triplets:
         raise ValueError("evaluate_predictor requires a non-empty held-out set")
-    index = dataset.index()
     class_list = model.class_list
-    c = len(class_list)
-    confusion = np.zeros((c, c), dtype=np.int64)
-    skipped = 0
-    pairs: list[tuple] = []
-    for triplet in triplets:
-        if triplet.example_id not in index:
-            raise DataError(f"triplet example {triplet.example_id} missing from dataset")
-        example, retrieval = index[triplet.example_id]
-        true_idx = _class_index(class_list, triplet.label, model.unanswerable_policy, retrieval.n)
-        if true_idx is None:
-            skipped += 1
-            continue
-        predicted = model.predict_label(example, retrieval)
-        pred_cls = UNANSWERABLE_CLASS if predicted.is_unanswerable else predicted.k
-        pred_idx = class_list.index(pred_cls)
-        confusion[true_idx, pred_idx] += 1
-        pairs.append((class_list[true_idx], pred_cls))
-
-    n = len(pairs)
+    rows, skipped = _labelled_rows(triplets, dataset, class_list, model.unanswerable_policy)
+    n = len(rows)
     if n == 0:
         raise ValueError("no evaluable rows after applying the unanswerable policy")
+    c = len(class_list)
+    confusion = np.zeros((c, c), dtype=np.int64)
+    for example, retrieval, true_idx in rows:
+        # A predicted label is never dropped: an unanswerable one needs its own class.
+        predicted = model.predict_label(example, retrieval)
+        confusion[true_idx, _class_index(class_list, predicted, POLICY_OWN_CLASS, retrieval.n)] += 1
     accuracy = float(np.trace(confusion)) / n
 
     per_class: dict[str, dict[str, float]] = {}
@@ -351,9 +332,8 @@ def evaluate_predictor(
             "support": true_total,
         }
 
-    margins = {
-        m: sum(1 for t, p in pairs if _margin(t, p) <= m) / n for m in (0, 1, 2)
-    }
+    distance = np.array([[_margin(t, p) for p in class_list] for t in class_list])
+    margins = {m: int(confusion[distance <= m].sum()) / n for m in (0, 1, 2)}
     return PredictorReport(
         class_list=class_list,
         confusion=confusion.tolist(),

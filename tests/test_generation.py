@@ -20,6 +20,7 @@ from ragtrim.generation import (
     CACHE_LOG,
     GeneratorClient,
     HttpGeneratorConfig,
+    HttpResponse,
     HttpSession,
     JudgeMode,
     MockOracleBackend,
@@ -680,12 +681,19 @@ class TestHttpClient:
             bad.text: failure == "inline", good[0].text: True, good[1].text: True,
             good[2].text: False, **{p.text: False for p in first if p is not bad}}
 
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_a_retry_is_not_sent_before_its_backoff_has_passed(self, width):
-        """A prompt's first two attempts fail, with a 503 and then a dropped connection.
-        Each retry is sent no sooner than backoff_base_s * 2 ** (attempt - 1) after the
-        attempt before it ended, whether generate sleeps the backoff (width 1) or a
-        worker parks it on a timer (width 2)."""
+    @pytest.mark.parametrize("width, replies, waits", [
+        pytest.param(width, *case, id=f"{width}{suffix}") for width in (1, 2)
+        for suffix, case in [
+            ("", ([http_response(503, b"busy"), "drop"], [0.05, 0.1])),
+            ("-retry-after", ([HttpResponse(429, b"slow down", retry_after=1)], [1.0])),
+        ]
+    ])
+    def test_a_retry_is_not_sent_before_its_backoff_has_passed(self, width, replies, waits):
+        """A prompt's first attempts fail: with a 503 and then a dropped connection, or
+        with a 429 whose Retry-After (1 s) is longer than its backoff. Each retry is sent
+        no sooner than backoff_base_s * 2 ** (attempt - 1), or the Retry-After if longer,
+        after the attempt before it ended, whether generate sleeps the wait (width 1) or
+        a worker parks it on a timer (width 2)."""
         prompt = make_prompt()
         times = []  # (start, end) of each POST
 
@@ -693,11 +701,11 @@ class TestHttpClient:
             def post(self, url, json, **kwargs):
                 start = time.monotonic()
                 try:
-                    if not times:
-                        return http_response(503, b"busy")
-                    if len(times) == 1:
+                    if len(times) == len(replies):
+                        return http_response(200, b'{"text": "a"}')
+                    if replies[len(times)] == "drop":
                         raise http.client.RemoteDisconnected("dropped")
-                    return http_response(200, b'{"text": "a"}')
+                    return replies[len(times)]
                 finally:
                     times.append((start, time.monotonic()))
 
@@ -705,9 +713,28 @@ class TestHttpClient:
         client = http_client(config, session=Failing())
         client.prefetch([prompt])
         assert client.generate(prompt) == "a"
-        assert len(times) == 3
-        for attempt in (1, 2):
-            assert times[attempt][0] - times[attempt - 1][1] >= 0.05 * 2 ** (attempt - 1)
+        assert len(times) == len(waits) + 1
+        for attempt, wait in enumerate(waits, 1):
+            assert times[attempt][0] - times[attempt - 1][1] >= wait
+
+    def test_a_retry_waits_the_longer_of_its_backoff_and_the_retry_after_before_it(self):
+        """The waits post_attempts yields: the backoff, or a 5xx's or 429's Retry-After if
+        it asks for longer; a dropped connection's retry waits the backoff alone."""
+        replies = [HttpResponse(429, b"", retry_after=3), OSError("dropped"),
+                   HttpResponse(503, b"", retry_after=9), HttpResponse(503, b"", retry_after=0),
+                   HttpResponse(503, b"")]
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                if isinstance(reply := replies.pop(0), Exception):
+                    raise reply
+                return reply
+
+        config = http_config("http://generator.test/", max_retries=4, backoff_base_s=1)
+        attempts = ragtrim.generation.post_attempts(Session(), config, {})
+        assert [next(attempts) for _ in range(4)] == [3, 2, 9, 8]
+        with pytest.raises(TransportError):
+            next(attempts)
 
     def test_a_parked_retry_holds_no_slot(self):
         """At width 2, one prompt's first attempt fails. While it waits out its 0.2 s
@@ -943,6 +970,10 @@ class TestHttpWire:
         pytest.param(b"garbage\r\n\r\n", http.client.BadStatusLine, id="garbage-status-line"),
         pytest.param(raw_reply("ok", b"HTTP/1.1 200 OK\r\n" + b"X-Filler: x\r\n" * 101),
                      http.client.HTTPException, id="101-header-lines"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+                     http.client.IncompleteRead, id="bad-chunk-size"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * 65536 + b"\r\n\r\n",
+                     http.client.LineTooLong, id="line-too-long"),
     ])
     def test_a_broken_reply_is_one_retry_on_a_new_connection(self, broken, error, caplog):
         """HttpSession raises the http.client error of the reply; post_attempts retries it."""
@@ -957,6 +988,46 @@ class TestHttpWire:
         assert len(server.requests) == 3
         assert server.ports[1] != server.ports[2]
         assert [r.getMessage().split(" to ")[0] for r in caplog.records] == ["attempt 1/3"]
+
+    def test_a_204_is_a_protocol_error_and_its_connection_is_pooled_again(self):
+        """A 204 has no body to read, so nothing waits for one: the POST is not retried,
+        the missing JSON is a ProtocolError, and the next POST reuses the connection."""
+        script = [(b"HTTP/1.1 204 No Content\r\n\r\n", False), (raw_reply("ok"), False)]
+        with RawServer(script) as server:
+            client = http_client(http_config(server.url))
+            with pytest.raises(ProtocolError, match="non-JSON"):
+                client.generate(make_prompt(query="question 0"))
+            assert client.generate(make_prompt(query="question 1")) == "ok"
+            client.session.close()
+        assert len(server.requests) == 2
+        assert server.ports[0] == server.ports[1]
+
+    def test_a_proxy_that_refuses_the_tunnel_is_retried_then_a_transport_error(
+            self, monkeypatch):
+        """A CONNECT answered with 407 fails the attempt, as a socket error would; once
+        max_retries retries have failed too, generate raises TransportError."""
+        clear_proxy_env(monkeypatch)
+        refused = b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n"
+        with RawServer([(refused, True)]) as proxy:
+            monkeypatch.setenv("https_proxy", proxy.url)
+            client = http_client(http_config("https://generator.test/gen", backoff_base_s=0))
+            with pytest.raises(TransportError, match="status 407"):
+                client.generate(make_prompt())
+        assert [request.split(b"\r\n")[0] for request in proxy.requests] \
+            == [b"CONNECT generator.test:443 HTTP/1.1"] * 3
+
+    @pytest.mark.parametrize("value, seconds", [
+        (b"1", 1), (b"120", 120), (b"999999999", 999999999),
+        (b"Wed, 21 Oct 2015 07:28:00 GMT", None), (b"-1", None), (b"1.5", None),
+        (b"1e3", None), (b"", None), (b"1234567890", None),
+    ])
+    def test_retry_after_is_read_as_whole_seconds(self, value, seconds):
+        """A Retry-After of up to 9 digits is its seconds; an HTTP-date or any other value
+        is None, so the retry waits its backoff alone."""
+        reply = raw_reply("busy", b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: %s\r\n" % value)
+        with RawServer([(reply, True)]) as server:
+            response = HttpSession().post(server.url, json={})
+        assert (response.status_code, response.retry_after) == (429, seconds)
 
     def test_a_connection_on_a_descriptor_above_1023_is_reused(self):
         """The idle check of a kept-alive connection works on any descriptor (select.select

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import importlib
 import importlib.util
+import inspect
 import re
 import threading
 from pathlib import Path
@@ -53,6 +54,69 @@ def test_traced_names_exist():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert len(names) > 1 and missing == []
+
+
+def ragtrim_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) of each ``from ragtrim... import name`` in ``path``, and (module,
+    None) of each ``import ragtrim...``."""
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ragtrim"):
+            imports.extend((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imports.extend((alias.name, None) for alias in node.names
+                           if alias.name.startswith("ragtrim"))
+    return imports
+
+
+def test_every_name_the_benchmark_imports_exists():
+    """Each ragtrim module and name a perfbench script imports resolves; a rename would
+    fail the benchmark's run of this tree, not a test."""
+    imports = [pair for path in sorted(TRACING.parent.glob("*.py"))
+               for pair in ragtrim_imports(path)]
+    modules = {module: importlib.import_module(module) for module, _ in imports}
+    missing = [f"{module}.{name}" for module, name in imports
+               if name is not None and not hasattr(modules[module], name)]
+    assert {name for _, name in imports} >= {"Prompt", "mock_generate", "make_synthetic_corpus"}
+    assert missing == []
+
+
+def test_prompt_takes_the_keywords_the_stub_passes():
+    """perfbench/stub.py builds each prompt it answers as ``Prompt(**five keywords)``."""
+    tree = ast.parse((TRACING.parent / "stub.py").read_text(encoding="utf-8"))
+    [keywords] = [[kw.arg for kw in node.keywords] for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Prompt"]
+    assert len(keywords) == 5
+    inspect.signature(Prompt).bind(**dict.fromkeys(keywords))
+
+
+def test_an_http_client_sends_every_attempt_through_its_settable_session():
+    """MeteredClient counts retries by replacing the ``session`` of each client
+    build_generator returns. Every attempt, inline or from a prefetch worker, must go
+    through the replacement: a 503-then-200 prompt is 2 POSTs, each way."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=4), seed=5)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+
+    class Counting:
+        def __init__(self, session):
+            self.session, self.posts = session, 0
+
+        def post(self, *args, **kwargs):
+            self.posts += 1
+            return self.session.post(*args, **kwargs)
+
+    prompts = [Prompt("q1", f"question {i}", (), "qa_default", f"question {i}") for i in range(2)]
+    script = [(503, {"error": "busy"}), (200, {"text": "a"})] * 2
+    with ScriptedServer(script) as server:
+        config = PipelineConfig("", "", [], generator={
+            "type": "http", "endpoint_url": server.url, "model_name": "m", "backoff_base_s": 0})
+        client = build_generator(config, dataset)
+        client.session = counting = Counting(client.session)
+        assert client.generate(prompts[0]) == "a" and counting.posts == 2
+        client.prefetch(prompts[1:])
+        assert client.generate(prompts[1]) == "a" and counting.posts == 4
+        client.cancel_prefetch()
+    assert len(server.bodies) == 4
 
 
 def test_readme_names_exist():
@@ -153,6 +217,7 @@ def test_metered_mock_client_has_no_session_and_no_retries():
         meter = tracing.MeteredClient(client, "annotate")
         annotate_dataset(dataset, meter)
         counters = meter.counters()
+        assert not hasattr(client, "session")
         assert meter.attempts is None and counters["retries"] == 0
         assert counters["client_calls"] == counters["lookups"] > 0
 
