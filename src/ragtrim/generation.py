@@ -24,11 +24,11 @@ import threading
 import time
 import urllib.request
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from json import dumps as json_dumps
 from pathlib import Path
-from typing import BinaryIO, Generator, Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Generator, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .data import ConfigError, DataError
@@ -87,6 +87,9 @@ class _Prefetch:
         with self._done:
             pass
 
+    def finished(self) -> bool:
+        return not self._done.locked()
+
     def result(self) -> str | None:
         """The answer once finished; the error is raised."""
         self.wait()
@@ -98,18 +101,20 @@ class _Prefetch:
 class GeneratorClient:
     """Answers prompts through a backend, with the counters, a disk cache and prefetching.
 
-    A backend has ``fetch(prompt) -> str`` and ``fingerprint()``; for a ``cache_dir`` or a
-    width above 1, ``cache_key(prompt)`` (the key of a cached answer); and for a width
-    above 1, ``attempts(prompt)`` (see post_attempts). ``calls`` counts every lookup,
-    cache hits included. The cache is one append-only log per ``cache_dir``
-    (``CACHE_LOG``), read into a dict when the client is built; each answer fetched goes
-    into both, so a client built later sees it. ``prefetch`` queues prompts for up to
-    ``max_in_flight`` workers, which make one attempt per job and park each retry on a
-    timer; at width 1 it does nothing. ``generate`` counts, reads and writes the cache,
-    and takes a pending answer or fetches one inline, on the caller's thread, so the
-    requests, retries and counters of a run are those of a serial run. A worker holds one
-    of ``max_in_flight`` slots per attempt, an inline fetch one for all its attempts.
-    ``take_turns`` prefetches, and calls ``cancel_prefetch`` once done, after an error too.
+    A backend has ``fingerprint()`` and either ``fetch(prompt) -> str`` or
+    ``attempts(prompt)`` (see post_attempts), which a width above 1 needs; for a
+    ``cache_dir`` or a width above 1, also ``cache_key(prompt)`` (the key of a cached
+    answer). ``calls`` counts every lookup, cache hits included, and ``retries`` every
+    retry, a worker's or an inline fetch's. The cache is one append-only log per
+    ``cache_dir`` (``CACHE_LOG``), read into a dict when the client is built; each answer
+    fetched goes into both, so a client built later sees it. ``prefetch`` queues prompts
+    for up to ``max_in_flight`` workers, which make one attempt per job and park each
+    retry on a timer; at width 1 it does nothing. ``generate`` counts, reads and writes
+    the cache, and takes a pending answer or fetches one inline, on the caller's thread,
+    so the requests, retries and counters of a run are those of a serial run. A worker
+    holds one of ``max_in_flight`` slots per attempt, an inline fetch one for all its
+    attempts. ``take_turns`` prefetches, has generate run its searches ahead while it
+    waits (``meanwhile``), and calls ``cancel_prefetch`` once done, after an error too.
     """
 
     def __init__(self, backend, cache_dir: str | None = None, max_in_flight: int = 1):
@@ -118,7 +123,12 @@ class GeneratorClient:
         self.max_in_flight = max_in_flight
         self.calls = 0
         self.cache_hits = 0
-        self._cond = threading.Condition()  # guards the counters, the jobs and the log
+        self.retries = 0
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)  # guards the counters, the jobs and the log
+        self._landing = threading.Condition(lock)  # notified as a prefetch lands
+        self.landed: deque[_Prefetch] = deque()  # finished prefetches, for take_turns
+        self._meanwhile: Callable[[], bool] | None = None
         self._pending: dict[str, _Prefetch] = {}  # cache key -> its prefetched answer
         self._failed = 0  # prefetches of _pending that failed and generate has not raised
         self._raised = 0  # failures generate has raised; a prefetch queued before one is dropped
@@ -149,22 +159,26 @@ class GeneratorClient:
     def fingerprint(self) -> str:
         return self.backend.fingerprint()
 
-    def prefetch(self, prompts: Iterable[Prompt]) -> None:
+    def prefetch(self, prompts: Sequence[Prompt]) -> list[_Prefetch | None]:
         """Queue the first attempt of each prompt that has no cache entry and is not already
-        pending; at width 1, nothing."""
+        pending; at width 1, nothing. Returns, for each prompt, the ``_Prefetch`` queued for
+        it, or None where none was: that prompt's ``generate`` will take the answer the
+        ``_Prefetch`` gets, unless an earlier ``generate`` of the same key does."""
+        owned: list[_Prefetch | None] = [None] * len(prompts)
         if self.max_in_flight == 1:
-            return
+            return owned
         with self._cond:
-            for prompt in prompts:
+            for i, prompt in enumerate(prompts):
                 key = self.backend.cache_key(prompt)
                 if key in self._pending or key in self._answers:
                     continue
-                self._pending[key] = entry = _Prefetch()
+                self._pending[key] = owned[i] = entry = _Prefetch()
                 self._queue.append((entry, prompt, self._pending, self._raised))
                 self._cond.notify()
                 if self._workers < self.max_in_flight:
                     self._workers += 1
                     threading.Thread(target=self._work, name="ragtrim-post", daemon=True).start()
+        return owned
 
     def _work(self) -> None:
         """A worker: one attempt at a time, a due retry first, until no job is queued or
@@ -186,7 +200,7 @@ class GeneratorClient:
                     entry, prompt, pending, raised = self._queue.popleft()
                     if (pending is not self._pending or self._failed or raised != self._raised
                             or self._streak >= self.max_in_flight):
-                        entry.finish()
+                        self._land(entry)
                         continue
                     attempts = self.backend.attempts(prompt)
             try:
@@ -195,17 +209,26 @@ class GeneratorClient:
             except StopIteration as done:
                 with self._cond:
                     self._streak = 0
-                entry.finish(done.value)
+                self._land(entry, done.value)
             except Exception as exc:
                 with self._cond:
                     self._failed += 1
                     self._streak += 1
-                entry.finish(error=exc)
+                self._land(entry, error=exc)
             else:
                 with self._cond:  # id: a tie-break, as entries do not compare
                     self._streak += 1
+                    self.retries += 1
                     heapq.heappush(self._timers,
                                    (time.monotonic() + delay, id(entry), entry, attempts))
+
+    def _land(self, entry: _Prefetch, text: str | None = None,
+              error: Exception | None = None) -> None:
+        """Finish ``entry``, then add it to ``landed`` and wake a caller waiting for one."""
+        entry.finish(text, error)
+        with self._cond:
+            self.landed.append(entry)
+            self._landing.notify()
 
     def _due(self) -> bool:
         return bool(self._timers) and self._timers[0][0] <= time.monotonic()
@@ -218,16 +241,23 @@ class GeneratorClient:
         for entry in pending.values():
             entry.wait()
         self._failed = 0  # every failure of ``pending`` is in
+        self.landed.clear()
         if self.cache_dir is not None:
             for key, entry in pending.items():
                 if entry.text is not None:
                     self._keep(key, entry.text)
 
+    def meanwhile(self, step: Callable[[], bool] | None) -> None:
+        """Have ``generate``, while its prompt's prefetch is under way, call ``step`` (None:
+        no step). Each time ``step`` returns True, generate waits until a prefetch lands and
+        calls it again; once it returns False, generate waits for its own answer alone."""
+        self._meanwhile = step
+
     def generate(self, prompt: Prompt) -> str:
         with self._cond:
             self.calls += 1
         if self.cache_dir is None and not self._pending:  # nothing to read: no key needed
-            return self.backend.fetch(prompt)
+            return self._fetch(prompt)
         key = self.backend.cache_key(prompt)
         cached = self._answers.get(key)
         if cached is not None:
@@ -235,12 +265,18 @@ class GeneratorClient:
                 self.cache_hits += 1
             return cached
 
-        entry = self._pending.pop(key, None)
+        entry = self._pending.get(key)
+        if entry is not None and self._meanwhile is not None:
+            while not entry.finished() and self._meanwhile():
+                with self._cond:
+                    while not self.landed:
+                        self._landing.wait()
+        self._pending.pop(key, None)  # after the steps: a prefetch they make finds it pending
         try:
             text = None if entry is None else entry.result()
             if text is None:  # not prefetched, or dropped or held
                 with self._slots:
-                    text = self.backend.fetch(prompt)
+                    text = self._fetch(prompt)
                 with self._cond:
                     self._streak = 0
         except Exception:
@@ -252,6 +288,21 @@ class GeneratorClient:
         if self.cache_dir is not None:
             self._keep(key, text)
         return text
+
+    def _fetch(self, prompt: Prompt) -> str:
+        """The backend's answer to ``prompt``, fetched on this thread, each backoff between
+        its attempts slept and counted as a retry."""
+        if not hasattr(self.backend, "attempts"):
+            return self.backend.fetch(prompt)
+        attempts = self.backend.attempts(prompt)
+        try:
+            while True:
+                delay = next(attempts)
+                with self._cond:
+                    self.retries += 1
+                time.sleep(delay)
+        except StopIteration as done:
+            return done.value
 
     def _keep(self, key: str, text: str) -> None:
         """Cache ``text``: in the dict, and as one line appended to the log."""
@@ -266,13 +317,38 @@ class GeneratorClient:
 # The prompts take_turns queues in its line at max_in_flight > 1: one length at every
 # width, so widths above 1 share one turn order and one cache-log order. While generate
 # waits for a prompt whose retry waits out its backoff, the workers go on through the
-# prompts queued behind it: 512 last a first backoff (0.25 s) of 2 ms requests at width
-# 4. A line of 1,024 at width 8 added 1.4-1.7 MB of peak RSS in the 400-example study
-# and was faster only against an endpoint that fails 1% of first attempts (by 9%).
+# prompts queued behind it and through those of the searches run ahead of their turn,
+# at most as many again. At width 8, 512 requests to a 2 ms endpoint take about 0.21 s,
+# less than a first backoff (0.25 s); the prompts run ahead cover the rest. A line of
+# 1,024 at width 8 added 1.4-1.7 MB of peak RSS in the 400-example study and was faster
+# only against an endpoint that fails 1% of first attempts (by 9%).
 PROMPTS_IN_LINE = 512
 
 # A search yields a tuple of prompts and is sent their (output, cache hits of its generate).
 Search = Generator[tuple[Prompt, ...], list[tuple[str, int]], object]
+
+
+class _Yielded:
+    """A tuple of prompts a search yielded to take_turns, and what became of it.
+
+    ``entries`` holds each prompt's own prefetch, or None (see prefetch); ``unanswered``
+    counts those not yet landed, None if one is missing or landed without an answer.
+    ``waits``: in the line, none of its prompts taken yet. ``pairs``: the (output, hits)
+    of its generate calls so far. A search resumed ahead of its turn was sent ``sent``,
+    and ``after`` is what it did then: its next tuple, held; None, as it ended; or the
+    exception it raised.
+    """
+
+    __slots__ = ("search", "prompts", "entries", "unanswered", "waits", "pairs", "sent",
+                 "after")
+
+    def __init__(self, search: Search, prompts: tuple[Prompt, ...], entries: list):
+        self.search, self.prompts, self.entries = search, prompts, entries
+        self.unanswered = len(entries) if entries and all(entries) else None
+        self.waits = False
+        self.pairs: list[tuple[str, int]] = []
+        self.sent: list[tuple[str, int]] | None = None
+        self.after: _Yielded | Exception | None = None
 
 
 def take_turns(client: GeneratorClient, searches: Iterable[Search]) -> None:
@@ -285,44 +361,173 @@ def take_turns(client: GeneratorClient, searches: Iterable[Search]) -> None:
     So the turn order depends on what the searches yield, not on timing. A
     TransportError or ProtocolError of ``generate`` drops the rest of its tuple and is
     thrown into its search; a search closed while it waits loses its turns.
+
+    Above width 1, searches run ahead of their turn while generate waits for the head's
+    prefetch, each landing prefetch waking it (see ``GeneratorClient.meanwhile``), until
+    ``PROMPTS_IN_LINE`` prompts are held ahead. The next search starts ahead while fewer
+    than ``PROMPTS_IN_LINE`` searches are alive; the line draws its tuple in its turn. A
+    search whose tuple waits in the line is resumed ahead once each prompt's own
+    prefetch has landed with an answer and no other prompt in line has its text, so
+    that its generate will return (answer, 0): it is sent those pairs, and what it
+    yields is held until the tuple's last turn. Then the pairs of generate must equal
+    them (a RuntimeError if not), and the held tuple joins the line; an exception the
+    search raised ahead is raised then. A held tuple is not resumed ahead, as a prompt
+    of its text yielded later could still take its turn, and its answer, first. So the
+    generate calls come in the order they would without running ahead.
     """
     window = PROMPTS_IN_LINE if client.max_in_flight > 1 else 1
     searches = iter(searches)
-    # (search, prompt, the (output, hits) pairs of its tuple so far, prompts after it)
-    line: deque[tuple[Search, Prompt, list, int]] = deque()
+    line: deque[tuple[_Yielded, int]] = deque()  # (tuple, index of the prompt in it)
+    started: deque[_Yielded | Exception] = deque()  # first tuples of searches started ahead
+    ready: deque[_Yielded] = deque()  # tuples waiting in line whose prefetches all answered
+    owners: dict[_Prefetch, _Yielded] = {}  # prefetch not yet landed -> its tuple
+    texts: Counter[str] = Counter()  # the text of each prompt in line
+    live: set[Search] = set()  # searches started that have not ended
+    ahead = 0  # the prompts of the tuples held
 
-    def advance(search: Search, resume, value) -> None:
-        """Resume ``search`` with ``value``; queue and prefetch the prompts it yields next."""
+    def advance(search: Search, resume, value, early: bool = False):
+        """Resume ``search`` with ``value``; the tuple it yields next, prefetched, or None
+        once it ends. ``early``: ahead of its turn, so the tuple is held and an exception
+        is returned, for its turn."""
+        nonlocal ahead
         try:
             prompts = resume(value)
         except StopIteration:
-            return
-        client.prefetch(prompts)
-        pairs: list[tuple[str, int]] = []
-        line.extend((search, prompt, pairs, len(prompts) - 1 - i)
-                    for i, prompt in enumerate(prompts))
+            live.discard(search)
+            return None
+        except Exception as exc:
+            if not early:
+                raise
+            live.discard(search)
+            return exc
+        held = _Yielded(search, prompts, client.prefetch(prompts))
+        if held.unanswered:
+            owners.update((entry, held) for entry in held.entries)
+        ahead += len(prompts) if early else 0
+        return held
 
+    def queue(held: _Yielded) -> None:
+        line.extend((held, i) for i in range(len(held.prompts)))
+        held.waits = True
+        if window > 1:
+            texts.update(prompt.text for prompt in held.prompts)
+            if held.unanswered == 0:
+                ready.append(held)
+
+    def take() -> tuple[_Yielded, int]:
+        held, index = line.popleft()
+        held.waits = False
+        if window > 1:
+            text = held.prompts[index].text
+            texts[text] -= 1
+            if not texts[text]:
+                del texts[text]
+        return held, index
+
+    def land() -> None:
+        """Count each prefetch landed against its tuple; a tuple in line whose
+        prefetches have all answered is ready to run ahead."""
+        while client.landed:
+            entry = client.landed.popleft()
+            held = owners.pop(entry, None)
+            if held is not None and held.unanswered is not None:
+                held.unanswered = held.unanswered - 1 if entry.text is not None else None
+                if held.unanswered == 0 and held.waits:
+                    ready.append(held)
+        while ready and not ready[0].waits:
+            ready.popleft()
+
+    def draw() -> None:
+        """Let searches join the line, those started ahead first, while it is short."""
+        nonlocal ahead
+        while len(line) < window:
+            if started:
+                first = started.popleft()
+                if isinstance(first, Exception):
+                    raise first
+                ahead -= len(first.prompts)
+                if first.search.gi_frame is None:  # closed while it was held
+                    live.discard(first.search)
+                    continue
+            elif (search := next(searches, None)) is not None:
+                live.add(search)
+                first = advance(search, search.send, None)
+            else:
+                return
+            if first is not None:
+                queue(first)
+
+    def step() -> bool:
+        """Run searches ahead as far as the landed prefetches allow; whether a later
+        landing could let more run ahead."""
+        land()
+        while ahead < window:
+            if ready:
+                held = ready.popleft()
+                if (held.waits and held.sent is None and held.search.gi_frame is not None
+                        and all(texts[prompt.text] == 1 for prompt in held.prompts)):
+                    held.sent = [(entry.text, 0) for entry in held.entries]
+                    held.after = advance(held.search, held.search.send, held.sent, True)
+            elif len(live) < window and (search := next(searches, None)) is not None:
+                live.add(search)
+                if (first := advance(search, search.send, None, True)) is not None:
+                    started.append(first)
+            else:
+                break
+        return ahead < window and bool(owners)
+
+    def turn_ends(held: _Yielded) -> None:
+        """Send the search of ``held`` its pairs, or check that it was sent them ahead;
+        queue what it yields next."""
+        nonlocal ahead
+        after = held.after
+        if held.sent is None:
+            after = advance(held.search, held.search.send, held.pairs)
+        elif held.pairs != held.sent:
+            raise RuntimeError("generate did not return the answers that a search was sent "
+                               "ahead of its turn")
+        elif isinstance(after, Exception):
+            raise after
+        elif after is not None:
+            ahead -= len(after.prompts)
+        if after is not None:
+            queue(after)
+
+    if window > 1:
+        client.meanwhile(step)
     try:
         while True:
-            while len(line) < window and (search := next(searches, None)) is not None:
-                advance(search, search.send, None)
+            draw()
             if not line:
                 return
-            search, prompt, pairs, left = line.popleft()
-            if search.gi_frame is None:  # closed while it waited
+            if window > 1:
+                land()
+            held, index = take()
+            search, prompt = held.search, held.prompts[index]
+            left = len(held.prompts) - 1 - index
+            if search.gi_frame is None and (held.sent is None
+                                            or isinstance(held.after, _Yielded)):
+                live.discard(search)  # closed while it waited
+                if not left and held.sent is not None:
+                    ahead -= len(held.after.prompts)
                 continue
             hits = client.cache_hits
             try:
                 output = client.generate(prompt)
             except (TransportError, ProtocolError) as exc:
+                if held.sent is not None:
+                    raise RuntimeError("generate failed for a prompt whose answer a search "
+                                       "was sent ahead of its turn") from exc
                 for _ in range(left):
-                    line.popleft()
-                advance(search, search.throw, exc)
+                    take()
+                if (after := advance(search, search.throw, exc)) is not None:
+                    queue(after)
                 continue
-            pairs.append((output, client.cache_hits - hits))
+            held.pairs.append((output, client.cache_hits - hits))
             if not left:
-                advance(search, search.send, pairs)
+                turn_ends(held)
     finally:
+        client.meanwhile(None)
         client.cancel_prefetch()
 
 
@@ -801,15 +1006,6 @@ class HttpGeneratorBackend:
         if not isinstance(body.get("text"), str):
             raise ProtocolError(f"response 'text' missing or not a string: {str(body)[:200]}")
         return body["text"]
-
-    def fetch(self, prompt: Prompt) -> str:
-        """The answer to ``prompt``, each backoff between its attempts slept."""
-        attempts = self.attempts(prompt)
-        try:
-            while True:
-                time.sleep(next(attempts))
-        except StopIteration as done:
-            return done.value
 
     def fingerprint(self) -> str:
         c = self.config

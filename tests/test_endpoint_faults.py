@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ragtrim.annotate
 import ragtrim.generation
 import ragtrim.pipeline
 from ragtrim.annotate import AnnotationAborted, AnnotationOptions, annotate_dataset
 from ragtrim.compress import assemble_prompt
-from ragtrim.data import join_dataset, save_triplets
+from ragtrim.data import CompressionLabel, join_dataset, save_triplets
 from ragtrim.generation import (
     CACHE_LOG,
     GeneratorClient,
@@ -422,3 +423,227 @@ def test_generator_calls_excludes_hits_in_stats_and_includes_them_in_the_manifes
     assert manifest["generator_calls"] == manifest["cache_hits"] > 0
     for entry in manifest["per_method"].values():
         assert entry["generator_calls"] + entry["reused"] == manifest["n_examples"]
+
+
+def record_turns(monkeypatch) -> tuple[list[tuple[str, int]], list[Prompt]]:
+    """The (text, cache hits) of each generate call, in order, and the prompts prefetched
+    while a generate waited, which only searches run ahead of their turn yield."""
+    calls, ahead, waiting = [], [], []
+    generate, prefetch = GeneratorClient.generate, GeneratorClient.prefetch
+
+    def recorded_generate(client, prompt):
+        hits = client.cache_hits
+        waiting.append(prompt)
+        try:
+            output = generate(client, prompt)
+        finally:
+            waiting.pop()
+        calls.append((prompt.text, client.cache_hits - hits))
+        return output
+
+    def recorded_prefetch(client, prompts):
+        if waiting:
+            ahead.extend(prompts)
+        return prefetch(client, prompts)
+
+    monkeypatch.setattr(GeneratorClient, "generate", recorded_generate)
+    monkeypatch.setattr(GeneratorClient, "prefetch", recorded_prefetch)
+    return calls, ahead
+
+
+def test_searches_run_ahead_in_one_turn_order_at_widths_2_4_and_8(tmp_path, monkeypatch):
+    """Annotation, a run and a sweep through an endpoint that fails the first attempt of
+    5% of prompts, with a line of 16 prompts and a backoff of 0.05 s: while generate
+    waits out a retry, searches start or resume ahead of their turn, at every width and
+    in every stage. Yet widths 2, 4 and 8 make the same generate calls (each with its
+    prompt and cache hits) and append the same lines to the cache log, in order."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    paths = corpus.write(tmp_path / "corpus")
+    monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 16)
+    calls, ahead = record_turns(monkeypatch)
+    stages = {}  # width -> [(generate calls, cache log lines, prompts run ahead)] per stage
+    for width in (2, 4, 8):
+        serve(monkeypatch, MockEndpoint(answers, fault_rate=0.05))
+        log = tmp_path / f"cache{width}" / CACHE_LOG
+        config = PipelineConfig(
+            examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+            triplets_path=str(tmp_path / f"triplets{width}.jsonl"),
+            generator={"type": "http", "endpoint_url": "http://generator.test/",
+                       "model_name": "m", "backoff_base_s": 0.05,
+                       "cache_dir": str(log.parent), "max_in_flight": width},
+            methods=["no_retrieval", "top_1", "top_3", "top_random", "oracle"], seed=9,
+        )
+
+        def annotate():
+            client = ragtrim.pipeline.build_generator(config, dataset)
+            save_triplets(config.triplets_path, annotate_dataset(dataset, client)[0])
+
+        stages[width] = []
+        for stage in (annotate, lambda: run_pipeline(config), lambda: sweep_document_count(config)):
+            logged = len(log.read_bytes().splitlines()) if log.exists() else 0
+            calls.clear()
+            ahead.clear()
+            stage()
+            stages[width].append((list(calls), log.read_bytes().splitlines()[logged:],
+                                  len(ahead)))
+    assert all(ran_ahead > 0 for width in stages for _, _, ran_ahead in stages[width])
+    assert [stage[:2] for stage in stages[2]] == [stage[:2] for stage in stages[4]] \
+        == [stage[:2] for stage in stages[8]]
+
+
+@pytest.mark.parametrize("stage", ["annotate", "run"])
+def test_searches_beyond_the_line_are_posted_while_its_head_waits_out_a_backoff(
+    tmp_path, monkeypatch, stage
+):
+    """Example 0's first prompt, the first head of the line, fails its first attempt and
+    waits out a backoff of 0.3 s. Each search yields one prompt at a time here (an
+    annotation's probe, from k = 1, or a run of top_1), so the line of 16 prompts holds
+    examples 0 to 15. Searches run ahead of their turn while the head waits: those of
+    examples 1 to 15 are resumed, and an annotation's searches labelled 1 end, so
+    searches beyond the line start. A prompt of an example from 16 on is POSTed before
+    the retry, and the outputs equal width 1's."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=4)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    paths = corpus.write(tmp_path / "corpus")
+    position = {example.id: i for i, (example, _) in enumerate(dataset)}
+    example, retrieval = dataset.pairs[0]
+    head = assemble_prompt(example, retrieval.docs[:1]).text
+    labels = corpus.intended_labels()
+    assert any(labels[example.id] == CompressionLabel.keep(1) for example, _ in dataset.pairs[1:16])
+    monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 16)
+    outputs = {}
+    for width in (1, 8):
+        endpoint = MockEndpoint(answers)
+        posts: list[str] = []
+
+        class FailingOnce:
+            def post(self, url, json, **kwargs):
+                posts.append(json["prompt"])
+                if json["prompt"] == head and posts.count(head) == 1:
+                    return http_response(503, b'{"error": "injected fault"}')
+                return endpoint.post(url, json=json, **kwargs)
+
+        serve(monkeypatch, FailingOnce())
+        config = PipelineConfig(
+            examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+            generator={"type": "http", "endpoint_url": "http://generator.test/",
+                       "model_name": "m", "backoff_base_s": 0.3, "max_in_flight": width},
+            methods=["top_1"], seed=4, output_dir=str(tmp_path / f"out{width}"),
+        )
+        if stage == "annotate":
+            triplets, stats = annotate_dataset(
+                dataset, ragtrim.pipeline.build_generator(config, dataset),
+                AnnotationOptions(include_k0=False))
+            outputs[width] = (triplets, stats.to_dict())
+        else:
+            run_pipeline(config)
+            outputs[width] = (tmp_path / f"out{width}" / "table.csv").read_bytes()
+        assert posts.count(head) == 2
+    retry = [i for i, text in enumerate(posts) if text == head][1]
+    assert max(position[answers[text][0]] for text in posts[:retry]) >= 16
+    assert outputs[1] == outputs[8]
+
+
+def test_an_annotation_that_runs_ahead_still_aborts_within_its_bound(monkeypatch):
+    """200 examples of 5 documents. Every probe of examples 100 to 129 fails, so the 21st
+    failure aborts, at example 120, and 5% of the other prompts fail a first attempt,
+    retried 0.02 s later, so that searches run ahead while generate waits. With a line
+    of 8 prompts, as no search starts ahead while 8 are alive, width 8 POSTs at most
+    (5 + 2) × 8 distinct prompts more than width 1 does, and keeps width 1's triplets."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=200), seed=17)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    answers = mock_answers(corpus, dataset)
+    monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 8)
+    _, ahead = record_turns(monkeypatch)
+    alive, peak = set(), [0]  # the examples whose search is under way; the most at once
+    find, abort_point = ragtrim.annotate.find_optimal_k, ragtrim.annotate._abort_point
+
+    def counted_find(example, *args):
+        alive.add(example.id)
+        peak[0] = max(peak[0], len(alive))
+        try:
+            return (yield from find(example, *args))
+        finally:  # once it ends, or once its search is closed
+            alive.discard(example.id)
+
+    def counted_abort_point(failed, total, failure_limit):
+        alive.discard(dataset.pairs[failed[-1]][0].id)  # its search ends on this failure
+        return abort_point(failed, total, failure_limit)
+
+    monkeypatch.setattr(ragtrim.annotate, "find_optimal_k", counted_find)
+    monkeypatch.setattr(ragtrim.annotate, "_abort_point", counted_abort_point)
+    sent, kept = {}, {}
+    for width in (1, 8):
+        endpoint = MockEndpoint(answers, fault_rate=0.05,
+                                failing=[example.id for example, _ in dataset.pairs[100:130]])
+        config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                     backoff_base_s=0.02, max_retries=1, max_in_flight=width)
+        with pytest.raises(AnnotationAborted) as excinfo:
+            annotate_dataset(dataset, http_client(config, session=endpoint))
+        assert endpoint.in_flight == [] and excinfo.value.stats.failed == 21
+        sent[width], kept[width] = len(endpoint.seen), excinfo.value.triplets
+    assert ahead and peak[0] == 8  # searches ran ahead at width 8, 8 at most at once
+    assert sent[8] <= sent[1] + (5 + 2) * 8
+    assert kept[1] == kept[8]
+
+
+def test_a_failing_run_that_runs_ahead_sends_at_most_2_lines_beyond_width_1(
+    tmp_path, monkeypatch
+):
+    """Every prompt of example 30 fails, which stops a run of top_1, top_3 and top_5, and
+    5% of the other prompts fail a first attempt, retried 0.02 s later, so that searches
+    run ahead. With a line of 8 prompts, width 8 POSTs at most 2 × 8 distinct prompts
+    more than width 1 does, those of the line and those held ahead, plus the rest of the
+    last tuple in each (2 of its 3 prompts)."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=5)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    paths = corpus.write(tmp_path / "corpus")
+    monkeypatch.setattr(ragtrim.generation, "PROMPTS_IN_LINE", 8)
+    _, ahead = record_turns(monkeypatch)
+    sent = {}
+    for width in (1, 8):
+        endpoint = MockEndpoint(mock_answers(corpus, dataset), fault_rate=0.05,
+                                failing=[dataset.pairs[30][0].id])
+        serve(monkeypatch, endpoint)
+        config = PipelineConfig(
+            examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+            generator={"type": "http", "endpoint_url": "http://generator.test/",
+                       "model_name": "m", "backoff_base_s": 0.02, "max_retries": 1,
+                       "max_in_flight": width},
+            methods=["top_1", "top_3", "top_5"], seed=5,
+        )
+        with pytest.raises(TransportError):
+            run_pipeline(config)
+        assert endpoint.in_flight == []
+        sent[width] = len(endpoint.seen)
+    assert ahead
+    assert sent[1] < sent[8] <= sent[1] + 2 * 8 + 2 * (3 - 1)
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_the_client_counts_each_retry_the_endpoint_caused(tmp_path, monkeypatch, width):
+    """One client serves annotation, a run and a sweep through an endpoint that fails the
+    first attempt of 5% of prompts. Its retries, made inline at width 1 and by the
+    workers or inline at width 8, where searches also run ahead, equal the faults: a
+    search run ahead makes no attempt of its own."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    endpoint = MockEndpoint(mock_answers(corpus, dataset), fault_rate=0.05)
+    config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                 backoff_base_s=0.01, max_in_flight=width)
+    client = http_client(config, session=endpoint)
+    monkeypatch.setattr(ragtrim.pipeline, "build_generator", lambda config, data: client)
+    paths = corpus.write(tmp_path / "corpus")
+    run_config = PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        triplets_path=str(tmp_path / "triplets.jsonl"),
+        methods=["no_retrieval", "top_1", "top_3", "top_random", "oracle"], seed=9,
+    )
+    triplets, _ = annotate_dataset(dataset, client)
+    save_triplets(run_config.triplets_path, triplets)
+    run_pipeline(run_config)
+    sweep_document_count(run_config)
+    assert client.retries == endpoint.faults > 0

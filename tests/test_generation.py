@@ -31,6 +31,7 @@ from ragtrim.generation import (
     UNKNOWN_ANSWER,
     judge_correct,
     mock_generate,
+    take_turns,
 )
 from ragtrim.data import DataError
 from helpers import (
@@ -582,6 +583,24 @@ class TestHttpClient:
         assert [client.generate(p) for p in prompts] == ["a", "a"]
         assert (endpoint.posts, client.calls, client.cache_hits) == (2, 3, 1)
 
+    def test_prefetch_returns_the_prefetch_it_queued_for_each_prompt(self, tmp_path):
+        """A cached prompt, a prompt already pending and any prompt at width 1 get None;
+        a prompt queued gets its own prefetch, which lands with the answer its generate
+        returns."""
+        prompts = [make_prompt(query=f"question {i}") for i in range(3)]
+        endpoint = MockEndpoint({p.text: (p.query_id, p.query) for p in prompts})
+        narrow = http_client(http_config("http://generator.test/", max_in_flight=1),
+                             session=endpoint)
+        assert narrow.prefetch(prompts) == [None] * 3 and endpoint.posts == 0
+        client = http_client(http_config("http://generator.test/", cache_dir=str(tmp_path)),
+                             session=endpoint)
+        client.generate(prompts[0])
+        cached, own, pending, other = client.prefetch([*prompts[:2], prompts[1], prompts[2]])
+        assert cached is None and pending is None and own is not other
+        assert [client.generate(p) for p in prompts[1:]] == [own.text, other.text] \
+            == [p.query for p in prompts[1:]]
+        client.cancel_prefetch()
+
     def test_cancelled_prefetch_that_has_not_started_never_posts(self):
         import time
 
@@ -826,6 +845,72 @@ class TestHttpClient:
                 assert len(set(cache_log_keys(cache))) == posts
         finally:
             sys.setswitchinterval(interval)
+
+    def test_every_prefetch_lands_once_and_every_retry_is_counted_under_contention(self):
+        """200 prompts prefetched at width 8, more workers than cores, through an endpoint
+        that fails the first attempt of 20% of them, while the threads switch every
+        microsecond: each prefetch lands in ``landed`` once, with its answer, and
+        ``retries`` equals the faults, which a lost update of either would break."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                prompts = [make_prompt(query=f"question {round_} {i}") for i in range(200)]
+                endpoint = MockEndpoint({p.text: (p.query_id, p.query) for p in prompts},
+                                        fault_rate=0.2, seed=round_)
+                client = http_client(http_config("http://generator.test/", backoff_base_s=0,
+                                                 max_in_flight=8), session=endpoint)
+                entries = client.prefetch(prompts)
+                deadline = time.monotonic() + 10
+                while len(client.landed) < len(prompts) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert sorted(map(id, client.landed)) == sorted(map(id, entries))
+                assert [entry.text for entry in entries] == [p.query for p in prompts]
+                assert [client.generate(p) for p in prompts] == [p.query for p in prompts]
+                client.cancel_prefetch()
+                assert client.retries == endpoint.faults == endpoint.posts - len(prompts) > 0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_search_is_resumed_ahead_while_a_prompt_of_its_text_waits_before_it(self):
+        """Search A yields X, then X again; search B yields X in between, and search Z a
+        prompt that the endpoint holds. At width 2, with no cache, B's X finds A's first
+        prefetch pending and gets none of its own. A's second X, yielded once A's first
+        is generated, gets a new prefetch, behind B's X in the line. It lands while Z, at
+        the head, is held, yet A is not resumed ahead: B's generate takes that answer,
+        and A's X is fetched again. The endpoint numbers its replies, so each search must
+        get the answer of its own generate calls, in order."""
+        x = make_prompt(query="x")
+        z = make_prompt(query_id="z", query="z")
+        release, lock, posts = threading.Event(), threading.Lock(), []
+
+        class Numbering:
+            def post(self, url, json, **kwargs):
+                with lock:
+                    posts.append(json["prompt"])
+                    n = len(posts)
+                if json["prompt"] == z.text:
+                    release.wait(10)
+                elif posts.count(x.text) == 2:  # A's second X: its prefetch lands, then z
+                    threading.Timer(0.2, release.set).start()
+                return http_response(200, b'{"text": "%d"}' % n)
+
+        got = {}
+
+        def search(name, *prompts):
+            got[name] = []
+            for prompt in prompts:
+                [(output, _)] = yield (prompt,)
+                got[name].append(output)
+
+        client = http_client(http_config("http://generator.test/", max_in_flight=2),
+                             session=Numbering())
+        take_turns(client, [search("a", x, x), search("z", z), search("b", x)])
+        assert posts.count(x.text) == 3 and release.is_set()
+        numbers = [str(i) for i, text in enumerate(posts, 1) if text == x.text]
+        assert got == {"a": [numbers[0], numbers[2]], "z": [got["z"][0]], "b": [numbers[1]]}
 
     def test_http_proxy_gets_the_absolute_target(self, monkeypatch):
         clear_proxy_env(monkeypatch)

@@ -331,9 +331,11 @@ class TestRequestsInFlight:
         """The endpoint holds the first example's prompt until a prompt arrives of the last
         example the line of queued prompts reaches before the first generate. At width 4
         with a line of 12 prompts, that example lies beyond max_in_flight - 1. The line
-        fills: fewer than 12 prompts wait in it when a search starts, and at least 12 - 2
-        at some start, as a search yields at most 2 (top_1's and top_random's). No more
-        than 4 POSTs or one prompt twice are in flight, and table.csv, manifest.json and
+        fills: at some start, at least 12 - 2 prompts of earlier examples are still to
+        come, as a search yields at most 2 (top_1's and top_random's). While the held
+        prompt waits, searches run ahead of their turn: fewer than 12 prompts wait in the
+        line, and fewer than 12 more are held ahead, when a search starts. No more than 4
+        POSTs or one prompt twice are in flight, and table.csv, manifest.json and
         sweep.csv equal those of width 1."""
         import ragtrim.generation
         from ragtrim.compress import assemble_prompt
@@ -377,7 +379,7 @@ class TestRequestsInFlight:
                               for name in ("table.csv", "manifest.json", "sweep.csv")]
             assert endpoint.peak_in_flight <= width and endpoint.doubled == []
             assert endpoint.gate_timeouts == []
-            assert max(queued) == 0 if width == 1 else 12 - 2 <= max(queued) < 12
+            assert max(queued) == 0 if width == 1 else 12 - 2 <= max(queued) < 12 + 12
         assert outputs[1] == outputs[4]
 
     @pytest.mark.parametrize("generator", ["mock", "http-width-1"])
@@ -436,8 +438,10 @@ def record_plans_and_generates(monkeypatch) -> list[tuple[str, str]]:
 
 def prompts_queued(events) -> list[int]:
     """At each example's planning: the generates still to come of the examples planned
-    before it, which are the prompts waiting in take_turns' line. A search starts (its
-    labelers run) only while the line is shorter than its window."""
+    before it, which are the prompts waiting in take_turns' line and those held for
+    searches run ahead of their turn. A search starts (its labelers run) when the line
+    is shorter than its window, or ahead of its turn while fewer than as many prompts
+    are held ahead."""
     planned, queued = set(), []
     for i, (kind, id_) in enumerate(events):
         if kind == "plan" and id_ not in planned:

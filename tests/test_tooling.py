@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import ragtrim.generation
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
 from ragtrim.data import join_dataset, save_triplets
@@ -188,6 +189,22 @@ def test_readme_states_the_http_generator_defaults():
                 if f.default is not dataclasses.MISSING}
     assert {name: (type(value), value) for name, value in stated.items()} \
         == {name: (type(value), value) for name, value in defaults.items()}
+
+
+def test_readme_figures_follow_prompts_in_line():
+    """The figures README's "Requests in flight" derives from generation.PROMPTS_IN_LINE
+    are the constant's: the line (512), the prompts a failing run sends beyond width 1
+    (2 × 512 = 1,024) and the probes an aborted annotation sends with 5 documents
+    ((N + 2) × 512 = 3,584), and every other `× n` there names the line too. So changing
+    the line cannot leave the README behind."""
+    line = ragtrim.generation.PROMPTS_IN_LINE
+    section = README.read_text(encoding="utf-8").split("## Requests in flight", 1)[1]
+    text = " ".join(section.split("\n## ", 1)[0].split())
+    assert f"while fewer than {line} prompts wait in the line" in text
+    assert f"2 × {line} = {2 * line:,} prompts" in text
+    assert f"(N + 2) × {line} such probes are sent, with N documents ({7 * line:,} " \
+        "with 5 documents" in text
+    assert {int(n.replace(",", "")) for n in re.findall(r"× ([\d,]+)", text)} == {line}
 
 
 def test_metered_http_client_counts_one_retry():
