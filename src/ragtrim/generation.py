@@ -67,54 +67,30 @@ class Prompt:
 
 
 class _Prefetch:
-    """A queued prompt's outcome, set once by ``finish``: its answer (None when no POST was
-    made, so generate fetches it) or its error. A Future costs about 1 KB with its
-    Condition; this is a lock, held until ``finish`` releases it, and two fields."""
+    """A queued prompt's outcome, set once under the client's lock by its ``_land``:
+    ``done``, then its answer (None if no POST was made) or its error; no lock of its own."""
 
-    __slots__ = ("_done", "text", "error")
+    __slots__ = ("done", "text", "error")
 
     def __init__(self):
-        self._done = threading.Lock()
-        self._done.acquire()
-        self.text: str | None = None
-        self.error: Exception | None = None
-
-    def finish(self, text: str | None = None, error: Exception | None = None) -> None:
-        self.text, self.error = text, error
-        self._done.release()
-
-    def wait(self) -> None:
-        with self._done:
-            pass
-
-    def finished(self) -> bool:
-        return not self._done.locked()
-
-    def result(self) -> str | None:
-        """The answer once finished; the error is raised."""
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        return self.text
+        self.done, self.text, self.error = False, None, None
 
 
 class GeneratorClient:
     """Answers prompts through a backend, with the counters, a disk cache and prefetching.
 
-    A backend has ``fingerprint()`` and either ``fetch(prompt) -> str`` or
-    ``attempts(prompt)`` (see post_attempts), which a width above 1 needs; for a
-    ``cache_dir`` or a width above 1, also ``cache_key(prompt)`` (the key of a cached
-    answer). ``calls`` counts every lookup, cache hits included, and ``retries`` every
-    retry, a worker's or an inline fetch's. The cache is one append-only log per
-    ``cache_dir`` (``CACHE_LOG``), read into a dict when the client is built; each answer
-    fetched goes into both, so a client built later sees it. ``prefetch`` queues prompts
-    for up to ``max_in_flight`` workers, which make one attempt per job and park each
-    retry on a timer; at width 1 it does nothing. ``generate`` counts, reads and writes
-    the cache, and takes a pending answer or fetches one inline, on the caller's thread,
-    so the requests, retries and counters of a run are those of a serial run. A worker
-    holds one of ``max_in_flight`` slots per attempt, an inline fetch one for all its
-    attempts. ``take_turns`` prefetches, has generate run its searches ahead while it
-    waits (``meanwhile``), and calls ``cancel_prefetch`` once done, after an error too.
+    A backend has ``fingerprint()`` and either ``fetch(prompt) -> str``, called by
+    ``generate`` on the caller's thread, or ``attempts(prompt)`` (see post_attempts),
+    which a width above 1 needs; for a ``cache_dir`` or a width above 1, also
+    ``cache_key(prompt)``. ``calls`` counts every lookup, cache hits included, and
+    ``retries`` every retry. The cache is one append-only log per ``cache_dir``
+    (``CACHE_LOG``), read into a dict when the client is built; each answer fetched goes
+    into both. ``_work`` makes every attempt of an ``attempts`` backend; ``prefetch``
+    queues jobs for it on up to ``max_in_flight`` threads, at width 1 none. ``generate``
+    counts, reads and writes the cache, and takes a pending answer, or queues its prompt
+    first and waits for it, running ``_work`` itself if no worker runs (so always at
+    width 1). ``take_turns`` prefetches, has generate run searches ahead while it waits
+    (``meanwhile``), and calls ``cancel_prefetch`` once done, after an error too.
     """
 
     def __init__(self, backend, cache_dir: str | None = None, max_in_flight: int = 1):
@@ -126,17 +102,16 @@ class GeneratorClient:
         self.retries = 0
         lock = threading.RLock()
         self._cond = threading.Condition(lock)  # guards the counters, the jobs and the log
-        self._landing = threading.Condition(lock)  # notified as a prefetch lands
+        self._landing = threading.Condition(lock)  # notified (all) as a job lands
         self.landed: deque[_Prefetch] = deque()  # finished prefetches, for take_turns
         self._meanwhile: Callable[[], bool] | None = None
         self._pending: dict[str, _Prefetch] = {}  # cache key -> its prefetched answer
-        self._failed = 0  # prefetches of _pending that failed and generate has not raised
+        self._failed = 0  # jobs that failed and whose failure generate has not raised
         self._raised = 0  # failures generate has raised; a prefetch queued before one is dropped
         self._streak = 0  # attempts failed since the last answer came; at max_in_flight, hold
-        self._queue: deque[tuple] = deque()  # first attempts: (entry, prompt, _pending, _raised)
-        self._timers: list[tuple] = []  # a heap of retries: (due, id, entry, attempts)
+        self._queue: deque[tuple] = deque()  # first attempts: (entry, prompt, pending, raised)
+        self._timers: list[tuple] = []  # a heap of retries: (due, id, entry, pending, attempts)
         self._workers = 0
-        self._slots = threading.Semaphore(max_in_flight)
         self._answers: dict[str, str] = {}  # cache key -> answer: the log's and this client's
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -173,20 +148,34 @@ class GeneratorClient:
                 if key in self._pending or key in self._answers:
                     continue
                 self._pending[key] = owned[i] = entry = _Prefetch()
-                self._queue.append((entry, prompt, self._pending, self._raised))
-                self._cond.notify()
-                if self._workers < self.max_in_flight:
-                    self._workers += 1
-                    threading.Thread(target=self._work, name="ragtrim-post", daemon=True).start()
+                self._enqueue((entry, prompt, self._pending, self._raised))
         return owned
 
+    def _enqueue(self, job: tuple, first: bool = False) -> None:
+        """Queue ``job`` (first, if ``first``); start a worker if fewer than max_in_flight run."""
+        with self._cond:
+            (self._queue.appendleft if first else self._queue.append)(job)
+            self._cond.notify()
+            caller = first and not self._workers  # generate's, and no worker: run it here
+            start = self._workers < self.max_in_flight
+            self._workers += start
+        if caller:
+            try:
+                self._work()
+            except BaseException:  # interrupted: the next generate runs the loop again
+                with self._cond:
+                    self._workers -= 1
+                raise
+        elif start:
+            threading.Thread(target=self._work, name="ragtrim-post", daemon=True).start()
+
     def _work(self) -> None:
-        """A worker: one attempt at a time, a due retry first, until no job is queued or
-        parked. A first attempt gets None, with no POST, once cancel_prefetch has dropped
-        its ``_pending``, while a failed prefetch's error waits for ``generate``, once
-        ``generate`` has raised a failure since it was queued, or while the last
-        ``max_in_flight`` attempts all failed (an endpoint that is down); ``generate``
-        fetches each such prompt inline in its turn."""
+        """The one attempt loop, run by each worker and by generate when none runs: one
+        attempt at a time, a due retry first, until no job is queued or parked. A
+        prefetch lands with no POST once cancel_prefetch has dropped its ``pending``,
+        while a failure waits for generate to raise it, once generate has raised one since
+        it was queued, or while the last ``max_in_flight`` attempts all failed. Generate's
+        own job (``pending`` None) is never held."""
         while True:
             with self._cond:
                 while not self._queue and not self._due():
@@ -195,43 +184,48 @@ class GeneratorClient:
                         return
                     self._cond.wait(self._timers[0][0] - time.monotonic())
                 if self._due():
-                    _, _, entry, attempts = heapq.heappop(self._timers)
+                    _, _, entry, pending, attempts = heapq.heappop(self._timers)
                 else:
                     entry, prompt, pending, raised = self._queue.popleft()
-                    if (pending is not self._pending or self._failed or raised != self._raised
-                            or self._streak >= self.max_in_flight):
-                        self._land(entry)
+                    if pending is not None and (
+                            pending is not self._pending or self._failed
+                            or raised != self._raised or self._streak >= self.max_in_flight):
+                        self._land(entry, pending)
                         continue
                     attempts = self.backend.attempts(prompt)
             try:
-                with self._slots:
-                    delay = next(attempts)
+                delay = next(attempts)
             except StopIteration as done:
-                with self._cond:
-                    self._streak = 0
-                self._land(entry, done.value)
+                self._land(entry, pending, done.value)
             except Exception as exc:
-                with self._cond:
-                    self._failed += 1
-                    self._streak += 1
-                self._land(entry, error=exc)
+                self._land(entry, pending, error=exc)
             else:
                 with self._cond:  # id: a tie-break, as entries do not compare
                     self._streak += 1
                     self.retries += 1
-                    heapq.heappush(self._timers,
-                                   (time.monotonic() + delay, id(entry), entry, attempts))
+                    heapq.heappush(self._timers, (time.monotonic() + delay, id(entry), entry,
+                                                  pending, attempts))
 
-    def _land(self, entry: _Prefetch, text: str | None = None,
+    def _land(self, entry: _Prefetch, pending: dict | None, text: str | None = None,
               error: Exception | None = None) -> None:
-        """Finish ``entry``, then add it to ``landed`` and wake a caller waiting for one."""
-        entry.finish(text, error)
+        """Finish ``entry``, count its outcome for the hold rules, add a prefetch's to
+        ``landed`` and wake every caller waiting."""
         with self._cond:
-            self.landed.append(entry)
-            self._landing.notify()
+            entry.done, entry.text, entry.error = True, text, error
+            if text is not None or error is not None:  # a POST was made
+                self._streak = 0 if error is None else self._streak + 1
+                self._failed += error is not None
+            if pending is not None:
+                self.landed.append(entry)
+            self._landing.notify_all()
 
     def _due(self) -> bool:
         return bool(self._timers) and self._timers[0][0] <= time.monotonic()
+
+    def _wait(self, entry: _Prefetch | None) -> None:
+        with self._cond:
+            while entry is not None and not entry.done:
+                self._landing.wait()
 
     def cancel_prefetch(self) -> None:
         """Wait for the fetches under way, parked retries included; no first attempt queued
@@ -239,7 +233,7 @@ class GeneratorClient:
         finished but was never taken by ``generate`` is appended to it: it was paid for."""
         pending, self._pending = self._pending, {}  # not under the lock the workers contend for
         for entry in pending.values():
-            entry.wait()
+            self._wait(entry)
         self._failed = 0  # every failure of ``pending`` is in
         self.landed.clear()
         if self.cache_dir is not None:
@@ -256,29 +250,33 @@ class GeneratorClient:
     def generate(self, prompt: Prompt) -> str:
         with self._cond:
             self.calls += 1
-        if self.cache_dir is None and not self._pending:  # nothing to read: no key needed
-            return self._fetch(prompt)
-        key = self.backend.cache_key(prompt)
-        cached = self._answers.get(key)
-        if cached is not None:
-            with self._cond:
-                self.cache_hits += 1
-            return cached
-
-        entry = self._pending.get(key)
-        if entry is not None and self._meanwhile is not None:
-            while not entry.finished() and self._meanwhile():
+        key = entry = None
+        if self.cache_dir is not None or self._pending:  # else nothing to read: no key needed
+            key = self.backend.cache_key(prompt)
+            cached = self._answers.get(key)
+            if cached is not None:
                 with self._cond:
-                    while not self.landed:
-                        self._landing.wait()
-        self._pending.pop(key, None)  # after the steps: a prefetch they make finds it pending
+                    self.cache_hits += 1
+                return cached
+            entry = self._pending.get(key)
+            if entry is not None and self._meanwhile is not None:
+                while not entry.done and self._meanwhile():
+                    with self._cond:
+                        while not self.landed:
+                            self._landing.wait()
+            self._pending.pop(key, None)  # after the steps: a prefetch they make finds it pending
         try:
-            text = None if entry is None else entry.result()
-            if text is None:  # not prefetched, or dropped or held
-                with self._slots:
-                    text = self._fetch(prompt)
-                with self._cond:
-                    self._streak = 0
+            if not hasattr(self.backend, "attempts"):
+                text = self.backend.fetch(prompt)
+            else:
+                self._wait(entry)
+                if entry is None or entry.text is None and entry.error is None:
+                    entry = _Prefetch()  # not prefetched, or dropped or held: queued first
+                    self._enqueue((entry, prompt, None, None), first=True)
+                    self._wait(entry)
+                if entry.error is not None:
+                    raise entry.error
+                text = entry.text
         except Exception:
             with self._cond:
                 self._raised += 1
@@ -288,21 +286,6 @@ class GeneratorClient:
         if self.cache_dir is not None:
             self._keep(key, text)
         return text
-
-    def _fetch(self, prompt: Prompt) -> str:
-        """The backend's answer to ``prompt``, fetched on this thread, each backoff between
-        its attempts slept and counted as a retry."""
-        if not hasattr(self.backend, "attempts"):
-            return self.backend.fetch(prompt)
-        attempts = self.backend.attempts(prompt)
-        try:
-            while True:
-                delay = next(attempts)
-                with self._cond:
-                    self.retries += 1
-                time.sleep(delay)
-        except StopIteration as done:
-            return done.value
 
     def _keep(self, key: str, text: str) -> None:
         """Cache ``text``: in the dict, and as one line appended to the log."""

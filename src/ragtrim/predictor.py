@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -142,7 +141,6 @@ class TrainReport:
     epoch_losses: list[float]
     final_train_accuracy: float
     n_rows: int
-    class_counts: Counter[str]
     dropped_unanswerable: int = 0
 
 
@@ -247,7 +245,6 @@ def train(
         epoch_losses=epoch_losses,
         final_train_accuracy=accuracy,
         n_rows=n,
-        class_counts=Counter(str(class_list[idx]) for _, _, idx in rows),
         dropped_unanswerable=dropped,
     )
     return model, report

@@ -299,7 +299,8 @@ class TestAnnotateDataset:
     def test_a_wide_client_holds_its_queued_probes_while_the_endpoint_is_down(self):
         """Every POST gets a 503, and each prompt is retried twice, 10 ms and 20 ms later.
         At width 4, once 4 attempts in a row have failed, no queued probe starts on a
-        worker while those retries wait: each is tried inline in its turn, as at width 1.
+        worker while those retries wait: each is queued again, first, in its turn, as at
+        width 1.
         So the abort sends at most the attempts of 2 × 4 - 2 prompts more than width 1,
         not those of every queued probe."""
         corpus, dataset = self.make_corpus(size=200)

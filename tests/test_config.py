@@ -579,8 +579,8 @@ def test_int_temperature_keeps_the_cache_file_name(tmp_path, posts):
 
 def test_backoff_reaches_the_clients(corpus, tmp_path, monkeypatch):
     """The endpoint fails its first POST with a 503; the retry waits out the configured
-    backoff: the one post_attempts yields, whether a worker parks it or an inline fetch
-    sleeps it."""
+    backoff: the one post_attempts yields, which the client's attempt loop parks on a
+    timer, on a worker or on the calling thread."""
 
     def flaky_post(self, url, **kwargs):
         if url not in CountingSession.posts:

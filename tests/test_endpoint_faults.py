@@ -626,8 +626,8 @@ def test_a_failing_run_that_runs_ahead_sends_at_most_2_lines_beyond_width_1(
 @pytest.mark.parametrize("width", [1, 8])
 def test_the_client_counts_each_retry_the_endpoint_caused(tmp_path, monkeypatch, width):
     """One client serves annotation, a run and a sweep through an endpoint that fails the
-    first attempt of 5% of prompts. Its retries, made inline at width 1 and by the
-    workers or inline at width 8, where searches also run ahead, equal the faults: a
+    first attempt of 5% of prompts. Its retries, made on the calling thread at width 1
+    and by the workers at width 8, where searches also run ahead, equal the faults: a
     search run ahead makes no attempt of its own."""
     corpus = make_synthetic_corpus(CorpusSpec(size=60), seed=9)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
@@ -647,3 +647,42 @@ def test_the_client_counts_each_retry_the_endpoint_caused(tmp_path, monkeypatch,
     run_pipeline(run_config)
     sweep_document_count(run_config)
     assert client.retries == endpoint.faults > 0
+
+
+def test_width_1_annotate_and_run_start_no_thread(tmp_path, monkeypatch):
+    """At width 1, annotation and a run through an endpoint that fails the first attempt
+    of 5% of prompts start no thread: every attempt, each retry included, is made on
+    the calling thread."""
+    corpus = make_synthetic_corpus(CorpusSpec(size=40), seed=9)
+    dataset = join_dataset(corpus.examples, corpus.retrievals)
+    endpoint = MockEndpoint(mock_answers(corpus, dataset), fault_rate=0.05)
+    caller, elsewhere, started = threading.current_thread(), [], []
+
+    class Recording:
+        def post(self, url, json, **kwargs):
+            if threading.current_thread() is not caller:
+                elsewhere.append(json["prompt"])
+            return endpoint.post(url, json=json, **kwargs)
+
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    config = HttpGeneratorConfig(endpoint_url="http://generator.test/", model_name="m",
+                                 backoff_base_s=0.001, max_in_flight=1)
+    client = http_client(config, session=Recording())
+    monkeypatch.setattr(ragtrim.pipeline, "build_generator", lambda config, data: client)
+    paths = corpus.write(tmp_path / "corpus")
+    run_config = PipelineConfig(
+        examples_path=str(paths["examples"]), retrievals_path=str(paths["retrievals"]),
+        triplets_path=str(tmp_path / "triplets.jsonl"), methods=["top_1", "top_3"], seed=9,
+    )
+    triplets, _ = annotate_dataset(dataset, client)
+    save_triplets(run_config.triplets_path, triplets)
+    run_pipeline(run_config)
+    assert started == [] and elsewhere == []
+    assert client.retries == endpoint.faults > 0
+    assert endpoint.posts == client.calls + endpoint.faults

@@ -626,10 +626,27 @@ class TestHttpClient:
         assert [client.generate(p) for p in prompts] == ["a"] * 3
         assert (endpoint.posts, endpoint.peak_in_flight) == (3, 1)
 
+    def test_generate_runs_the_attempt_loop_itself_while_no_worker_runs(self, monkeypatch):
+        """At width 2, generate of prompts not prefetched, one of which is retried, starts
+        no thread: with no worker running, each attempt is made on the caller's thread.
+        A prefetch starts a worker."""
+        prompts = [make_prompt(query=f"question {i}") for i in range(4)]
+        endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in prompts}, fault_rate=0.5)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread.name), start(thread)))
+        client = http_client(http_config("http://generator.test/", max_in_flight=2), endpoint)
+        assert [client.generate(p) for p in prompts[:3]] == ["a"] * 3
+        assert started == [] and client.retries == endpoint.faults > 0
+        client.prefetch(prompts[3:])
+        assert client.generate(prompts[3]) == "a" and started == ["ragtrim-post"]
+
     def test_a_failed_prefetch_holds_the_queue_until_generate_raises_it(self):
         """At width 2, with the other thread's POST held in flight, the prefetches queued
         behind one that failed for good do not POST while that failure waits for generate;
-        generate fetches them inline. Once the failure is raised, prefetches POST again."""
+        generate queues each again, first. Once the failure is raised, prefetches POST
+        again."""
         import time
 
         bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(6)]
@@ -654,51 +671,92 @@ class TestHttpClient:
         assert endpoint.posts == 6 and endpoint.doubled == []
 
     @pytest.mark.parametrize("failure", ["prefetched", "inline"])
-    def test_a_raised_failure_drops_the_prefetches_queued_before_it(self, monkeypatch, failure):
-        """At width 2, two prefetches reach the workers only after generate has raised a
-        failure, of a prefetched prompt or of one fetched inline: until then each worker
-        waits, with no slot, once it has answered its first prompt (a held one, or the
-        failing one). They never POST from a worker: generate fetches each inline, on the
-        caller's thread, when asked for it. A prefetch queued after the raise POSTs from a
-        worker."""
+    def test_a_raised_failure_drops_the_prefetches_queued_before_it(self, failure):
+        """At width 2, generate raises a failure: of a prefetched prompt, or ("inline") of
+        one it asked for with no prefetch, which waits for a worker whose held POST ends.
+        Two prompts prefetched before the raise are never POSTed as prefetches, while a
+        held prompt's POST keeps the other worker busy until the raise: each is POSTed
+        only once its generate has begun. A prefetch queued after the raise POSTs before
+        its generate begins."""
         bad, *good = [make_prompt(query_id=f"q{i}", query=f"question {i}") for i in range(4)]
         held = [make_prompt(query_id=f"h{i}", query=f"held {i}") for i in range(2)]
         endpoint = MockEndpoint({p.text: (p.query_id, "a") for p in (bad, *good, *held)},
                                 failing=["q0"])
-        caller, posts = threading.current_thread(), []
+        release = [threading.Event(), threading.Event()]
+        endpoint.gates = {p.text: gate for p, gate in zip(held, release)}
+        asked, posts = set(), []  # the prompts whose generate has begun; (prompt, asked)
 
         class Recording:
             def post(self, url, json, **kwargs):
-                posts.append((json["prompt"], threading.current_thread() is caller))
+                posts.append((json["prompt"], json["prompt"] in asked))
                 return endpoint.post(url, json=json, **kwargs)
 
-        raised = threading.Event()
+        def generate(prompt):
+            asked.add(prompt.text)
+            return client.generate(prompt)
 
-        finish = ragtrim.generation._Prefetch.finish
+        def wait_for(*prompts):
+            deadline = time.monotonic() + 10
+            while ({p.text for p in prompts} - {text for text, _ in posts}
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
 
-        def late_finish(entry, text=None, error=None):
-            """A prefetch's outcome, whose worker then waits until generate has raised."""
-            finish(entry, text, error)
-            if text is not None or error is not None:  # neither: dropped, with no POST
-                raised.wait(10)
-
-        monkeypatch.setattr(ragtrim.generation._Prefetch, "finish", late_finish)
         config = http_config("http://generator.test/", max_retries=0, max_in_flight=2)
         client = http_client(config, session=Recording())
         first = [held[0], bad] if failure == "prefetched" else held
         client.prefetch([*first, *good[:2]])
-        deadline = time.monotonic() + 10  # until each worker has posted its first prompt
-        while len(posts) < len(first) and time.monotonic() < deadline:
-            time.sleep(0.001)
+        wait_for(*first)  # each worker has posted its first prompt
+        # inline: ends the second held POST once generate has queued bad
+        timer = threading.Timer(0.05, release[1].set)
+        timer.start()
         with pytest.raises(TransportError):
-            client.generate(bad)
-        raised.set()
+            generate(bad)
+        release[0].set()
         client.prefetch(good[2:])
-        assert [client.generate(p) for p in good] == ["a"] * 3
+        wait_for(good[2])
+        assert [generate(p) for p in good] == ["a"] * 3
         client.cancel_prefetch()
+        timer.join(10)
         assert len(posts) == 4 + len(held) - (failure == "prefetched") and dict(posts) == {
             bad.text: failure == "inline", good[0].text: True, good[1].text: True,
             good[2].text: False, **{p.text: False for p in first if p is not bad}}
+        assert endpoint.gate_timeouts == []
+
+    def test_a_prefetch_still_queued_when_generate_raises_is_dropped(self):
+        """At width 2, one worker's POST is held in flight. The other worker POSTs R, which
+        fails once (its retry parks for 10 ms), then X, which takes 50 ms to be rejected
+        with a 400; by then R's retry is due, and that worker POSTs it, held in flight too.
+        So J, prefetched behind X, is still queued when generate raises X's failure. It is
+        dropped once the held POSTs end: it lands with no POST, and J is POSTed only by
+        its own generate."""
+        held, r, x, j = [make_prompt(query=f"question {i}") for i in range(4)]
+        gate, posts = threading.Event(), []
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                posts.append(text := json["prompt"])
+                if text == r.text and posts.count(text) == 1:
+                    return http_response(503, b"busy")
+                if text == x.text:
+                    time.sleep(0.05)
+                    return http_response(400, b"rejected")
+                if text in (held.text, r.text):  # held, and R's retry
+                    gate.wait(10)
+                return http_response(200, b'{"text": "a"}')
+
+        client = http_client(http_config("http://generator.test/", max_in_flight=2),
+                             session=Session())
+        entries = client.prefetch([held, r, x, j])
+        with pytest.raises(ProtocolError):
+            client.generate(x)
+        gate.set()
+        deadline = time.monotonic() + 10
+        while not entries[3].done and time.monotonic() < deadline:
+            time.sleep(0.001)
+        client.cancel_prefetch()
+        assert (entries[3].text, entries[3].error) == (None, None) and j.text not in posts
+        assert client.generate(j) == "a" and posts.count(j.text) == 1
+        assert sorted(posts) == sorted([held.text, r.text, r.text, x.text, j.text])
 
     @pytest.mark.parametrize("width, replies, waits", [
         pytest.param(width, *case, id=f"{width}{suffix}") for width in (1, 2)
@@ -711,8 +769,8 @@ class TestHttpClient:
         """A prompt's first attempts fail: with a 503 and then a dropped connection, or
         with a 429 whose Retry-After (1 s) is longer than its backoff. Each retry is sent
         no sooner than backoff_base_s * 2 ** (attempt - 1), or the Retry-After if longer,
-        after the attempt before it ended, whether generate sleeps the wait (width 1) or
-        a worker parks it on a timer (width 2)."""
+        after the attempt before it ended, whether the calling thread (width 1) or a
+        worker (width 2) waits out the retry's timer."""
         prompt = make_prompt()
         times = []  # (start, end) of each POST
 
@@ -759,10 +817,21 @@ class TestHttpClient:
         """At width 2, one prompt's first attempt fails. While it waits out its 0.2 s
         backoff, the two other prompts are in flight at once, each waiting for the other,
         and only then is the retry sent. No more than 2 POSTs are ever in flight."""
+        self.check_a_parked_retry_holds_no_slot(asked=False)
+
+    def test_a_parked_retry_of_a_prompt_generate_asked_for_holds_no_slot(self, tmp_path):
+        """As above, but the retried prompt is one that generate asked for with no
+        prefetch, through a cache, and the other two are prefetched once its first
+        attempt has failed."""
+        self.check_a_parked_retry_holds_no_slot(asked=True, cache_dir=str(tmp_path))
+
+    @staticmethod
+    def check_a_parked_retry_holds_no_slot(asked: bool, cache_dir: str | None = None) -> None:
         retried, *others = [make_prompt(query=f"question {i}") for i in range(3)]
         lock, in_flight, peak, posts = threading.Lock(), set(), [0], []
         together = []  # when both other prompts were in flight
         both = threading.Barrier(2, timeout=5)
+        prefetching = threading.Thread(target=lambda: client.prefetch(others))
 
         class Session:
             def post(self, url, json, **kwargs):
@@ -776,24 +845,32 @@ class TestHttpClient:
                         both.wait()
                         together.append(time.monotonic())
                     elif len([t for t, _ in posts if t == text]) == 1:
+                        if asked:
+                            prefetching.start()
                         return http_response(503, b"busy")
                     return http_response(200, b'{"text": "a"}')
                 finally:
                     with lock:
                         in_flight.discard(text)
 
-        config = http_config("http://generator.test/", backoff_base_s=0.2, max_in_flight=2)
+        config = http_config("http://generator.test/", backoff_base_s=0.2, max_in_flight=2,
+                             cache_dir=cache_dir)
         client = http_client(config, session=Session())
-        client.prefetch([retried, *others])
-        assert [client.generate(p) for p in (retried, *others)] == ["a"] * 3
+        if not asked:
+            client.prefetch([retried, *others])
+        assert client.generate(retried) == "a"
+        if asked:
+            prefetching.join(10)
+        assert [client.generate(p) for p in others] == ["a"] * 2
         first, retry = [t for text, t in posts if text == retried.text]
         assert len(posts) == 4 and peak[0] == 2
         assert max(together) < retry and retry - first >= 0.2
 
     def test_an_inline_fetch_waits_for_a_free_slot(self):
-        """At width 2, with both pool threads' POSTs held in flight, generate of a prompt
-        that was not prefetched POSTs only once one of them has finished: the pool and
-        the caller together keep at most max_in_flight requests under way."""
+        """At width 2, with both workers' POSTs held in flight, generate of a prompt that
+        was not prefetched (once fetched inline, on the caller's thread) queues it first,
+        and it POSTs only once one of them has finished: the workers keep at most
+        max_in_flight requests under way."""
         import time
 
         held, inline = [make_prompt(query=f"question {i}") for i in range(2)], make_prompt()
@@ -847,10 +924,12 @@ class TestHttpClient:
             sys.setswitchinterval(interval)
 
     def test_every_prefetch_lands_once_and_every_retry_is_counted_under_contention(self):
-        """200 prompts prefetched at width 8, more workers than cores, through an endpoint
-        that fails the first attempt of 20% of them, while the threads switch every
-        microsecond: each prefetch lands in ``landed`` once, with its answer, and
-        ``retries`` equals the faults, which a lost update of either would break."""
+        """200 prompts at width 8, more workers than cores, through an endpoint that fails
+        the first attempt of 20% of them, while the threads switch every microsecond: half
+        are prefetched, and generate queues each of the others first while the prefetches
+        are under way. Each prefetch lands in ``landed`` once, with its answer, and none of
+        generate's own jobs does; ``retries`` equals the faults, which a lost update of
+        either would break."""
         import sys
 
         interval = sys.getswitchinterval()
@@ -862,13 +941,10 @@ class TestHttpClient:
                                         fault_rate=0.2, seed=round_)
                 client = http_client(http_config("http://generator.test/", backoff_base_s=0,
                                                  max_in_flight=8), session=endpoint)
-                entries = client.prefetch(prompts)
-                deadline = time.monotonic() + 10
-                while len(client.landed) < len(prompts) and time.monotonic() < deadline:
-                    time.sleep(0.001)
-                assert sorted(map(id, client.landed)) == sorted(map(id, entries))
-                assert [entry.text for entry in entries] == [p.query for p in prompts]
+                entries = client.prefetch(prompts[::2])
                 assert [client.generate(p) for p in prompts] == [p.query for p in prompts]
+                assert sorted(map(id, client.landed)) == sorted(map(id, entries))
+                assert [entry.text for entry in entries] == [p.query for p in prompts[::2]]
                 client.cancel_prefetch()
                 assert client.retries == endpoint.faults == endpoint.posts - len(prompts) > 0
         finally:

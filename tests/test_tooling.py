@@ -93,8 +93,9 @@ def test_prompt_takes_the_keywords_the_stub_passes():
 
 def test_an_http_client_sends_every_attempt_through_its_settable_session():
     """MeteredClient counts retries by replacing the ``session`` of each client
-    build_generator returns. Every attempt, inline or from a prefetch worker, must go
-    through the replacement: a 503-then-200 prompt is 2 POSTs, each way."""
+    build_generator returns. Every attempt, of a prompt generate asked for or of a
+    prefetch, must go through the replacement: a 503-then-200 prompt is 2 POSTs, each
+    way."""
     corpus = make_synthetic_corpus(CorpusSpec(size=4), seed=5)
     dataset = join_dataset(corpus.examples, corpus.retrievals)
 
@@ -121,13 +122,20 @@ def test_an_http_client_sends_every_attempt_through_its_settable_session():
 
 
 def test_readme_names_exist():
-    """Each `module.NAME` the README cites, for a ragtrim module, is an attribute of it."""
+    """Each `module.NAME` the README cites, for a ragtrim module, is an attribute of it;
+    each `Class.member`, for a class that ragtrim exports, is an attribute or a dataclass
+    field of that class."""
     modules = {path.stem for path in Path(ragtrim.pipeline.__file__).parent.glob("*.py")}
-    cited = {(module, name) for module, name in
-             re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
-             if module in modules}
-    missing = [f"{module}.{name}" for module, name in sorted(cited)
-               if not hasattr(importlib.import_module(f"ragtrim.{module}"), name)]
+    cited, missing = set(), []
+    for owner, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8")):
+        if owner in modules:
+            found = hasattr(importlib.import_module(f"ragtrim.{owner}"), name)
+        elif isinstance(cls := getattr(ragtrim, owner, None), type):
+            found = hasattr(cls, name) or name in getattr(cls, "__dataclass_fields__", {})
+        else:
+            continue
+        cited.add((owner, name))
+        missing += [] if found else [f"{owner}.{name}"]
     assert len(cited) > 1 and missing == []
 
 
