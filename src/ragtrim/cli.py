@@ -1,4 +1,4 @@
-"""Command-line entry points: make-corpus, annotate, train-predictor, eval-predictor, run, sweep, report."""
+"""Command-line entry points: make-corpus, annotate, train-predictor, eval-predictor, run, sweep."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .pipeline import (
     sweep_document_count,
     train_options,
 )
-from .predictor import PredictorReport, evaluate_predictor, load_model, save_model, train
+from .predictor import evaluate_predictor, load_model, save_model, train
 from .synth import CorpusSpec, make_synthetic_corpus
 
 logger = logging.getLogger(__name__)
@@ -97,6 +97,12 @@ def _cmd_eval_predictor(args: argparse.Namespace) -> int:
     Path(args.report).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
     print(render_confusion(report))
     print(f"report -> {args.report}")
+    if args.out:
+        report_confusion(report, args.out)
+        print(f"confusion -> {args.out}")
+    if args.csv:
+        Path(args.csv).write_text(confusion_csv(report), encoding="utf-8")
+        print(f"confusion csv -> {args.csv}")
     return 0
 
 
@@ -121,18 +127,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"k={p.k} em={p.em:.4f} f1={p.f1:.4f} tokens={p.mean_tokens:.2f}")
     if config.output_dir:
         print(f"outputs -> {config.output_dir}")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    report = PredictorReport.from_dict(read_json_object(args.report))
-    print(render_confusion(report))
-    if args.out:
-        report_confusion(report, args.out)
-        print(f"confusion -> {args.out}")
-    if args.csv:
-        Path(args.csv).write_text(confusion_csv(report), encoding="utf-8")
-        print(f"confusion csv -> {args.csv}")
     return 0
 
 
@@ -178,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
+    p.add_argument("--out", help="also write the confusion matrix and margins as JSON")
+    p.add_argument("--csv", help="also write the confusion matrix as CSV")
     p.set_defaults(func=_cmd_eval_predictor)
 
     p = sub.add_parser("run", help="compare compression methods end to end")
@@ -187,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="metric-vs-document-count curve for fixed k = 0..N")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("report", help="render a predictor report as a confusion matrix")
-    p.add_argument("--report", required=True)
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -229,11 +229,10 @@ def _typed(value, hint, path: str):
     """``value`` checked against the field type ``hint``, with ints widened to float and
     a float that is not finite refused.
 
-    A JSON array is read as a ``list[T]``, a ``tuple[T, ...]`` or a fixed-length
-    ``tuple[A, B]``, and an int-keyed mapping from a JSON object whose keys are
-    decimal digits. The key path is built for an item only when it is not of its
-    type's exact class or is a float that is not finite, so a file of well-typed
-    values builds none.
+    A union is ``T | None``. A JSON array is read as a ``list[T]``, a ``tuple[T, ...]``
+    or a fixed-length ``tuple[A, B]``, and a mapping from a JSON object. The key path
+    is built for an item only when it is not of its type's exact class or is a float
+    that is not finite, so a file of well-typed values builds none.
     """
     if _exact(value, hint):
         return value
@@ -241,14 +240,8 @@ def _typed(value, hint, path: str):
     if base in (typing.Union, types.UnionType):
         if type(value) in args and type(value) is not float:
             return value
-        arms = [arm for arm in args if arm is not type(None)]
-        if len(arms) == 1:  # an optional value that is not null has its own type's message
-            return _typed(value, arms[0], path)
-        for arm in arms:
-            try:
-                return _typed(value, arm, path)
-            except ConfigError:
-                pass
+        (arm,) = [arm for arm in args if arm is not type(None)]  # not null: the arm's message
+        return _typed(value, arm, path)
     elif hint is CompressionLabel:
         try:
             return CompressionLabel.from_json(value)
@@ -267,12 +260,9 @@ def _typed(value, hint, path: str):
             items = [v if _exact(v, arm) else _typed(v, arm, f"{path}[{i}]")
                      for i, (v, arm) in enumerate(zip(value, arms))]
             return items if base is list else tuple(items)
-    elif base in (dict, abc.Mapping) and type(value) is dict:
-        key_type, value_type = args
-        if key_type is int and not all(key.isdecimal() for key in value):
-            raise ConfigError(f"{path} keys must be int, got {json.dumps(list(value))[:40]}")
-        return {(int(k) if key_type is int else k):
-                v if _exact(v, value_type) else _typed(v, value_type, f"{path}.{k}")
+    elif base in (dict, abc.Mapping) and type(value) is dict:  # JSON keys are str
+        value_type = args[1]
+        return {k: v if _exact(v, value_type) else _typed(v, value_type, f"{path}.{k}")
                 for k, v in value.items()}
     elif isinstance(value, base) and (base is bool or not isinstance(value, bool)):
         return value

@@ -27,7 +27,6 @@ from .data import (
     RetrievalSet,
     _typed,
     parse_config,
-    parse_row,
     read_json_object,
 )
 from .features import FeatureSpec, extract_features
@@ -262,13 +261,6 @@ class PredictorReport:
     per_class: dict[str, dict[str, float]] = field(default_factory=dict)
     n_skipped: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.class_list:
-            raise DataError("class_list is empty")
-        c, rows = len(self.class_list), self.confusion
-        if [len(row) for row in rows] != [c] * c or sum(map(sum, rows)) != self.n:
-            raise DataError(f"confusion must be a {c}x{c} matrix whose counts sum to n={self.n}")
-
     def to_dict(self) -> dict:
         return {
             "class_list": list(self.class_list),
@@ -279,12 +271,6 @@ class PredictorReport:
             "n": self.n,
             "n_skipped": self.n_skipped,
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PredictorReport":
-        """The report ``to_dict`` wrote; a missing key or a wrong type is a DataError
-        naming the key."""
-        return parse_row(cls, raw, "malformed predictor report")
 
 
 def _margin(true_cls, pred_cls) -> float:

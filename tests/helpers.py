@@ -78,7 +78,7 @@ def cache_log_keys(cache_dir) -> list[str]:
 
 
 # 200 response bodies that are not a JSON object: JSON array, number, null and
-# string, and a body that is not JSON at all.
+# string, a body that is not JSON at all, and arrays nested deeper than json can read.
 MALFORMED_BODIES = {
     "array": b"[]",
     "text-array": b'["text"]',
@@ -86,6 +86,7 @@ MALFORMED_BODIES = {
     "null": b"null",
     "string": b'"x"',
     "not-json": b"x",
+    "nested-too-deep": b"[" * 100_000,
 }
 
 

@@ -368,25 +368,6 @@ DEFECTS = [
      "in.json: weights must be list, got null"),
     ("eval-model-type", with_json(eval_args(), "--model", {"feature_spec": [5]}),
      "in.json: feature_spec must be a JSON object, got [5]"),
-    ("report-missing", lambda paths, tmp_path: ["report", "--report", str(tmp_path / "nope.json")],
-     NO_FILE),
-    ("report-not-json", with_text(verb("report"), "--report", '{"n": '),
-     "in.json is not valid JSON"),
-    ("report-not-object", with_json(verb("report"), "--report", [1]),
-     "in.json must hold a JSON object"),
-    ("report-missing-key", with_json(verb("report"), "--report", {"class_list": [0, 1]}),
-     "malformed predictor report: missing key confusion"),
-    ("report-wrong-type", with_json(verb("report"), "--report", {
-        "class_list": [0], "confusion": 5, "accuracy": 1, "margin_fractions": {}, "n": 1}),
-     "malformed predictor report: confusion must be list, got 5"),
-    ("report-wrong-shape", with_json(verb("report"), "--report", {
-        "class_list": [0, 1, 2], "confusion": [[1]], "accuracy": 0.9,
-        "margin_fractions": {"0": 0.5}, "n": 4}),
-     "malformed predictor report: confusion must be a 3x3 matrix whose counts sum to n=4"),
-    ("report-wrong-total", with_json(verb("report"), "--report", {
-        "class_list": [0, 1], "confusion": [[1, 0], [0, 1]], "accuracy": 1.0,
-        "margin_fractions": {"0": 1.0}, "n": 3}),
-     "malformed predictor report: confusion must be a 2x2 matrix whose counts sum to n=3"),
     ("corpus-spec-typo", with_json(corpus_args, "--spec", {"n_doc": 3}), "unknown key spec.n_doc"),
     ("corpus-spec-not-object", with_json(corpus_args, "--spec", [1]),
      "in.json must hold a JSON object"),
@@ -627,7 +608,7 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch):
     script = readme_blocks("Quickstart", "bash")[0]
     lines = [line for line in script.replace("\\\n", " ").splitlines()
              if line.startswith("ragtrim ")]
-    assert len(lines) == 7
+    assert len(lines) == 6
     for line in lines:
         assert cli_main(shlex.split(line)[1:]) == 0, line
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import os
+import signal
 import socket
 import ssl
 import threading
@@ -12,7 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ragtrim.generation
@@ -23,12 +25,14 @@ from ragtrim.generation import (
     HttpResponse,
     HttpSession,
     JudgeMode,
+    MAX_BODY,
     MockOracleBackend,
     MockOracleConfig,
     Prompt,
     ProtocolError,
     TransportError,
     UNKNOWN_ANSWER,
+    _read_reply,
     judge_correct,
     mock_generate,
     take_turns,
@@ -642,6 +646,37 @@ class TestHttpClient:
         client.prefetch(prompts[3:])
         assert client.generate(prompts[3]) == "a" and started == ["ragtrim-post"]
 
+    def test_an_interrupted_generate_leaves_no_retry_behind(self):
+        """At width 1, SIGINT reaches the caller's thread while it waits out its own
+        prompt's 1 s backoff. The KeyboardInterrupt drops that retry, so the next generate
+        of another prompt neither waits for it nor POSTs the abandoned prompt."""
+        if threading.current_thread() is not threading.main_thread():
+            pytest.skip("a signal handler runs on the main thread only")
+        a, b = make_prompt(query="question a"), make_prompt(query="question b")
+        posts = []
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                posts.append(text := json["prompt"])
+                if text == a.text and posts.count(text) == 1:
+                    return http_response(503, b"busy")
+                return http_response(200, b'{"text": "ok"}')
+
+        config = http_config("http://generator.test/", backoff_base_s=1, max_in_flight=1)
+        client = http_client(config, session=Session())
+        interrupt = threading.Timer(0.1, signal.pthread_kill,
+                                    (threading.main_thread().ident, signal.SIGINT))
+        interrupt.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                client.generate(a)
+        finally:
+            interrupt.join()
+        start = time.monotonic()
+        assert client.generate(b) == "ok"
+        assert time.monotonic() - start < 0.5
+        assert posts == [a.text, b.text]
+
     def test_a_failed_prefetch_holds_the_queue_until_generate_raises_it(self):
         """At width 2, with the other thread's POST held in flight, the prefetches queued
         behind one that failed for good do not POST while that failure waits for generate;
@@ -1150,6 +1185,20 @@ class TestHttpWire:
         assert server.ports[1] != server.ports[2]
         assert [r.getMessage().split(" to ")[0] for r in caplog.records] == ["attempt 1/3"]
 
+    @pytest.mark.parametrize("head", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffffffffffff\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY + 1),
+    ], ids=["length-beyond-an-index", "chunk-beyond-an-index", "length-one-over-the-cap"])
+    def test_an_oversized_reply_is_retried_then_a_transport_error(self, head):
+        """A body over MAX_BODY fails its attempt before any of it is read, as a broken
+        reply does; once the retries have failed too, generate raises TransportError."""
+        with RawServer([(head, True)]) as server:
+            client = http_client(http_config(server.url, backoff_base_s=0))
+            with pytest.raises(TransportError, match=f"a reply body over {MAX_BODY} bytes"):
+                client.generate(make_prompt())
+        assert len(server.requests) == 3
+
     def test_a_204_is_a_protocol_error_and_its_connection_is_pooled_again(self):
         """A 204 has no body to read, so nothing waits for one: the POST is not retried,
         the missing JSON is a ProtocolError, and the next POST reuses the connection."""
@@ -1211,6 +1260,62 @@ class TestHttpWire:
                     os.close(fd)
         assert len(server.requests) == 2
         assert server.ports[0] == server.ports[1]
+
+
+# The pieces of a reply that _read_reply parses: status lines, header lines with their
+# lengths, chunk-size lines and body bytes, each valid, garbled or far too large.
+SIZES = st.integers(0, 2**80)
+STATUS_LINES = st.sampled_from([b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 100 Continue",
+                                b"HTTP/1.1 204 No Content", b"HTTP/1.1 503 Busy",
+                                b"HTTP/1.1 20 OK", b"garbage"]) | st.binary(max_size=16)
+LENGTHS = SIZES.map(b"%d".__mod__) | st.sampled_from([b"-1", b"1e3", b"0x10", b"9" * 5000]) \
+    | st.binary(max_size=8)
+HEADER_LINES = LENGTHS.map(b"Content-Length: ".__add__) | st.sampled_from([
+    b"Transfer-Encoding: chunked", b"Connection: close", b"Retry-After: 99999999999",
+]) | st.binary(max_size=24)
+CHUNK_SIZES = SIZES.map(b"%x".__mod__) | st.sampled_from([b"5;ext=1", b"zz", b"f" * 5000]) \
+    | st.binary(max_size=8)
+
+
+@st.composite
+def replies(draw) -> bytes:
+    """The bytes of a reply, cut short anywhere."""
+    head = b"\r\n".join([draw(STATUS_LINES), *draw(st.lists(HEADER_LINES, max_size=4))])
+    body = draw(st.lists(CHUNK_SIZES.map(lambda size: size + b"\r\n") | st.binary(max_size=24),
+                         max_size=4))
+    data = head + b"\r\n\r\n" + b"".join(body)
+    return data[:draw(st.integers(0, len(data)))]
+
+
+@given(replies())
+@example(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999999\r\n\r\n")
+@example(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffffffffffff\r\n")
+def test_every_reply_parses_or_raises_an_error_the_policy_retries(data):
+    """Each reply parses, with a body of at most MAX_BODY bytes, or raises OSError or
+    http.client.HTTPException, which post_attempts retries; never anything else."""
+    try:
+        response, _ = _read_reply(io.BufferedReader(io.BytesIO(data)))
+    except (OSError, http.client.HTTPException):
+        return
+    assert len(response.content) <= MAX_BODY
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "a-byte-over"])
+@pytest.mark.parametrize("chunked", [True, False], ids=["chunked", "read-to-close"])
+def test_a_body_may_reach_the_cap_but_not_pass_it(chunked, over):
+    """A body of MAX_BODY bytes, in one chunk or read to the close, parses; one byte
+    more, in one more chunk or before the close, is an error of the reply."""
+    if chunked:
+        data = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n"
+                % (MAX_BODY, b"x" * MAX_BODY) + b"1\r\nx\r\n" * over + b"0\r\n\r\n")
+    else:
+        data = b"HTTP/1.0 200 OK\r\n\r\n" + b"x" * (MAX_BODY + over)
+    reader = io.BufferedReader(io.BytesIO(data))
+    if over:
+        with pytest.raises(http.client.HTTPException, match="over"):
+            _read_reply(reader)
+    else:
+        assert len(_read_reply(reader)[0].content) == MAX_BODY
 
 
 def test_mock_client_concurrent_calls():

@@ -687,19 +687,20 @@ class TestCli:
                 "--config", str(config_path),
                 "--model", str(tmp_path / "model.json"),
                 "--report", str(tmp_path / "report.json"),
+                "--out", str(tmp_path / "confusion.json"),
+                "--csv", str(tmp_path / "confusion.csv"),
             ]
         ) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        confusion = json.loads((tmp_path / "confusion.json").read_text())
+        assert confusion["confusion"] == report["confusion"] and confusion["n"] == report["n"]
+        assert (tmp_path / "confusion.csv").read_text().startswith("true_class,")
+        assert "true\\pred" in capsys.readouterr().out
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert (tmp_path / "out" / "table.csv").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
         assert cli_main(["sweep", "--config", str(config_path)]) == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
-        assert cli_main(
-            ["report", "--report", str(tmp_path / "report.json"), "--out", str(tmp_path / "confusion.json")]
-        ) == 0
-        assert (tmp_path / "confusion.json").exists()
-        out = capsys.readouterr().out
-        assert "true\\pred" in out
 
     def test_conversational_run_prompts_start_with_the_history(self, tmp_path, monkeypatch):
         """With ``datasets.format: conversational`` and no other key about the prompt,

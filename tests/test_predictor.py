@@ -27,7 +27,6 @@ from ragtrim.predictor import (
     FeatureSpecMismatch,
     FixedKPredictor,
     PredictorModel,
-    PredictorReport,
     RandomKPredictor,
     TrainConfig,
     build_class_list,
@@ -360,15 +359,6 @@ def model_payload() -> dict:
             "unanswerable_policy": "drop", "train_config": asdict(TrainConfig()), "metrics": {}}
 
 
-def report_payload() -> dict:
-    return PredictorReport(class_list=(0, 1), confusion=[[1, 0], [0, 1]], accuracy=1.0,
-                           per_class={}, margin_fractions={0: 1.0}, n=2).to_dict()
-
-
-def read_report(path) -> PredictorReport:
-    return PredictorReport.from_dict(json.loads(path.read_text()))
-
-
 class TestPersistence:
     def test_round_trip_preserves_predictions(self, tmp_path):
         ds, triplets = bucketed_dataset(n=60)
@@ -411,24 +401,18 @@ class TestPersistence:
         with pytest.raises(DataError, match=message):
             load_model(path)
 
-    @pytest.mark.parametrize("read, valid, key, value, message", [
-        (load_model, model_payload, "feature_spec", {"max_docs": 5.9},
+    @pytest.mark.parametrize("key, value, message", [
+        ("feature_spec", {"max_docs": 5.9},
          "model.json: feature_spec.max_docs must be int, got 5.9"),
-        (load_model, model_payload, "train_config", {**asdict(TrainConfig()), "epochs": 3.5},
+        ("train_config", {**asdict(TrainConfig()), "epochs": 3.5},
          "model.json: train_config.epochs must be int, got 3.5"),
-        (read_report, report_payload, "class_list", [[0]],
-         "malformed predictor report: class_list[0] must be int | str, got [0]"),
-        (read_report, report_payload, "class_list", [],
-         "malformed predictor report: class_list is empty"),
-    ], ids=["model-max-docs-a-float", "model-epochs-a-float", "report-class-nested",
-            "report-no-classes"])
-    def test_value_of_the_wrong_type_is_a_data_error(self, tmp_path, read, valid, key, value,
-                                                     message):
-        """A bad model or report value is rejected, never converted: 5.9 would read as 5."""
+    ], ids=["model-max-docs-a-float", "model-epochs-a-float"])
+    def test_value_of_the_wrong_type_is_a_data_error(self, tmp_path, key, value, message):
+        """A bad model value is rejected, never converted: 5.9 would read as 5."""
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({**valid(), key: value}))
+        path.write_text(json.dumps({**model_payload(), key: value}))
         with pytest.raises(DataError, match=re.escape(message)):
-            read(path)
+            load_model(path)
 
     def test_model_file_schema(self, tmp_path):
         ds, triplets = bucketed_dataset(n=24)

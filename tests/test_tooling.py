@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import shlex
 import threading
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 import ragtrim.generation
 import ragtrim.pipeline
 from ragtrim.annotate import annotate_dataset
+from ragtrim.cli import build_parser
 from ragtrim.data import join_dataset, save_triplets
 from ragtrim.features import FeatureSpec
 from ragtrim.generation import GeneratorClient, HttpGeneratorConfig, MockOracleConfig, Prompt
@@ -137,6 +139,23 @@ def test_readme_names_exist():
         cited.add((owner, name))
         missing += [] if found else [f"{owner}.{name}"]
     assert len(cited) > 1 and missing == []
+
+
+def test_readme_quickstart_lines_parse(capsys):
+    """Each `ragtrim` line of README's "Quickstart (CLI)" block parses with the CLI's own
+    parser, and none runs: a verb or flag that the README names and the CLI lacks fails
+    here."""
+    section = README.read_text(encoding="utf-8").split("## Quickstart (CLI)", 1)[1]
+    script = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in script.replace("\\\n", " ").splitlines()
+             if line.startswith("ragtrim ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"the CLI does not parse {line!r}: {capsys.readouterr().err}")
 
 
 def names_before_full_stop(text: str) -> set[str]:
